@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks for the per-item costs behind Figures 5 & 7:
 //! equation-system solving, per-tuple discrete operator costs, validation
-//! checks, and model fitting.
+//! checks, model fitting, and lineage bookkeeping.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_bench::{queries, run_discrete, run_predictive};
-use pulse_math::{poly_roots_in, Poly};
-use pulse_model::{CheckMode, FitConfig, StreamFitter};
+use pulse_core::validate::{Bound, BoundInverter, EquiSplit};
+use pulse_core::LineageStore;
+use pulse_math::{poly_roots_in, Poly, Span};
+use pulse_model::{CheckMode, FitConfig, Segment, SegmentId, StreamFitter};
 use pulse_workload::{moving, MovingConfig, MovingObjectGen};
 
 fn workload(tps: f64, duration: f64) -> Vec<pulse_model::Tuple> {
@@ -114,12 +116,55 @@ fn bench_fitting(c: &mut Criterion) {
     g.finish();
 }
 
+/// Lineage as a MACD violation drives it: one source segment enters the
+/// plan; a window function over the key's last 18 sources, a join piece
+/// over two window functions and a map piece derive from it; the map
+/// piece's bound is inverted back to the sources; and every 1000 steps
+/// the store drops what ended more than 50 stream-seconds ago. Returns
+/// how many source bounds the inversions produced.
+fn lineage_steps(steps: usize) -> usize {
+    let mut store = LineageStore::default();
+    let mut history: Vec<SegmentId> = Vec::new();
+    let mut last_wf = None;
+    let mut bounds = 0;
+    for i in 0..steps {
+        let t = i as f64 * 0.02;
+        let src = Segment::single(7, Span::new(t, t + 5.0), Poly::linear(1.0, 0.5));
+        store.register(&src);
+        if history.len() == 18 {
+            history.remove(0);
+        }
+        history.push(src.id);
+        let wf = Segment::single(7, Span::new(t, t + 2.0), Poly::linear(2.0, 0.1));
+        store.emit(&wf, &history);
+        let joined = Segment::new(7, wf.span, vec![wf.models[0].clone(); 2], Vec::new());
+        store.emit(&joined, &[last_wf.unwrap_or(wf.id), wf.id]);
+        let mapped = Segment::single(7, wf.span, Poly::linear(0.0, 0.0));
+        store.emit(&mapped, &[joined.id]);
+        last_wf = Some(wf.id);
+        let inverter = BoundInverter::new(&store, &EquiSplit, 1);
+        bounds += inverter.invert(mapped.id, Bound::symmetric(0.05)).len();
+        if i % 1000 == 999 {
+            store.gc_before(t - 50.0);
+        }
+    }
+    bounds
+}
+
+fn bench_lineage(c: &mut Criterion) {
+    let mut g = c.benchmark_group("lineage");
+    g.sample_size(10);
+    g.bench_function("violation_steps_10k", |b| b.iter(|| lineage_steps(10_000)));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_root_finding,
     bench_filter,
     bench_aggregate,
     bench_join,
-    bench_fitting
+    bench_fitting,
+    bench_lineage
 );
 criterion_main!(benches);

@@ -195,7 +195,6 @@ impl COperator for CJoin {
         out: &mut Vec<Segment>,
     ) {
         self.m.items_in += 1;
-        self.lineage.lock().register(seg);
         let now = seg.span.lo;
         self.left.expire(seg.key, now - self.window);
         self.right.expire(seg.key, now - self.window);

@@ -87,7 +87,6 @@ impl COperator for CMinMax {
         out: &mut Vec<Segment>,
     ) {
         self.m.items_in += 1;
-        self.lineage.lock().register(seg);
         self.envelope.expire_before(seg.span.lo - self.width);
         let x = seg.models[self.slot].clone();
         let domain = seg.span;
@@ -114,13 +113,13 @@ impl COperator for CMinMax {
         // Uncovered time is won by default.
         win = win.union(&covered.complement(domain));
 
+        // Every update is caused by the newcomer and the pieces it beat.
+        let mut parents = displaced;
+        parents.insert(0, seg.id);
         let mut lineage = self.lineage.lock();
         let mut emitted = 0u32;
         for span in win.spans().iter().filter(|s| s.len() > EPS) {
             let piece = Segment::single(seg.key, *span, x.clone());
-            // The update is caused by the newcomer and the pieces it beat.
-            let mut parents = vec![seg.id];
-            parents.extend_from_slice(&displaced);
             lineage.emit(&piece, &parents);
             self.envelope.insert(piece.clone());
             self.m.items_out += 1;

@@ -119,7 +119,6 @@ impl COperator for CFilter {
         out: &mut Vec<Segment>,
     ) {
         self.m.items_in += 1;
-        self.lineage.lock().register(seg);
         let binding = &self.binding;
         let t0 = prof::start();
         let sys =

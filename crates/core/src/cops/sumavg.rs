@@ -47,6 +47,8 @@ pub struct CSumAvg {
     start: Option<f64>,
     emitted_until: f64,
     lineage: SharedLineage,
+    /// Parent ids of the window function being emitted (reused).
+    parents: Vec<SegmentId>,
     m: OpMetrics,
 }
 
@@ -62,14 +64,15 @@ impl CSumAvg {
             start: None,
             emitted_until: f64::NEG_INFINITY,
             lineage,
+            parents: Vec::new(),
             m: OpMetrics::default(),
         }
     }
 
     /// Builds the window function for closes in `[a, b)` with the covering
     /// set fixed, or `None` on a coverage gap. Returns the polynomial and
-    /// the contributing segment ids.
-    fn window_fn(&self, a: f64, b: f64) -> Option<(Poly, Vec<SegmentId>)> {
+    /// leaves the contributing segment ids in `parents`.
+    fn window_fn(&self, a: f64, b: f64, parents: &mut Vec<SegmentId>) -> Option<Poly> {
         let mid = 0.5 * (a + b);
         // History is sorted by span start: binary-search the covering piece.
         let locate = |t: f64| -> Option<usize> {
@@ -85,7 +88,9 @@ impl CSumAvg {
         if head_idx == tail_idx {
             // Entire window inside one segment: wf(t) = A(t) − A(t−w).
             let wf = head.anti.sub(&head.anti.compose_linear(1.0, -self.width));
-            return Some((wf, vec![head.id]));
+            parents.clear();
+            parents.push(head.id);
+            return Some(wf);
         }
         // Coverage gap anywhere between tail and head → no window function.
         if self.group[tail_idx] != self.group[head_idx] {
@@ -105,13 +110,13 @@ impl CSumAvg {
         // Lineage fan-in is capped: the tail and head (which shape the
         // polynomial) always recorded, covered segments only when few —
         // allocations stay conservative either way (each share ≤ bound).
-        let mut parents = vec![tail.id];
+        parents.clear();
+        parents.push(tail.id);
         if head_idx - tail_idx <= 16 {
             parents.extend(self.history[tail_idx + 1..head_idx].iter().map(|h| h.id));
         }
         parents.push(head.id);
-        let wf = tail_part.add(&Poly::constant(c)).add(&head_part);
-        Some((wf, parents))
+        Some(tail_part.add(&Poly::constant(c)).add(&head_part))
     }
 }
 
@@ -128,7 +133,6 @@ impl COperator for CSumAvg {
         out: &mut Vec<Segment>,
     ) {
         self.m.items_in += 1;
-        self.lineage.lock().register(seg);
         let x = seg.models[self.slot].clone();
         let mut span = seg.span;
         // Update semantics: a successor overlapping the predecessor
@@ -169,6 +173,7 @@ impl COperator for CSumAvg {
         cuts.sort_by(|a, b| a.partial_cmp(b).unwrap());
         cuts.dedup_by(|a, b| (*a - *b).abs() < EPS);
         let mut lineage = self.lineage.lock();
+        let mut parents = std::mem::take(&mut self.parents);
         let mut built = 0u64;
         let mut emitted = 0u32;
         for w in cuts.windows(2) {
@@ -176,7 +181,7 @@ impl COperator for CSumAvg {
             if b - a <= EPS {
                 continue;
             }
-            let Some((mut wf, parents)) = self.window_fn(a, b) else { continue };
+            let Some(mut wf) = self.window_fn(a, b, &mut parents) else { continue };
             self.m.systems_solved += 1;
             built += 1;
             if self.avg {
@@ -189,6 +194,7 @@ impl COperator for CSumAvg {
             out.push(piece);
         }
         drop(lineage);
+        self.parents = parents;
         if tr.on() && built > 0 {
             // `rows` = window functions assembled for this arrival.
             let kind = TraceKind::OpSolve { op: "sumavg", rows: built, outputs: emitted };

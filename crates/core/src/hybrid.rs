@@ -159,6 +159,8 @@ impl HybridRuntime {
             CPlan::compile(&b.plan)?;
         }
         let suffix = CPlan::compile(&hp.suffix)?;
+        // The merge stage inverts no bounds: its lineage needs no models.
+        suffix.lineage().lock().set_gradients(false);
         let n_sources = hp.branches.iter().flat_map(|b| &b.sources).max().map_or(0, |&s| s + 1);
         assert_eq!(predictors.len(), n_sources, "one predictor per original source");
         let mut feeds = vec![Vec::new(); n_sources];
@@ -308,13 +310,15 @@ impl HybridRuntime {
         }
     }
 
-    /// Asks every branch runtime to garbage-collect lineage older than
-    /// `t`. Flushes pending batches first so GC stays ordered.
+    /// Garbage-collects lineage older than `t` in every branch runtime
+    /// and in the merge stage. Flushes pending batches first so GC stays
+    /// ordered.
     pub fn gc_before(&mut self, t: f64) {
         for s in 0..self.txs.len() {
             self.flush(s);
             self.txs[s].send(HMsg::Gc(t)).expect("hybrid worker alive");
         }
+        self.suffix.lineage().lock().gc_before(t);
     }
 
     /// Publishes every worker's counters (labeled by shard and branch)
@@ -579,6 +583,40 @@ mod tests {
         // everywhere is key 0 at 10.
         let last = run.outputs.last().unwrap();
         assert!((last.models[0].eval(last.span.lo) - 10.0).abs() < 1e-9, "{last:?}");
+    }
+
+    #[test]
+    fn gc_reaches_the_merge_stage_lineage() {
+        let (schema, sm) = source();
+        let mut lp = LogicalPlan::new(vec![schema]);
+        lp.add(
+            LogicalOp::Aggregate {
+                func: AggFunc::Min,
+                attr: 0,
+                width: 5.0,
+                slide: 1.0,
+                group_by_key: false,
+            },
+            vec![PortRef::Source(0)],
+        );
+        let hp = partition_rewrite(&lp).expect("must split");
+        // Predictions expire before a key's next tuple: every tuple
+        // re-models and sends a segment on to the merge stage.
+        let cfg = RuntimeConfig { horizon: 1.0, bound: 0.01, ..Default::default() };
+        let mut rt =
+            HybridRuntime::new(vec![Predictor::Clause(sm)], &hp, cfg, 1).expect("build hybrid");
+        rt.set_sync_every(8);
+        for i in 0..400u64 {
+            let ts = i as f64 * 0.5;
+            rt.on_tuple(0, &Tuple::new(i % 4, ts, vec![(i % 7) as f64, 0.0]));
+            if i % 40 == 39 {
+                rt.gc_before(ts - 10.0);
+            }
+        }
+        // About 10 s of 2 segments/s survive, not 200 s.
+        let held = rt.suffix.lineage().lock().len();
+        assert!((1..100).contains(&held), "merge-stage lineage holds {held} snapshots");
+        rt.finish();
     }
 
     #[test]

@@ -143,10 +143,14 @@ impl CPlan {
     /// edges carry indices into it, so a segment consumed by several
     /// operators (or kept as a result *and* consumed downstream) is never
     /// cloned.
+    ///
+    /// The pushed segment is snapshotted into lineage here, once; each
+    /// operator snapshots only the outputs it emits.
     pub fn push_traced(&mut self, source: usize, seg: &Segment, tr: &mut Tracer) -> Vec<Segment> {
         for n in &mut self.nodes {
             n.reset_slack();
         }
+        self.lineage.lock().register(seg);
         let mut produced: Vec<Segment> = Vec::new();
         let mut is_result: Vec<bool> = Vec::new();
         let mut queue: Vec<(usize, usize, usize)> =
@@ -228,7 +232,8 @@ impl CPlan {
 
     /// Publishes every operator's counters into `reg` under
     /// `cops.<op>.<metric>`, merging operators of the same kind (e.g. both
-    /// filters of a join query sum into `cops.filter.*`).
+    /// filters of a join query sum into `cops.filter.*`), and the lineage
+    /// store's size as `state.lineage_snapshots` / `state.lineage_bytes`.
     pub fn export_metrics(&self, reg: &pulse_obs::MetricsRegistry) {
         self.export_metrics_with(reg, &|name| name.to_string());
     }
@@ -262,6 +267,9 @@ impl CPlan {
                 reg.counter(&decorate(&format!("cops.{name}.{field}"))).set(v);
             }
         }
+        let lineage = self.lineage.lock();
+        reg.counter(&decorate("state.lineage_snapshots")).set(lineage.len() as u64);
+        reg.counter(&decorate("state.lineage_bytes")).set(lineage.heap_bytes() as u64);
     }
 
     /// The shared lineage store (for bound inversion and validation).

@@ -10,7 +10,8 @@
 use crate::audit::ShadowAuditor;
 use crate::plan::{CPlan, TransformError};
 use crate::validate::{
-    Bound, BoundInverter, EquiSplit, GradientSplit, SplitHeuristic, VKey, Validator,
+    keep_tightest, Bound, BoundInverter, EquiSplit, GradientSplit, InvertScratch, SplitHeuristic,
+    VKey, Validator,
 };
 use pulse_math::{Poly, Span};
 use pulse_model::{Schema, Segment, SegmentId, StreamModel, Tuple};
@@ -225,6 +226,10 @@ pub struct PulseRuntime {
     /// The shadow oracle over the audited key subset (None = auditing
     /// off; the per-tuple paths then skip every audit branch).
     auditor: Option<ShadowAuditor>,
+    /// Bound-inversion buffers, reused by every violation.
+    invert: InvertScratch,
+    /// Inverted allocations by owning validator key (reused).
+    allocations: Vec<(VKey, Bound)>,
 }
 
 impl PulseRuntime {
@@ -246,6 +251,8 @@ impl PulseRuntime {
     ) -> Result<Self, TransformError> {
         assert_eq!(predictors.len(), logical.sources.len(), "one predictor per source");
         let plan = CPlan::compile(logical)?;
+        // Only the gradient split reads the models' derivatives.
+        plan.lineage().lock().set_gradients(cfg.heuristic == Heuristic::Gradient);
         let modeled = predictors.iter().map(|m| m.schema().modeled_indices()).collect();
         let unmodeled = predictors.iter().map(|m| m.schema().unmodeled_indices()).collect();
         let tracer = Tracer::ring(cfg.trace_capacity);
@@ -269,6 +276,8 @@ impl PulseRuntime {
             pending_keys: HashSet::new(),
             batchable,
             auditor,
+            invert: InvertScratch::default(),
+            allocations: Vec::new(),
         })
     }
 
@@ -641,6 +650,8 @@ impl PulseRuntime {
                 ns,
             };
             let solve_end = self.tracer.emit(solve_start, key, ts, kind);
+            // Each OutputEmit walks lineage to its sources: emit work.
+            let emit_t0 = pulse_obs::prof::start();
             let store = self.plan.lineage().lock();
             for out in &new_outs {
                 let sources = store.sources_of(out.id).iter().map(|s| s.0).collect();
@@ -657,6 +668,8 @@ impl PulseRuntime {
                     aud.record_emit(out.key, out.span.lo, emit_id);
                 }
             }
+            drop(store);
+            self.tracer.prof(emit_t0, pulse_obs::Phase::Emit);
         }
         self.stats.outputs += new_outs.len() as u64;
         if obs_on {
@@ -705,25 +718,26 @@ impl PulseRuntime {
             Heuristic::Gradient => &grad,
         };
         let inverter = BoundInverter::new(&store, heuristic, 1);
-        // Tightest allocation per owning validator key.
-        let mut per_key: HashMap<VKey, Bound> = HashMap::new();
+        let output_bound = Bound::symmetric(self.cfg.bound);
+        let alloc = &mut self.allocations;
+        alloc.clear();
         for out in outs {
-            for (sid, b) in inverter.invert(out.id, Bound::symmetric(self.cfg.bound)) {
-                let Some(&vk) = self.seg_owner.get(&sid) else { continue };
-                per_key
-                    .entry(vk)
-                    .and_modify(|t| {
-                        t.below = t.below.min(b.below);
-                        t.above = t.above.min(b.above);
-                    })
-                    .or_insert(b);
-            }
+            inverter.invert_into(out.id, output_bound, &mut self.invert);
+            alloc.extend(
+                self.invert
+                    .sources()
+                    .iter()
+                    .filter_map(|(sid, b)| self.seg_owner.get(sid).map(|&vk| (vk, *b))),
+            );
         }
         drop(store);
         // The triggering key always leaves with a fresh accuracy bound,
         // even if lineage didn't surface its segment (capped fan-in).
-        per_key.entry(trigger_vkey).or_insert_with(|| Bound::symmetric(self.cfg.bound));
-        for (vk, b) in per_key {
+        if !alloc.iter().any(|(vk, _)| *vk == trigger_vkey) {
+            alloc.push((trigger_vkey, output_bound));
+        }
+        keep_tightest(alloc);
+        for &(vk, b) in alloc.iter() {
             self.validator.set_accuracy(vk, b);
         }
     }

@@ -43,19 +43,54 @@ impl Bound {
     }
 }
 
+/// Sorts `allocations` by key and keeps the tightest bound of each key
+/// (the conservative choice when several paths allocate to one key).
+pub(crate) fn keep_tightest<K: Ord + Copy>(allocations: &mut Vec<(K, Bound)>) {
+    allocations.sort_unstable_by_key(|&(k, _)| k);
+    allocations.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1.below = kept.1.below.min(next.1.below);
+            kept.1.above = kept.1.above.min(next.1.above);
+        }
+        same
+    });
+}
+
 /// A bound-splitting heuristic (§IV-C): apportions an output bound across
 /// the input segments that caused the output. Implementations must be
 /// conservative — allocated input ranges may not exceed the output range.
 pub trait SplitHeuristic {
-    /// `dep_count` is `|D(o)| = |translations ∪ inferences|` for the
-    /// operator being inverted.
+    /// Appends one share of `bound` per input, in input order, to `out`.
+    /// There are `n` inputs; `gradient(i)` is input `i`'s `Σ |x′(t)|` at
+    /// the midpoint of the output's span (only heuristics that weigh by
+    /// rate of change call it). `dep_count` is
+    /// `|D(o)| = |translations ∪ inferences|` for the operator being
+    /// inverted.
+    fn split_into(
+        &self,
+        bound: Bound,
+        n: usize,
+        gradient: &mut dyn FnMut(usize) -> f64,
+        dep_count: usize,
+        out: &mut Vec<Bound>,
+    );
+
+    /// [`Self::split_into`] over whole segments: each input's share, by id.
     fn split(
         &self,
         output: &Segment,
         bound: Bound,
         inputs: &[&Segment],
         dep_count: usize,
-    ) -> Vec<(SegmentId, Bound)>;
+    ) -> Vec<(SegmentId, Bound)> {
+        let mid = output.span.mid();
+        let mut gradient =
+            |i: usize| inputs[i].models.iter().map(|m| m.derivative().eval(mid).abs()).sum::<f64>();
+        let mut shares = Vec::with_capacity(inputs.len());
+        self.split_into(bound, inputs.len(), &mut gradient, dep_count, &mut shares);
+        inputs.iter().map(|s| s.id).zip(shares).collect()
+    }
 }
 
 /// Equi-split: uniform allocation `[oˡ/n, oᵘ/n]` across every contributing
@@ -64,15 +99,16 @@ pub trait SplitHeuristic {
 pub struct EquiSplit;
 
 impl SplitHeuristic for EquiSplit {
-    fn split(
+    fn split_into(
         &self,
-        _output: &Segment,
         bound: Bound,
-        inputs: &[&Segment],
+        n: usize,
+        _gradient: &mut dyn FnMut(usize) -> f64,
         dep_count: usize,
-    ) -> Vec<(SegmentId, Bound)> {
-        let n = (inputs.len() * dep_count.max(1)).max(1) as f64;
-        inputs.iter().map(|s| (s.id, bound.scale(1.0 / n))).collect()
+        out: &mut Vec<Bound>,
+    ) {
+        let share = bound.scale(1.0 / (n * dep_count.max(1)).max(1) as f64);
+        out.extend(std::iter::repeat_n(share, n));
     }
 }
 
@@ -83,24 +119,30 @@ impl SplitHeuristic for EquiSplit {
 pub struct GradientSplit;
 
 impl SplitHeuristic for GradientSplit {
-    fn split(
+    fn split_into(
         &self,
-        output: &Segment,
         bound: Bound,
-        inputs: &[&Segment],
+        n: usize,
+        gradient: &mut dyn FnMut(usize) -> f64,
         dep_count: usize,
-    ) -> Vec<(SegmentId, Bound)> {
-        let mid = output.span.mid();
-        let weights: Vec<f64> = inputs
-            .iter()
-            .map(|s| s.models.iter().map(|m| m.derivative().eval(mid).abs()).sum::<f64>())
-            .collect();
-        let total: f64 = weights.iter().sum();
+        out: &mut Vec<Bound>,
+    ) {
+        // The weights sit in `out` until the total is known.
+        let start = out.len();
+        let mut total = 0.0;
+        for i in 0..n {
+            let w = gradient(i);
+            total += w;
+            out.push(Bound { below: w, above: w });
+        }
         if total < EPS {
-            return EquiSplit.split(output, bound, inputs, dep_count);
+            out.truncate(start);
+            return EquiSplit.split_into(bound, n, gradient, dep_count, out);
         }
         let d = dep_count.max(1) as f64;
-        inputs.iter().zip(&weights).map(|(s, w)| (s.id, bound.scale(w / total / d))).collect()
+        for share in &mut out[start..] {
+            *share = bound.scale(share.below / total / d);
+        }
     }
 }
 
@@ -113,6 +155,24 @@ pub struct BoundInverter<'a> {
     /// would carry per-operator translation/inference sets; this build
     /// applies a plan-wide count, which is conservative when ≥ the max).
     dep_count: usize,
+}
+
+/// Buffers [`BoundInverter::invert_into`] reuses from one inversion to the
+/// next, so a warm inversion allocates nothing.
+#[derive(Debug, Default)]
+pub struct InvertScratch {
+    frontier: Vec<(SegmentId, Bound)>,
+    inputs: Vec<SegmentId>,
+    shares: Vec<Bound>,
+    sources: Vec<(SegmentId, Bound)>,
+}
+
+impl InvertScratch {
+    /// The last inversion's result: one tightest bound per source segment,
+    /// ordered by id.
+    pub fn sources(&self) -> &[(SegmentId, Bound)] {
+        &self.sources
+    }
 }
 
 impl<'a> BoundInverter<'a> {
@@ -128,31 +188,43 @@ impl<'a> BoundInverter<'a> {
     /// A source reached along several paths keeps its tightest allocation
     /// (conservative).
     pub fn invert(&self, output: SegmentId, bound: Bound) -> HashMap<SegmentId, Bound> {
-        let mut result: HashMap<SegmentId, Bound> = HashMap::new();
-        let mut frontier = vec![(output, bound)];
-        while let Some((id, b)) = frontier.pop() {
-            let parents = self.store.parents_of(id);
-            if parents.is_empty() {
-                result
-                    .entry(id)
-                    .and_modify(|cur| {
-                        cur.below = cur.below.min(b.below);
-                        cur.above = cur.above.min(b.above);
-                    })
-                    .or_insert(b);
+        let mut scratch = InvertScratch::default();
+        self.invert_into(output, bound, &mut scratch);
+        scratch.sources.into_iter().collect()
+    }
+
+    /// [`Self::invert`] into reusable buffers; the result is
+    /// [`InvertScratch::sources`]. A segment without parents (a source, or
+    /// one the store no longer holds) takes its share as is; parents the
+    /// store no longer holds take none.
+    pub fn invert_into(&self, output: SegmentId, bound: Bound, s: &mut InvertScratch) {
+        s.sources.clear();
+        s.frontier.clear();
+        s.frontier.push((output, bound));
+        while let Some((id, b)) = s.frontier.pop() {
+            let Some(node) = self.store.snapshot(id).filter(|n| !n.parents.is_empty()) else {
+                s.sources.push((id, b));
+                continue;
+            };
+            s.inputs.clear();
+            s.inputs.extend(node.parents.iter().copied().filter(|&p| self.store.contains(p)));
+            if s.inputs.is_empty() {
                 continue;
             }
-            let Some(out_seg) = self.store.segment(id) else { continue };
-            let inputs: Vec<&Segment> =
-                parents.iter().filter_map(|p| self.store.segment(*p)).collect();
-            if inputs.is_empty() {
-                continue;
-            }
-            for (pid, pb) in self.heuristic.split(out_seg, b, &inputs, self.dep_count) {
-                frontier.push((pid, pb));
-            }
+            let (store, inputs, mid) = (self.store, &s.inputs, node.span.mid());
+            let mut gradient =
+                |i: usize| store.snapshot(inputs[i]).map_or(0.0, |p| p.gradient(mid));
+            s.shares.clear();
+            self.heuristic.split_into(
+                b,
+                inputs.len(),
+                &mut gradient,
+                self.dep_count,
+                &mut s.shares,
+            );
+            s.frontier.extend(s.inputs.iter().copied().zip(s.shares.iter().copied()));
         }
-        result
+        keep_tightest(&mut s.sources);
     }
 }
 
@@ -629,6 +701,70 @@ mod tests {
         let bounds = inv.invert(out.id, Bound::symmetric(1.0));
         assert_eq!(bounds.len(), 1);
         assert!((bounds[&src.id].below - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn invert_into_keeps_one_tightest_bound_per_source() {
+        // out ← (m1, m2); m1 ← src; m2 ← (src, other): src gets 0.5 via m1
+        // and 0.25 via m2, and keeps 0.25.
+        let mut store = LineageStore::default();
+        let (src, other, m1, m2, out) =
+            (seg_with(1.0), seg_with(1.0), seg_with(1.0), seg_with(1.0), seg_with(1.0));
+        store.register(&src);
+        store.register(&other);
+        store.emit(&m1, &[src.id]);
+        store.emit(&m2, &[src.id, other.id]);
+        store.emit(&out, &[m1.id, m2.id]);
+        let mut scratch = InvertScratch::default();
+        let inverter = BoundInverter::new(&store, &EquiSplit, 1);
+        for _ in 0..2 {
+            // A reused scratch gives the same answer.
+            inverter.invert_into(out.id, Bound::symmetric(1.0), &mut scratch);
+            let mut want =
+                vec![(src.id, Bound::symmetric(0.25)), (other.id, Bound::symmetric(0.25))];
+            want.sort_by_key(|&(id, _)| id);
+            assert_eq!(scratch.sources(), want.as_slice());
+        }
+    }
+
+    #[test]
+    fn inverter_gradient_shares_match_the_segment_split() {
+        let mut store = LineageStore::default();
+        let fast = seg_with(3.0);
+        let curved = Segment::new(
+            2,
+            Span::new(0.0, 10.0),
+            vec![Poly::new(vec![1.0, -0.5, 0.25]), Poly::constant(2.0)],
+            vec![4.0],
+        );
+        let out = seg_with(1.0);
+        store.register(&fast);
+        store.register(&curved);
+        store.emit(&out, &[fast.id, curved.id]);
+        let bounds =
+            BoundInverter::new(&store, &GradientSplit, 2).invert(out.id, Bound::symmetric(1.0));
+        let want = GradientSplit.split(&out, Bound::symmetric(1.0), &[&fast, &curved], 2);
+        assert_eq!(bounds.len(), 2);
+        for (id, share) in want {
+            assert_eq!(bounds[&id], share, "bit-exact share for {id:?}");
+        }
+    }
+
+    #[test]
+    fn inverter_skips_collected_parents() {
+        let mut store = LineageStore::default();
+        let old = Segment::single(1, Span::new(0.0, 1.0), Poly::linear(0.0, 1.0));
+        let live = seg_with(1.0);
+        let out = seg_with(1.0);
+        store.register(&old);
+        store.register(&live);
+        store.emit(&out, &[old.id, live.id]);
+        store.gc_before(5.0);
+        let bounds =
+            BoundInverter::new(&store, &EquiSplit, 1).invert(out.id, Bound::symmetric(1.0));
+        // The collected parent takes no share, so the live one takes all.
+        assert_eq!(bounds.len(), 1);
+        assert_eq!(bounds[&live.id], Bound::symmetric(1.0));
     }
 
     #[test]

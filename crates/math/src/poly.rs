@@ -100,7 +100,13 @@ impl Poly {
 
     /// Evaluates at `t` using Horner's rule.
     pub fn eval(&self, t: f64) -> f64 {
-        self.c.iter().rev().fold(0.0, |acc, &c| acc * t + c)
+        Poly::eval_coeffs(&self.c, t)
+    }
+
+    /// [`Self::eval`] over bare ascending coefficients, for callers that
+    /// pack many polynomials into one flat buffer.
+    pub fn eval_coeffs(c: &[f64], t: f64) -> f64 {
+        c.iter().rev().fold(0.0, |acc, &c| acc * t + c)
     }
 
     /// Batch Horner evaluation over a chunk of sample times.
@@ -207,11 +213,7 @@ impl Poly {
     /// bit-identical to [`Poly::derivative`].
     pub fn derivative_into(&self, out: &mut Poly) {
         out.c.clear();
-        if self.c.len() <= 1 {
-            return;
-        }
-        out.c.extend(self.c[1..].iter().enumerate().map(|(i, &c)| c * (i + 1) as f64));
-        out.trim();
+        self.derivative_append(&mut out.c);
     }
 
     /// Pointwise sum.
@@ -275,10 +277,21 @@ impl Poly {
 
     /// First derivative.
     pub fn derivative(&self) -> Poly {
-        if self.c.len() <= 1 {
-            return Poly::zero();
+        let mut d = Poly::zero();
+        self.derivative_into(&mut d);
+        d
+    }
+
+    /// Appends the coefficients of [`Self::derivative`] to `out`, trimmed
+    /// like every polynomial's, with no allocation of its own. Returns how
+    /// many it appended (0 for a constant).
+    pub fn derivative_append(&self, out: &mut Vec<f64>) -> usize {
+        let start = out.len();
+        out.extend(self.c.iter().enumerate().skip(1).map(|(i, &c)| c * i as f64));
+        while matches!(out[start..].last(), Some(&x) if x.abs() < COEFF_EPS) {
+            out.pop();
         }
-        Poly::new(self.c[1..].iter().enumerate().map(|(i, &c)| c * (i + 1) as f64).collect())
+        out.len() - start
     }
 
     /// Antiderivative with zero constant term: `∫ Σ cᵢtⁱ = Σ cᵢ/(i+1) tⁱ⁺¹`
@@ -421,6 +434,24 @@ mod tests {
         assert_eq!(d, p(&[3.0, 4.0, 3.0]));
         // d/dt ∫p = p
         assert_eq!(a.antiderivative().derivative(), a);
+    }
+
+    #[test]
+    fn flat_derivative_matches_derivative() {
+        // Trailing near-zeros are trimmed the same way; constants add none
+        // and leave what the buffer already held (here a zero) alone.
+        for a in
+            [p(&[4.0, 3.0, 2.0, 1.0]), p(&[1.0, 2.0, 1e-13]), Poly::constant(7.0), Poly::zero()]
+        {
+            let mut flat = vec![0.0];
+            let n = a.derivative_append(&mut flat);
+            assert_eq!(&flat[1..], a.derivative().coeffs(), "{a}");
+            assert_eq!(n, flat.len() - 1);
+            for t in [-2.5, 0.0, 3.25] {
+                let want = a.derivative().eval(t);
+                assert_eq!(Poly::eval_coeffs(&flat[1..], t).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

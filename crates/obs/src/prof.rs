@@ -95,7 +95,9 @@ pub enum Phase {
     /// registration, segment construction (push total minus the nested
     /// substitute/isolate time).
     Solve = 8,
-    /// Result installation: bound inversion and validation-mode updates.
+    /// Result installation: bound inversion and validation-mode updates,
+    /// plus (flight recorder on) each output's `OutputEmit` event and the
+    /// lineage walk to its sources.
     Emit = 9,
 }
 
