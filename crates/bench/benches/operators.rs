@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks for the per-item costs behind Figures 5 & 7:
 //! equation-system solving, per-tuple discrete operator costs, validation
-//! checks, model fitting, and lineage bookkeeping.
+//! checks, model fitting, lineage bookkeeping, and keyed join state upkeep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_bench::{queries, run_discrete, run_predictive};
 use pulse_core::validate::{Bound, BoundInverter, EquiSplit};
-use pulse_core::LineageStore;
+use pulse_core::{lineage, Binding, CJoin, COperator, LineageStore};
 use pulse_math::{poly_roots_in, Poly, Span};
-use pulse_model::{CheckMode, FitConfig, Segment, SegmentId, StreamFitter};
+use pulse_model::{AttrKind, CheckMode, FitConfig, Pred, Schema, Segment, SegmentId, StreamFitter};
+use pulse_stream::KeyJoin;
 use pulse_workload::{moving, MovingConfig, MovingObjectGen};
 
 fn workload(tps: f64, duration: f64) -> Vec<pulse_model::Tuple> {
@@ -94,6 +95,46 @@ fn bench_join(c: &mut Criterion) {
     g.finish();
 }
 
+/// One arrival of the steady keyed stream behind `join/keyed_expiry`:
+/// `keys` live keys in turn, each recurring every 3 stream-seconds with a
+/// 1 s segment on alternating sides. Each arrival stores one segment and
+/// one earlier segment falls due under the 2 s window; no probe finds a
+/// partner, so the cost is state upkeep alone.
+fn keyed_arrival(join: &mut CJoin, i: u64, keys: u64, out: &mut Vec<Segment>) {
+    let t = i as f64 * 3.0 / keys as f64;
+    let seg = Segment::single(i % keys, Span::new(t, t + 1.0), Poly::constant(0.0));
+    join.process(((i / keys) % 2) as usize, &seg, out);
+}
+
+/// Per-arrival cost of keyed join state at 100 and 10k live keys. Expiry
+/// touches only the keys that fall due, so what still grows with the key
+/// count is memory traffic over the larger state.
+fn bench_join_keyed_expiry(c: &mut Criterion) {
+    let mut g = c.benchmark_group("join");
+    g.sample_size(10);
+    for keys in [100u64, 10_000] {
+        let schema = Schema::of(&[("x", AttrKind::Modeled)]);
+        let bindings = [Binding::new(schema.clone()), Binding::new(schema)];
+        let mut join = CJoin::new(2.0, Pred::True, KeyJoin::Eq, bindings, lineage::shared());
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < 2 * keys {
+            keyed_arrival(&mut join, i, keys, &mut out);
+            i += 1;
+        }
+        g.bench_function(BenchmarkId::new("keyed_expiry", keys), |b| {
+            b.iter(|| {
+                for _ in 0..1000 {
+                    keyed_arrival(&mut join, i, keys, &mut out);
+                    i += 1;
+                }
+                assert!(out.is_empty());
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_fitting(c: &mut Criterion) {
     let mut g = c.benchmark_group("fitting");
     g.sample_size(10);
@@ -164,6 +205,7 @@ criterion_group!(
     bench_filter,
     bench_aggregate,
     bench_join,
+    bench_join_keyed_expiry,
     bench_fitting,
     bench_lineage
 );

@@ -5,7 +5,9 @@
 //! that overlaps with [t0, t1)". Each side keeps an order-based segment
 //! buffer (Fig. 3); an arriving segment is paired with every temporally
 //! overlapping opposite segment, one equation system per pair, solved over
-//! the pair's common time range.
+//! the pair's common time range. Each arrival first drops the segments
+//! ending at or before `now − window`; keyed state finds them through a
+//! due-time heap instead of scanning every key.
 
 use super::{meaningful_spans, COperator};
 use crate::binding::Binding;
@@ -16,7 +18,8 @@ use pulse_model::{Pred, Segment};
 use pulse_obs::{prof, Phase, TraceKind, Tracer};
 use pulse_stream::{KeyJoin, OpMetrics};
 use std::any::Any;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 
 /// How the join buffers its per-side segment state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,40 +35,89 @@ pub enum JoinState {
     Indexed,
 }
 
-/// Full sweeps of the keyed state happen once per this many arrivals; in
-/// between, only the arriving key's buffer is expired. Lazy expiry cannot
-/// change results: a segment old enough to expire (`hi ≤ now − window`)
-/// can never overlap a probe span starting at `now`.
-const KEYED_SWEEP_EVERY: u32 = 512;
-
 /// One interval index per join key — the `KeyJoin::Eq` state layout. The
 /// key-blind global index made every violation scan candidates across all
 /// keys only to discard them against the key predicate; here the probe
 /// only ever sees its own key's segments. Within a key, segments keep the
 /// same start-order the global index would have produced, so candidate
 /// iteration order (and therefore output order) is unchanged.
+///
+/// Expiry is by due time. `due` holds one `(span.hi, key)` entry per
+/// stored segment; an arrival pops the entries due at its horizon and
+/// expires only those keys, so its cost follows the segments that
+/// actually expire, not the key count. A key that goes silent is freed by
+/// the first arrival of any key past its segments' ends.
+///
+/// Invariant: after every [`Self::expire`], each stored segment has
+/// exactly one entry in `due` and no entry outlives its segment. Popping
+/// every entry with `hi ≤ t` and dropping every segment with `hi ≤ t` are
+/// the same comparison on the same values, so an entry never refers to a
+/// removed segment once `expire` returns, and a key that empties and comes
+/// back starts with only its new entries.
+///
+/// Every arrival expires all keys at its own horizon `now − window`, as
+/// the scan and global-index layouts do; a later probe can only miss a
+/// dropped segment if it starts more than `window` before that arrival.
 #[derive(Default)]
 struct KeyedIndex {
     map: HashMap<u64, SegmentIndex>,
-    since_sweep: u32,
+    due: BinaryHeap<Due>,
 }
 
+/// A stored segment's due time, ordered so [`BinaryHeap`] pops the
+/// earliest first.
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    hi: f64,
+    key: u64,
+}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.hi.total_cmp(&self.hi).then(other.key.cmp(&self.key))
+    }
+}
+
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Due {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Due {}
+
 impl KeyedIndex {
-    fn expire(&mut self, key: u64, t: f64) {
-        if let Some(idx) = self.map.get_mut(&key) {
-            idx.expire_before(t);
-            if idx.is_empty() {
-                self.map.remove(&key);
+    fn insert(&mut self, seg: Segment) {
+        self.due.push(Due { hi: seg.span.hi, key: seg.key });
+        self.map.entry(seg.key).or_default().insert(seg);
+    }
+
+    /// Drops every segment ending at or before `t`, touching only the keys
+    /// that hold one.
+    fn expire(&mut self, t: f64) {
+        while let Some(&Due { hi, key }) = self.due.peek() {
+            if hi > t {
+                break;
+            }
+            self.due.pop();
+            // A key's earlier pop may already have dropped this segment.
+            if let Some(idx) = self.map.get_mut(&key) {
+                idx.expire_before(t);
+                if idx.is_empty() {
+                    self.map.remove(&key);
+                }
             }
         }
-        self.since_sweep += 1;
-        if self.since_sweep >= KEYED_SWEEP_EVERY {
-            self.since_sweep = 0;
-            self.map.retain(|_, idx| {
-                idx.expire_before(t);
-                !idx.is_empty()
-            });
-        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.values().map(SegmentIndex::len).sum()
     }
 }
 
@@ -84,11 +136,12 @@ impl SideState {
         }
     }
 
-    fn expire(&mut self, key: u64, t: f64) {
+    /// Drops every segment ending at or before `t`.
+    fn expire(&mut self, t: f64) {
         match self {
             SideState::Scan(v) => v.retain(|s| s.span.hi > t),
             SideState::Indexed(idx) => idx.expire_before(t),
-            SideState::Keyed(k) => k.expire(key, t),
+            SideState::Keyed(k) => k.expire(t),
         }
     }
 
@@ -96,7 +149,24 @@ impl SideState {
         match self {
             SideState::Scan(v) => v.push(seg),
             SideState::Indexed(idx) => idx.insert(seg),
-            SideState::Keyed(k) => k.map.entry(seg.key).or_default().insert(seg),
+            SideState::Keyed(k) => k.insert(seg),
+        }
+    }
+
+    /// Live segments held.
+    fn len(&self) -> usize {
+        match self {
+            SideState::Scan(v) => v.len(),
+            SideState::Indexed(idx) => idx.len(),
+            SideState::Keyed(k) => k.len(),
+        }
+    }
+
+    /// Pending due-time entries (keyed layout only).
+    fn due_len(&self) -> usize {
+        match self {
+            SideState::Keyed(k) => k.due.len(),
+            SideState::Scan(_) | SideState::Indexed(_) => 0,
         }
     }
 
@@ -180,6 +250,12 @@ impl CJoin {
             m: OpMetrics::default(),
         }
     }
+
+    /// Live segments held on both sides, and pending due-time entries:
+    /// the `state.join_segments` and `state.join_due` gauges.
+    pub fn state_sizes(&self) -> (usize, usize) {
+        (self.left.len() + self.right.len(), self.left.due_len() + self.right.due_len())
+    }
 }
 
 impl COperator for CJoin {
@@ -196,8 +272,8 @@ impl COperator for CJoin {
     ) {
         self.m.items_in += 1;
         let now = seg.span.lo;
-        self.left.expire(seg.key, now - self.window);
-        self.right.expire(seg.key, now - self.window);
+        self.left.expire(now - self.window);
+        self.right.expire(now - self.window);
         let from_left = input == 0;
         let opposite = if from_left { &self.right } else { &self.left };
 
@@ -297,7 +373,7 @@ mod tests {
     use super::*;
     use crate::lineage;
     use pulse_math::{CmpOp, Poly, Span};
-    use pulse_model::{AttrKind, Expr, Schema};
+    use pulse_model::{AttrKind, Expr, Schema, SegmentId};
 
     fn schema() -> Schema {
         Schema::of(&[("x", AttrKind::Modeled)])
@@ -384,6 +460,113 @@ mod tests {
         // Arrives at t=5: the old left segment (ended 0.5) is beyond the 1s window.
         j.process(1, &seg(2, 5.0, 6.0, 0.0, 0.0), &mut out);
         assert!(out.is_empty());
+    }
+
+    fn ids(segs: &[&Segment]) -> Vec<SegmentId> {
+        let mut ids: Vec<SegmentId> = segs.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Checks the keyed state against a scan buffer fed the same arrivals,
+    /// after expiry at `t`: the same segments live, one due entry each, no
+    /// segment at or before `t`, and no empty key left behind.
+    fn assert_keyed_state(keyed: &SideState, scan: &SideState, t: f64) {
+        let (SideState::Keyed(k), SideState::Scan(v)) = (keyed, scan) else { unreachable!() };
+        assert_eq!(k.len(), v.len(), "live segments");
+        assert_eq!(k.due.len(), k.len(), "one due entry per live segment");
+        assert!(k.map.values().all(|idx| !idx.is_empty()), "empty key index kept");
+        assert!(k.map.values().flat_map(SegmentIndex::iter).all(|s| s.span.hi > t));
+    }
+
+    #[test]
+    fn keyed_due_time_expiry_matches_brute_force() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut probes = (0, 0);
+        for _ in 0..20 {
+            let window: f64 = rng.gen_range(0.1..3.0);
+            let mut keyed = [0, 1].map(|_| SideState::new(JoinState::Indexed, KeyJoin::Eq));
+            let mut scan = [0, 1].map(|_| SideState::new(JoinState::Scan, KeyJoin::Eq));
+            let mut now: f64 = 0.0;
+            for _ in 0..400 {
+                // Time mostly creeps forward; sometimes an arrival runs well
+                // behind the latest one (another key's later piece came
+                // first), sometimes the stream jumps ahead past several
+                // windows. A few keys arrive often, most go silent for long
+                // stretches.
+                now += match rng.gen_range(0..20) {
+                    0 | 1 => -rng.gen_range(0.0..2.0 * window),
+                    2 => rng.gen_range(0.0..4.0 * window),
+                    _ => rng.gen_range(0.0..0.3),
+                };
+                now = now.max(0.0);
+                let key: u64 =
+                    if rng.gen_bool(0.7) { rng.gen_range(0..3) } else { rng.gen_range(3..40) };
+                let side: usize = rng.gen_range(0..2);
+                let s = seg(key, now, now + rng.gen_range(0.0..2.0), 0.0, 0.0);
+                let t = now - window;
+                for st in keyed.iter_mut().chain(scan.iter_mut()) {
+                    st.expire(t);
+                }
+                let opp = 1 - side;
+                let got = keyed[opp].candidates(key, s.span, &mut 0);
+                let all = scan[opp].candidates(key, s.span, &mut 0);
+                let want: Vec<&Segment> = all.into_iter().filter(|c| c.key == key).collect();
+                assert_eq!(ids(&got), ids(&want), "key {key} at {now}");
+                probes.0 += 1;
+                probes.1 += usize::from(!want.is_empty());
+                for (k, sc) in keyed.iter().zip(&scan) {
+                    assert_keyed_state(k, sc, t);
+                }
+                keyed[side].push(s.clone());
+                scan[side].push(s);
+            }
+        }
+        assert!(probes.1 > probes.0 / 10, "too few probes hit state: {probes:?}");
+    }
+
+    #[test]
+    fn silent_key_is_freed_by_any_later_arrival() {
+        let mut state = SideState::new(JoinState::Indexed, KeyJoin::Eq);
+        state.push(seg(1, 0.0, 1.0, 0.0, 0.0));
+        state.push(seg(2, 0.0, 5.0, 0.0, 0.0));
+        // Key 1 never arrives again; key 2's arrival past 1.0 frees it.
+        state.expire(1.0);
+        let SideState::Keyed(k) = &state else { unreachable!() };
+        assert!(!k.map.contains_key(&1));
+        assert_eq!((k.len(), k.due.len()), (1, 1));
+    }
+
+    #[test]
+    fn key_that_empties_and_returns_keeps_live_segments() {
+        let mut state = SideState::new(JoinState::Indexed, KeyJoin::Eq);
+        state.push(seg(7, 0.0, 1.0, 0.0, 0.0));
+        state.push(seg(7, 0.5, 1.0, 0.0, 0.0));
+        state.expire(1.5);
+        let SideState::Keyed(k) = &state else { unreachable!() };
+        assert!(k.map.is_empty() && k.due.is_empty());
+        // Back with a segment due later than the old ones: expiries at the
+        // old due times, and at an earlier horizon, must keep it.
+        state.push(seg(7, 2.0, 10.0, 0.0, 0.0));
+        for t in [1.0, 1.5, 0.0, 9.0] {
+            state.expire(t);
+            assert_eq!(state.candidates(7, Span::new(9.5, 9.6), &mut 0).len(), 1, "t={t}");
+        }
+        state.expire(10.0);
+        assert_eq!(state.len(), 0);
+    }
+
+    #[test]
+    fn state_sizes_track_live_segments() {
+        let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Eq, bindings(), lineage::shared());
+        let mut out = Vec::new();
+        for key in 0..4 {
+            j.process(0, &seg(key, 0.0, 0.5, 0.0, 0.0), &mut out);
+        }
+        assert_eq!(j.state_sizes(), (4, 4));
+        j.process(1, &seg(9, 1.6, 2.0, 0.0, 0.0), &mut out);
+        assert_eq!(j.state_sizes(), (1, 1), "every silent key freed at horizon 0.6");
     }
 
     #[test]

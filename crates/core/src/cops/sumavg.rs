@@ -23,6 +23,28 @@ use pulse_model::{Segment, SegmentId};
 use pulse_obs::{TraceKind, Tracer};
 use pulse_stream::OpMetrics;
 use std::any::Any;
+use std::cell::RefCell;
+
+/// Staging for window-function assembly, reused across arrivals. One per
+/// thread, shared by every group's operator: per-group buffers would grow
+/// with the key count.
+#[derive(Default)]
+struct Staging {
+    /// Breakpoints of the arrival being emitted.
+    cuts: Vec<f64>,
+    /// Parent ids of the window function being emitted.
+    parents: Vec<SegmentId>,
+    /// The window function being built.
+    wf: Poly,
+    /// `A(t − w)`, then the head part.
+    shifted: Poly,
+    /// Horner scratch, then the constant terms.
+    tmp: Poly,
+}
+
+thread_local! {
+    static STAGING: RefCell<Staging> = RefCell::default();
+}
 
 struct HistEntry {
     span: Span,
@@ -47,8 +69,6 @@ pub struct CSumAvg {
     start: Option<f64>,
     emitted_until: f64,
     lineage: SharedLineage,
-    /// Parent ids of the window function being emitted (reused).
-    parents: Vec<SegmentId>,
     m: OpMetrics,
 }
 
@@ -64,15 +84,16 @@ impl CSumAvg {
             start: None,
             emitted_until: f64::NEG_INFINITY,
             lineage,
-            parents: Vec::new(),
             m: OpMetrics::default(),
         }
     }
 
     /// Builds the window function for closes in `[a, b)` with the covering
-    /// set fixed, or `None` on a coverage gap. Returns the polynomial and
-    /// leaves the contributing segment ids in `parents`.
-    fn window_fn(&self, a: f64, b: f64, parents: &mut Vec<SegmentId>) -> Option<Poly> {
+    /// set fixed into `st.wf`, or returns `false` on a coverage gap. Leaves
+    /// the contributing segment ids in `st.parents`. Every step is an in-place
+    /// op on `st`'s polynomials, in the order and with the trims of the
+    /// allocating formula, so coefficients are bit-identical to it.
+    fn window_fn(&self, a: f64, b: f64, st: &mut Staging) -> bool {
         let mid = 0.5 * (a + b);
         // History is sorted by span start: binary-search the covering piece.
         let locate = |t: f64| -> Option<usize> {
@@ -80,43 +101,50 @@ impl CSumAvg {
             let h = &self.history[i];
             (h.span.contains(t) || (t - h.span.lo).abs() <= EPS).then_some(i)
         };
-        let head_idx = locate(mid)?;
-        let tail_time = mid - self.width;
-        let tail_idx = locate(tail_time)?;
+        let (Some(head_idx), Some(tail_idx)) = (locate(mid), locate(mid - self.width)) else {
+            return false;
+        };
         let head = &self.history[head_idx];
         let tail = &self.history[tail_idx];
+        st.parents.clear();
         if head_idx == tail_idx {
             // Entire window inside one segment: wf(t) = A(t) − A(t−w).
-            let wf = head.anti.sub(&head.anti.compose_linear(1.0, -self.width));
-            parents.clear();
-            parents.push(head.id);
-            return Some(wf);
+            head.anti.compose_linear_into(1.0, -self.width, &mut st.shifted, &mut st.tmp);
+            st.wf.copy_from(&head.anti);
+            st.wf.sub_assign_poly(&st.shifted);
+            st.parents.push(head.id);
+            return true;
         }
         // Coverage gap anywhere between tail and head → no window function.
         if self.group[tail_idx] != self.group[head_idx] {
-            return None;
+            return false;
         }
         // tail(t) = A_tail(tu) − A_tail(t − w): binomial expansion of (t−w)^i.
-        let tail_part = Poly::constant(tail.anti.eval(tail.span.hi))
-            .sub(&tail.anti.compose_linear(1.0, -self.width));
+        tail.anti.compose_linear_into(1.0, -self.width, &mut st.shifted, &mut st.tmp);
+        st.wf.set_constant(tail.anti.eval(tail.span.hi));
+        st.wf.sub_assign_poly(&st.shifted);
         // C: cached integrals of the fully covered segments, via prefix
         // sums rebuilt once per arrival (O(1) per window function).
         let mut c = 0.0;
         if head_idx > tail_idx + 1 {
             c = self.prefix[head_idx - 1] - self.prefix[tail_idx];
         }
+        st.tmp.set_constant(c);
+        st.wf.add_assign_poly(&st.tmp);
         // head(t) = A_head(t) − A_head(tl_head).
-        let head_part = head.anti.sub(&Poly::constant(head.anti.eval(head.span.lo)));
+        st.shifted.copy_from(&head.anti);
+        st.tmp.set_constant(head.anti.eval(head.span.lo));
+        st.shifted.sub_assign_poly(&st.tmp);
+        st.wf.add_assign_poly(&st.shifted);
         // Lineage fan-in is capped: the tail and head (which shape the
         // polynomial) always recorded, covered segments only when few —
         // allocations stay conservative either way (each share ≤ bound).
-        parents.clear();
-        parents.push(tail.id);
+        st.parents.push(tail.id);
         if head_idx - tail_idx <= 16 {
-            parents.extend(self.history[tail_idx + 1..head_idx].iter().map(|h| h.id));
+            st.parents.extend(self.history[tail_idx + 1..head_idx].iter().map(|h| h.id));
         }
-        parents.push(head.id);
-        Some(tail_part.add(&Poly::constant(c)).add(&head_part))
+        st.parents.push(head.id);
+        true
     }
 }
 
@@ -133,7 +161,6 @@ impl COperator for CSumAvg {
         out: &mut Vec<Segment>,
     ) {
         self.m.items_in += 1;
-        let x = seg.models[self.slot].clone();
         let mut span = seg.span;
         // Update semantics: a successor overlapping the predecessor
         // truncates it for the overlap.
@@ -149,7 +176,8 @@ impl COperator for CSumAvg {
             }
         }
         self.start.get_or_insert(span.lo);
-        self.history.push(HistEntry { span, anti: x.antiderivative(), id: seg.id });
+        let anti = seg.models[self.slot].antiderivative();
+        self.history.push(HistEntry { span, anti, id: seg.id });
         self.rebuild_prefix();
 
         // Emit window functions for closes within this segment's lifespan
@@ -160,41 +188,40 @@ impl COperator for CSumAvg {
             self.expire(span.hi);
             return;
         }
-        // Breakpoints: covering set changes when the window tail crosses a
-        // history boundary.
-        let mut cuts = vec![emit_lo, span.hi];
-        for h in &self.history {
-            for t in [h.span.lo + self.width, h.span.hi + self.width] {
-                if t > emit_lo + EPS && t < span.hi - EPS {
-                    cuts.push(t);
-                }
-            }
-        }
-        cuts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        cuts.dedup_by(|a, b| (*a - *b).abs() < EPS);
-        let mut lineage = self.lineage.lock();
-        let mut parents = std::mem::take(&mut self.parents);
         let mut built = 0u64;
         let mut emitted = 0u32;
-        for w in cuts.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if b - a <= EPS {
-                continue;
+        STAGING.with_borrow_mut(|st| {
+            // Breakpoints: covering set changes when the window tail crosses
+            // a history boundary.
+            st.cuts.clear();
+            st.cuts.extend([emit_lo, span.hi]);
+            for h in &self.history {
+                for t in [h.span.lo + self.width, h.span.hi + self.width] {
+                    if t > emit_lo + EPS && t < span.hi - EPS {
+                        st.cuts.push(t);
+                    }
+                }
             }
-            let Some(mut wf) = self.window_fn(a, b, &mut parents) else { continue };
-            self.m.systems_solved += 1;
-            built += 1;
-            if self.avg {
-                wf = wf.scale(1.0 / self.width);
+            st.cuts.sort_by(f64::total_cmp);
+            st.cuts.dedup_by(|a, b| (*a - *b).abs() < EPS);
+            let mut lineage = self.lineage.lock();
+            for i in 1..st.cuts.len() {
+                let (a, b) = (st.cuts[i - 1], st.cuts[i]);
+                if b - a <= EPS || !self.window_fn(a, b, st) {
+                    continue;
+                }
+                self.m.systems_solved += 1;
+                built += 1;
+                if self.avg {
+                    st.wf.scale_assign(1.0 / self.width);
+                }
+                let piece = Segment::single(seg.key, Span::new(a, b), st.wf.clone());
+                lineage.emit(&piece, &st.parents);
+                self.m.items_out += 1;
+                emitted += 1;
+                out.push(piece);
             }
-            let piece = Segment::single(seg.key, Span::new(a, b), wf);
-            lineage.emit(&piece, &parents);
-            self.m.items_out += 1;
-            emitted += 1;
-            out.push(piece);
-        }
-        drop(lineage);
-        self.parents = parents;
+        });
         if tr.on() && built > 0 {
             // `rows` = window functions assembled for this arrival.
             let kind = TraceKind::OpSolve { op: "sumavg", rows: built, outputs: emitted };
@@ -279,6 +306,98 @@ mod tests {
             }
         }
         acc
+    }
+
+    /// The window function as first written, one allocating `Poly` op per
+    /// step: the reference the in-place assembly must match bit for bit.
+    fn reference_window_fn(op: &CSumAvg, a: f64, b: f64) -> Option<(Poly, Vec<SegmentId>)> {
+        let mid = 0.5 * (a + b);
+        let locate = |t: f64| -> Option<usize> {
+            let i = op.history.partition_point(|h| h.span.lo <= t + EPS).checked_sub(1)?;
+            let h = &op.history[i];
+            (h.span.contains(t) || (t - h.span.lo).abs() <= EPS).then_some(i)
+        };
+        let head_idx = locate(mid)?;
+        let tail_idx = locate(mid - op.width)?;
+        let (head, tail) = (&op.history[head_idx], &op.history[tail_idx]);
+        if head_idx == tail_idx {
+            let wf = head.anti.sub(&head.anti.compose_linear(1.0, -op.width));
+            return Some((wf, vec![head.id]));
+        }
+        if op.group[tail_idx] != op.group[head_idx] {
+            return None;
+        }
+        let tail_part = Poly::constant(tail.anti.eval(tail.span.hi))
+            .sub(&tail.anti.compose_linear(1.0, -op.width));
+        let mut c = 0.0;
+        if head_idx > tail_idx + 1 {
+            c = op.prefix[head_idx - 1] - op.prefix[tail_idx];
+        }
+        let head_part = head.anti.sub(&Poly::constant(head.anti.eval(head.span.lo)));
+        let mut parents = vec![tail.id];
+        if head_idx - tail_idx <= 16 {
+            parents.extend(op.history[tail_idx + 1..head_idx].iter().map(|h| h.id));
+        }
+        parents.push(head.id);
+        Some((tail_part.add(&Poly::constant(c)).add(&head_part), parents))
+    }
+
+    fn bits(p: &Poly) -> Vec<u64> {
+        p.coeffs().iter().map(|c| c.to_bits()).collect()
+    }
+
+    #[test]
+    fn window_fn_is_bit_identical_to_allocating_formula() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut st = Staging::default();
+        let (mut single, mut multi, mut gaps) = (0, 0, 0);
+        for layout in 0..40 {
+            let width = rng.gen_range(0.5..6.0);
+            let mut op = CSumAvg::new(layout % 2 == 1, 0, width, lineage::shared());
+            let mut out = Vec::new();
+            let mut t = 0.0;
+            for _ in 0..30 {
+                // Mostly abutting pieces, some gaps, some overlaps that
+                // truncate the predecessor.
+                let lo = match rng.gen_range(0..10) {
+                    0 => t + rng.gen_range(0.1..2.0),
+                    1 => t - rng.gen_range(0.01..0.5),
+                    _ => t,
+                };
+                let hi = lo + rng.gen_range(0.05..3.0);
+                let mut c: Vec<f64> = (0..rng.gen_range(1..=4))
+                    .map(|_| if rng.gen_bool(0.1) { 1e-13 } else { rng.gen_range(-5.0..5.0) })
+                    .collect();
+                c[0] += 100.0;
+                op.process(0, &seg(1, lo, hi, Poly::new(c)), &mut out);
+                t = hi;
+                let earliest = (op.history[0].span.lo + width - 0.5).min(t);
+                for _ in 0..10 {
+                    let a = rng.gen_range(earliest..t + 0.5);
+                    let b = a + rng.gen_range(0.0..0.2);
+                    let built = op.window_fn(a, b, &mut st);
+                    let want = reference_window_fn(&op, a, b);
+                    assert_eq!(built, want.is_some(), "close [{a}, {b})");
+                    let Some((mut want, parents)) = want else {
+                        gaps += 1;
+                        continue;
+                    };
+                    if parents.len() == 1 {
+                        single += 1;
+                    } else {
+                        multi += 1;
+                    }
+                    if op.avg {
+                        st.wf.scale_assign(1.0 / width);
+                        want = want.scale(1.0 / width);
+                    }
+                    assert_eq!(bits(&st.wf), bits(&want), "close [{a}, {b})");
+                    assert_eq!(st.parents, parents);
+                }
+            }
+        }
+        assert!(single > 100 && multi > 100 && gaps > 100, "{single} {multi} {gaps}");
     }
 
     #[test]

@@ -28,13 +28,13 @@ impl HistoricalStore {
             segments.extend(fitter.push(t));
         }
         segments.extend(fitter.finish());
-        segments.sort_by(|a, b| a.span.lo.partial_cmp(&b.span.lo).unwrap());
+        segments.sort_by(|a, b| a.span.lo.total_cmp(&b.span.lo));
         HistoricalStore { segments, tuples_in: tuples.len() as u64 }
     }
 
     /// Wraps pre-modeled segments (e.g. ground truth or a saved archive).
     pub fn from_segments(mut segments: Vec<Segment>) -> Self {
-        segments.sort_by(|a, b| a.span.lo.partial_cmp(&b.span.lo).unwrap());
+        segments.sort_by(|a, b| a.span.lo.total_cmp(&b.span.lo));
         let n = segments.len() as u64;
         HistoricalStore { segments, tuples_in: n }
     }

@@ -440,7 +440,7 @@ pub fn export_opt_metrics(stats: &[PassStat], partition_applied: bool) {
 #[derive(Debug)]
 pub enum AutoRuntime {
     Sharded(ShardedRuntime),
-    Hybrid(HybridRuntime),
+    Hybrid(Box<HybridRuntime>),
 }
 
 /// End-of-run result from an [`AutoRuntime`].
@@ -491,7 +491,7 @@ impl AutoRuntime {
         match partition_rewrite(&opt.plan) {
             Some(hp) => {
                 export_opt_metrics(&opt.stats, true);
-                Ok(AutoRuntime::Hybrid(HybridRuntime::new(predictors, &hp, cfg, shards)?))
+                Ok(AutoRuntime::Hybrid(Box::new(HybridRuntime::new(predictors, &hp, cfg, shards)?)))
             }
             None => {
                 export_opt_metrics(&opt.stats, false);

@@ -46,6 +46,18 @@ impl std::error::Error for TransformError {}
 
 type Consumer = (usize, usize);
 
+/// The buffers a push works in, kept across pushes so their allocations
+/// are reused: the produced-segment arena, which of its segments are
+/// results, the work queue of `(node, port, arena index)`, and the
+/// output buffer each operator call appends to.
+#[derive(Default)]
+struct PushBuffers {
+    produced: Vec<Segment>,
+    is_result: Vec<bool>,
+    queue: Vec<(usize, usize, usize)>,
+    scratch: Vec<Segment>,
+}
+
 /// A compiled continuous plan.
 pub struct CPlan {
     nodes: Vec<Box<dyn COperator>>,
@@ -53,6 +65,7 @@ pub struct CPlan {
     source_edges: Vec<Vec<Consumer>>,
     sinks: Vec<bool>,
     lineage: SharedLineage,
+    bufs: PushBuffers,
 }
 
 impl CPlan {
@@ -123,7 +136,14 @@ impl CPlan {
         for s in logical.sinks() {
             sinks[s] = true;
         }
-        Ok(CPlan { nodes, node_edges, source_edges, sinks, lineage: store })
+        Ok(CPlan {
+            nodes,
+            node_edges,
+            source_edges,
+            sinks,
+            lineage: store,
+            bufs: PushBuffers::default(),
+        })
     }
 
     /// Sentinel index standing for the pushed source segment in the
@@ -151,15 +171,15 @@ impl CPlan {
             n.reset_slack();
         }
         self.lineage.lock().register(seg);
-        let mut produced: Vec<Segment> = Vec::new();
-        let mut is_result: Vec<bool> = Vec::new();
-        let mut queue: Vec<(usize, usize, usize)> =
-            self.source_edges[source].iter().map(|&(n, p)| (n, p, Self::SRC)).collect();
-        let mut scratch = Vec::new();
+        let PushBuffers { produced, is_result, queue, scratch } = &mut self.bufs;
+        produced.clear();
+        is_result.clear();
+        queue.clear();
+        queue.extend(self.source_edges[source].iter().map(|&(n, p)| (n, p, Self::SRC)));
         while let Some((node, port, idx)) = queue.pop() {
             scratch.clear();
             let input = if idx == Self::SRC { seg } else { &produced[idx] };
-            self.nodes[node].process_traced(port, input, tr, &mut scratch);
+            self.nodes[node].process_traced(port, input, tr, scratch);
             for out in scratch.drain(..) {
                 let oi = produced.len();
                 is_result.push(self.sinks[node]);
@@ -169,7 +189,7 @@ impl CPlan {
                 produced.push(out);
             }
         }
-        produced.into_iter().zip(is_result).filter_map(|(s, r)| r.then_some(s)).collect()
+        produced.drain(..).zip(is_result.drain(..)).filter_map(|(s, r)| r.then_some(s)).collect()
     }
 
     /// Pushes a batch of segments (time-ordered per source).
@@ -232,8 +252,10 @@ impl CPlan {
 
     /// Publishes every operator's counters into `reg` under
     /// `cops.<op>.<metric>`, merging operators of the same kind (e.g. both
-    /// filters of a join query sum into `cops.filter.*`), and the lineage
-    /// store's size as `state.lineage_snapshots` / `state.lineage_bytes`.
+    /// filters of a join query sum into `cops.filter.*`), the lineage
+    /// store's size as `state.lineage_snapshots` / `state.lineage_bytes`,
+    /// and the joins' state as `state.join_segments` (live segments, both
+    /// sides) / `state.join_due` (pending due-time entries).
     pub fn export_metrics(&self, reg: &pulse_obs::MetricsRegistry) {
         self.export_metrics_with(reg, &|name| name.to_string());
     }
@@ -270,6 +292,16 @@ impl CPlan {
         let lineage = self.lineage.lock();
         reg.counter(&decorate("state.lineage_snapshots")).set(lineage.len() as u64);
         reg.counter(&decorate("state.lineage_bytes")).set(lineage.heap_bytes() as u64);
+        let (segments, due) = self
+            .nodes
+            .iter()
+            .filter_map(|n| n.as_any().downcast_ref::<CJoin>())
+            .fold((0, 0), |(s, d), j| {
+                let (js, jd) = j.state_sizes();
+                (s + js, d + jd)
+            });
+        reg.counter(&decorate("state.join_segments")).set(segments as u64);
+        reg.counter(&decorate("state.join_due")).set(due as u64);
     }
 
     /// The shared lineage store (for bound inversion and validation).

@@ -54,7 +54,7 @@ impl Sampler {
     /// Tuples for a batch of segments, time-ordered.
     pub fn sample(&self, segs: &[Segment]) -> Vec<Tuple> {
         let mut out: Vec<Tuple> = segs.iter().flat_map(|s| self.sample_segment(s)).collect();
-        out.sort_by(|a, b| a.ts.partial_cmp(&b.ts).unwrap());
+        out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
         out
     }
 

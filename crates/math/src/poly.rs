@@ -15,6 +15,11 @@ use std::fmt;
 /// Coefficients whose magnitude falls below this are trimmed.
 const COEFF_EPS: f64 = 1e-12;
 
+/// True for a trailing coefficient that trimming drops (never NaN).
+fn negligible(x: f64) -> bool {
+    x.abs() < COEFF_EPS
+}
+
 /// A univariate polynomial `c[0] + c[1] t + c[2] t² + …`.
 ///
 /// ```
@@ -63,7 +68,7 @@ impl Poly {
     }
 
     fn trim(&mut self) {
-        while matches!(self.c.last(), Some(&x) if x.abs() < COEFF_EPS) {
+        while matches!(self.c.last(), Some(&x) if negligible(x)) {
             self.c.pop();
         }
     }
@@ -196,17 +201,50 @@ impl Poly {
     /// accumulation order matches [`Poly::mul`] exactly, so coefficients
     /// are bit-identical.
     pub fn mul_into(&self, other: &Poly, out: &mut Poly) {
+        Poly::mul_coeffs_into(&self.c, &other.c, out);
+    }
+
+    /// [`Self::mul_into`] over bare trimmed coefficient slices.
+    fn mul_coeffs_into(x: &[f64], y: &[f64], out: &mut Poly) {
         out.c.clear();
-        if self.is_zero() || other.is_zero() {
+        if x.is_empty() || y.is_empty() {
             return;
         }
-        out.c.resize(self.c.len() + other.c.len() - 1, 0.0);
-        for (i, &a) in self.c.iter().enumerate() {
-            for (j, &b) in other.c.iter().enumerate() {
+        out.c.resize(x.len() + y.len() - 1, 0.0);
+        for (i, &a) in x.iter().enumerate() {
+            for (j, &b) in y.iter().enumerate() {
                 out.c[i + j] += a * b;
             }
         }
         out.trim();
+    }
+
+    /// In-place `self + Poly::constant(k)`; bit-identical to `add`, which
+    /// also adds `0.0` to every higher coefficient.
+    fn add_constant_assign(&mut self, k: f64) {
+        let k_len = if negligible(k) { 0 } else { 1 };
+        if self.c.len() < k_len {
+            self.c.push(0.0);
+        }
+        for (i, slot) in self.c.iter_mut().enumerate() {
+            *slot += if i < k_len { k } else { 0.0 };
+        }
+        self.trim();
+    }
+
+    /// Writes `self.compose_linear(a, b)` into `out`, with `tmp` as a
+    /// staging buffer. The Horner steps and their intermediate trims match
+    /// [`Poly::compose_linear`] exactly, so coefficients are bit-identical.
+    pub fn compose_linear_into(&self, a: f64, b: f64, out: &mut Poly, tmp: &mut Poly) {
+        // `Poly::linear(b, a)`, trimmed the same way, without allocating.
+        let inner = [b, a];
+        let inner_len = inner.iter().rposition(|&x| !negligible(x)).map_or(0, |i| i + 1);
+        out.c.clear();
+        for &c in self.c.iter().rev() {
+            Poly::mul_coeffs_into(&out.c, &inner[..inner_len], tmp);
+            std::mem::swap(out, tmp);
+            out.add_constant_assign(c);
+        }
     }
 
     /// Writes the first derivative into `out`, reusing its allocation;
@@ -531,6 +569,32 @@ mod tests {
         k.set_constant(0.0);
         assert_eq!(k, Poly::constant(0.0));
         assert!(k.is_zero());
+    }
+
+    fn bits(q: &Poly) -> Vec<u64> {
+        q.coeffs().iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// Ordinary values, values trimming drops, and exact zeros.
+    fn coeff() -> impl proptest::prelude::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![-8.0..8.0_f64, -COEFF_EPS..COEFF_EPS, Just(0.0)]
+    }
+
+    proptest::proptest! {
+        /// Degrees 0–4, the zero polynomial, and near-zero coefficients
+        /// both in `self` and in the linear map.
+        #[test]
+        fn compose_linear_into_is_bit_identical(
+            c in proptest::prelude::prop::collection::vec(coeff(), 0..=5),
+            a in coeff(),
+            b in coeff(),
+        ) {
+            let q = Poly::new(c);
+            let (mut out, mut tmp) = (p(&[9.0, 9.0, 9.0]), p(&[9.0]));
+            q.compose_linear_into(a, b, &mut out, &mut tmp);
+            proptest::prop_assert_eq!(bits(&out), bits(&q.compose_linear(a, b)));
+        }
     }
 
     #[test]

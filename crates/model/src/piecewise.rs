@@ -65,7 +65,7 @@ impl Piecewise {
             }
         }
         out.push(seg);
-        out.sort_by(|a, b| a.span.lo.partial_cmp(&b.span.lo).unwrap());
+        out.sort_by(|a, b| a.span.lo.total_cmp(&b.span.lo));
         self.segments = out;
     }
 

@@ -169,7 +169,7 @@ impl Pipeline {
         for h in self.handles {
             let _ = h.join();
         }
-        out.sort_by(|a, b| a.ts.partial_cmp(&b.ts).unwrap());
+        out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
         out
     }
 }

@@ -167,7 +167,7 @@ impl MovingObjectGen {
                 last[key] = Some((vx, vy, t.ts));
             }
         }
-        out.sort_by(|a, b| a.span.lo.partial_cmp(&b.span.lo).unwrap());
+        out.sort_by(|a, b| a.span.lo.total_cmp(&b.span.lo));
         out
     }
 

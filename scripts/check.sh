@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health gate: formatting, lints, the full test suite, the bounded
+# Repo health gate: formatting, lints, the full test suite, the replay
+# benchmark's own tests (benchmark/ is a separate cargo package), the bounded
 # differential-fuzz stage, the optimizer-equivalence fuzz stage (every
 # case runs the oracle with and without the standard pass pipeline and
 # the discrete traces must match bit-for-bit, with per-pass fire
@@ -31,6 +32,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test --workspace -q (differential suite at its default budget)"
 cargo test --workspace -q
+
+echo "== replay benchmark tests (a tiny run of every workload, both passes)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== differential fuzz: $qa_cases generated cases + unconditional corpus replay"
 PULSE_QA_CASES="$qa_cases" cargo test -p pulse-qa -q
