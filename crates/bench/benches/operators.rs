@@ -106,31 +106,53 @@ fn keyed_arrival(join: &mut CJoin, i: u64, keys: u64, out: &mut Vec<Segment>) {
     join.process(((i / keys) % 2) as usize, &seg, out);
 }
 
-/// Per-arrival cost of keyed join state at 100 and 10k live keys. Expiry
-/// touches only the keys that fall due, so what still grows with the key
+/// One push of the keyed stream behind `join/keyed_newest_first`: the
+/// stream of [`keyed_arrival`], but each 1 s segment arrives as three
+/// pieces, newest first, as `CPlan`'s LIFO queue delivers an operator's
+/// pieces. Every piece after the first is stored ahead of its key's newer
+/// pieces, and its arrival's horizon runs behind the one before.
+fn keyed_push_newest_first(join: &mut CJoin, i: u64, keys: u64, out: &mut Vec<Segment>) {
+    let t = i as f64 * 3.0 / keys as f64;
+    for piece in (0..3).rev() {
+        let lo = t + piece as f64 / 3.0;
+        let seg = Segment::single(i % keys, Span::new(lo, lo + 1.0 / 3.0), Poly::constant(0.0));
+        join.process(((i / keys) % 2) as usize, &seg, out);
+    }
+}
+
+/// Per-push cost of keyed join state at 100 and 10k live keys, for
+/// `keyed_expiry` (one segment per push) and `keyed_newest_first` (three
+/// pieces per push, newest first). An arrival expires only its own key;
+/// silent keys wait for a sweep of every key, due once the arrivals since
+/// the last sweep reach the segments it left. What grows with the key
 /// count is memory traffic over the larger state.
 fn bench_join_keyed_expiry(c: &mut Criterion) {
+    type Push = fn(&mut CJoin, u64, u64, &mut Vec<Segment>);
     let mut g = c.benchmark_group("join");
     g.sample_size(10);
-    for keys in [100u64, 10_000] {
-        let schema = Schema::of(&[("x", AttrKind::Modeled)]);
-        let bindings = [Binding::new(schema.clone()), Binding::new(schema)];
-        let mut join = CJoin::new(2.0, Pred::True, KeyJoin::Eq, bindings, lineage::shared());
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < 2 * keys {
-            keyed_arrival(&mut join, i, keys, &mut out);
-            i += 1;
+    let pushes: [(&str, Push); 2] =
+        [("keyed_expiry", keyed_arrival), ("keyed_newest_first", keyed_push_newest_first)];
+    for (name, push) in pushes {
+        for keys in [100u64, 10_000] {
+            let schema = Schema::of(&[("x", AttrKind::Modeled)]);
+            let bindings = [Binding::new(schema.clone()), Binding::new(schema)];
+            let mut join = CJoin::new(2.0, Pred::True, KeyJoin::Eq, bindings, lineage::shared());
+            let mut out = Vec::new();
+            let mut i = 0;
+            while i < 2 * keys {
+                push(&mut join, i, keys, &mut out);
+                i += 1;
+            }
+            g.bench_function(BenchmarkId::new(name, keys), |b| {
+                b.iter(|| {
+                    for _ in 0..1000 {
+                        push(&mut join, i, keys, &mut out);
+                        i += 1;
+                    }
+                    assert!(out.is_empty());
+                })
+            });
         }
-        g.bench_function(BenchmarkId::new("keyed_expiry", keys), |b| {
-            b.iter(|| {
-                for _ in 0..1000 {
-                    keyed_arrival(&mut join, i, keys, &mut out);
-                    i += 1;
-                }
-                assert!(out.is_empty());
-            })
-        });
     }
     g.finish();
 }

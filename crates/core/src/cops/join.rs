@@ -5,21 +5,27 @@
 //! that overlaps with [t0, t1)". Each side keeps an order-based segment
 //! buffer (Fig. 3); an arriving segment is paired with every temporally
 //! overlapping opposite segment, one equation system per pair, solved over
-//! the pair's common time range. Each arrival first drops the segments
-//! ending at or before `now − window`; keyed state finds them through a
-//! due-time heap instead of scanning every key.
+//! the pair's common time range. A segment stays in state until an arrival
+//! whose horizon `now − window` it ends at or before.
+//!
+//! The scan and indexed layouts expire eagerly: every arrival drops, on
+//! both sides, everything ending at or before its horizon. The
+//! `KeyJoin::Eq` layout touches only the arriving key. It expires lazily
+//! through a horizon log that gives, for any stored segment, the largest
+//! horizon since it was stored, so every probe sees exactly the segments
+//! eager expiry would have left. A sweep of every key frees silent keys.
 
 use super::{meaningful_spans, COperator};
 use crate::binding::Binding;
 use crate::eqsys::{SolveScratch, SystemTemplate};
-use crate::index::SegmentIndex;
+use crate::index::{start_order_pos, SegmentIndex};
 use crate::lineage::SharedLineage;
+use pulse_math::{Span, EPS};
 use pulse_model::{Pred, Segment};
 use pulse_obs::{prof, Phase, TraceKind, Tracer};
 use pulse_stream::{KeyJoin, OpMetrics};
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// How the join buffers its per-side segment state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,119 +35,163 @@ pub enum JoinState {
     Scan,
     /// Interval-indexed state (§VII future work): `O(log n + k)` overlap
     /// lookup — pays off on highly segmented inputs. For `KeyJoin::Eq`
-    /// joins this upgrades further to one interval index per key, so the
-    /// candidate walk never touches other keys' segments.
+    /// joins this becomes per-key state expired lazily, so an arrival
+    /// never touches other keys' segments.
     #[default]
     Indexed,
 }
 
-/// One interval index per join key — the `KeyJoin::Eq` state layout. The
-/// key-blind global index made every violation scan candidates across all
-/// keys only to discard them against the key predicate; here the probe
-/// only ever sees its own key's segments. Within a key, segments keep the
-/// same start-order the global index would have produced, so candidate
-/// iteration order (and therefore output order) is unchanged.
+/// A segment in keyed state and the number of the arrival that stored it.
+struct Stored {
+    seg: Segment,
+    seq: u64,
+}
+
+/// The `KeyJoin::Eq` state layout: both sides of a key in one map entry,
+/// each a `Vec` in the start order [`SegmentIndex::insert`] gives.
 ///
-/// Expiry is by due time. `due` holds one `(span.hi, key)` entry per
-/// stored segment; an arrival pops the entries due at its horizon and
-/// expires only those keys, so its cost follows the segments that
-/// actually expire, not the key count. A key that goes silent is freed by
-/// the first arrival of any key past its segments' ends.
+/// *Exactness.* Eager expiry keeps a segment stored at arrival `i` live at
+/// arrival `p` iff `hi > t_j` for every horizon `t_j`, `i < j ≤ p`, i.e.
+/// iff `hi` exceeds their maximum. `log` keeps the `(seq, horizon)` of
+/// each arrival whose horizon exceeds every later one, so horizons
+/// strictly decrease along it, and that maximum is the horizon of the
+/// first entry with `seq > i` ([`is_dead`]). A NaN horizon, which drops
+/// everything under eager expiry, is logged as `+∞`, which does the same.
+/// Each arrival drops its own key's dead segments on both sides before it
+/// stores and probes, so the key's vectors hold exactly the live segments,
+/// in the order a [`SegmentIndex`] holding only them would have.
 ///
-/// Invariant: after every [`Self::expire`], each stored segment has
-/// exactly one entry in `due` and no entry outlives its segment. Popping
-/// every entry with `hi ≤ t` and dropping every segment with `hi ≤ t` are
-/// the same comparison on the same values, so an entry never refers to a
-/// removed segment once `expire` returns, and a key that empties and comes
-/// back starts with only its new entries.
-///
-/// Every arrival expires all keys at its own horizon `now − window`, as
-/// the scan and global-index layouts do; a later probe can only miss a
-/// dropped segment if it starts more than `window` before that arrival.
+/// *Bound.* Other keys keep their dead segments until a sweep, due once
+/// the arrivals since the last one reach the segments it left. A sweep
+/// drops every dead segment and empty key and clears the log: a survivor
+/// ends after every horizon up to the sweep, so only later ones can kill
+/// it, and for a segment stored before the sweep [`is_dead`] reads the
+/// log's first entry, their maximum. The sweep costs at most one check
+/// per arrival, amortised, and keeps stored segments within twice what it
+/// left. Dropped segments become spares whose allocations later stores
+/// reuse; a sweep keeps no more spares than the stores before the next
+/// one can take.
 #[derive(Default)]
-struct KeyedIndex {
-    map: HashMap<u64, SegmentIndex>,
-    due: BinaryHeap<Due>,
+struct KeyedState {
+    map: HashMap<u64, [Vec<Stored>; 2]>,
+    log: Vec<(u64, f64)>,
+    /// Arrivals so far; the current arrival's number.
+    seq: u64,
+    /// Segments stored, dead or alive.
+    stored: usize,
+    /// Segments the last sweep left, and arrivals since it.
+    swept: usize,
+    since_sweep: usize,
+    /// Dropped segments whose allocations [`Self::store`] reuses.
+    spare: Vec<Segment>,
 }
 
-/// A stored segment's due time, ordered so [`BinaryHeap`] pops the
-/// earliest first.
-#[derive(Debug, Clone, Copy)]
-struct Due {
-    hi: f64,
-    key: u64,
+/// Whether `s` ends at or before the largest horizon logged after its
+/// `seq`, or has a NaN end: the segments [`SegmentIndex::expire_before`]
+/// drops, since logged horizons are never NaN.
+fn is_dead(s: &Stored, log: &[(u64, f64)]) -> bool {
+    let later = log.partition_point(|&(seq, _)| seq <= s.seq);
+    let hi = s.seg.span.hi;
+    log.get(later).is_some_and(|&(_, h)| hi <= h || hi.is_nan())
 }
 
-impl Ord for Due {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.hi.total_cmp(&self.hi).then(other.key.cmp(&self.key))
-    }
-}
-
-impl PartialOrd for Due {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Due {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Due {}
-
-impl KeyedIndex {
-    fn insert(&mut self, seg: Segment) {
-        self.due.push(Due { hi: seg.span.hi, key: seg.key });
-        self.map.entry(seg.key).or_default().insert(seg);
-    }
-
-    /// Drops every segment ending at or before `t`, touching only the keys
-    /// that hold one.
-    fn expire(&mut self, t: f64) {
-        while let Some(&Due { hi, key }) = self.due.peek() {
-            if hi > t {
-                break;
+impl KeyedState {
+    /// Opens the next arrival, of `key` at `horizon`: logs the horizon,
+    /// sweeps every key when one is due, and drops `key`'s dead segments
+    /// on both sides.
+    fn arrive(&mut self, key: u64, horizon: f64) {
+        self.seq += 1;
+        let h = if horizon.is_nan() { f64::INFINITY } else { horizon };
+        while self.log.last().is_some_and(|&(_, last)| last <= h) {
+            self.log.pop();
+        }
+        self.log.push((self.seq, h));
+        self.since_sweep += 1;
+        if self.since_sweep >= self.swept {
+            self.sweep();
+        } else if let Some(sides) = self.map.get_mut(&key) {
+            let spares = self.spare.len();
+            for side in sides {
+                self.spare.extend(side.extract_if(.., |s| is_dead(s, &self.log)).map(|s| s.seg));
             }
-            self.due.pop();
-            // A key's earlier pop may already have dropped this segment.
-            if let Some(idx) = self.map.get_mut(&key) {
-                idx.expire_before(t);
-                if idx.is_empty() {
-                    self.map.remove(&key);
-                }
-            }
+            self.stored -= self.spare.len() - spares;
         }
     }
 
-    fn len(&self) -> usize {
-        self.map.values().map(SegmentIndex::len).sum()
+    fn sweep(&mut self) {
+        let (log, spare) = (&self.log, &mut self.spare);
+        let mut stored = 0;
+        self.map.retain(|_, sides| {
+            for side in sides.iter_mut() {
+                spare.extend(side.extract_if(.., |s| is_dead(s, log)).map(|s| s.seg));
+                stored += side.len();
+            }
+            sides.iter().any(|side| !side.is_empty())
+        });
+        self.log.clear();
+        self.stored = stored;
+        self.swept = stored;
+        self.since_sweep = 0;
+        self.spare.truncate(stored);
+    }
+
+    /// `key`'s segments on `side` overlapping `q`, as
+    /// [`SegmentIndex::overlapping`] finds them in the same entries: those
+    /// starting before `q.hi − EPS`, from the first whose running maximum
+    /// end passes `q.lo + EPS`, that overlap `q`, in start order.
+    fn candidates(&self, key: u64, side: usize, q: Span) -> impl Iterator<Item = &Segment> {
+        let v = self.map.get(&key).map_or(&[][..], |sides| &sides[side][..]);
+        let end = v.partition_point(|s| s.seg.span.lo < q.hi - EPS);
+        let mut max_hi = f64::NEG_INFINITY;
+        v[..end]
+            .iter()
+            .map(|s| &s.seg)
+            .skip_while(move |s| {
+                max_hi = max_hi.max(s.span.hi);
+                max_hi <= q.lo + EPS
+            })
+            .filter(move |s| s.span.overlaps(&q))
+    }
+
+    /// Stores a copy of the current arrival's segment on `side`.
+    fn store(&mut self, side: usize, seg: &Segment) {
+        let seg = match self.spare.pop() {
+            Some(mut spare) => {
+                copy_segment(&mut spare, seg);
+                spare
+            }
+            None => seg.clone(),
+        };
+        let v = &mut self.map.entry(seg.key).or_default()[side];
+        let pos = start_order_pos(v, seg.span.lo, |s| s.seg.span.lo);
+        v.insert(pos, Stored { seg, seq: self.seq });
+        self.stored += 1;
     }
 }
 
+/// Overwrites `dst` with `src`, reusing `dst`'s allocations.
+fn copy_segment(dst: &mut Segment, src: &Segment) {
+    let Segment { id, key, span, models, unmodeled } = dst;
+    (*id, *key, *span) = (src.id, src.key, src.span);
+    models.truncate(src.models.len());
+    let kept = models.len();
+    models.iter_mut().zip(&src.models).for_each(|(d, s)| d.copy_from(s));
+    models.extend_from_slice(&src.models[kept..]);
+    unmodeled.clone_from(&src.unmodeled);
+}
+
+/// One side's buffer in the scan and indexed layouts.
 enum SideState {
     Scan(Vec<Segment>),
     Indexed(SegmentIndex),
-    Keyed(KeyedIndex),
 }
 
 impl SideState {
-    fn new(kind: JoinState, on_keys: KeyJoin) -> Self {
-        match kind {
-            JoinState::Scan => SideState::Scan(Vec::new()),
-            JoinState::Indexed if on_keys == KeyJoin::Eq => SideState::Keyed(KeyedIndex::default()),
-            JoinState::Indexed => SideState::Indexed(SegmentIndex::new()),
-        }
-    }
-
     /// Drops every segment ending at or before `t`.
     fn expire(&mut self, t: f64) {
         match self {
             SideState::Scan(v) => v.retain(|s| s.span.hi > t),
             SideState::Indexed(idx) => idx.expire_before(t),
-            SideState::Keyed(k) => k.expire(t),
         }
     }
 
@@ -149,32 +199,20 @@ impl SideState {
         match self {
             SideState::Scan(v) => v.push(seg),
             SideState::Indexed(idx) => idx.insert(seg),
-            SideState::Keyed(k) => k.insert(seg),
         }
     }
 
-    /// Live segments held.
     fn len(&self) -> usize {
         match self {
             SideState::Scan(v) => v.len(),
             SideState::Indexed(idx) => idx.len(),
-            SideState::Keyed(k) => k.len(),
-        }
-    }
-
-    /// Pending due-time entries (keyed layout only).
-    fn due_len(&self) -> usize {
-        match self {
-            SideState::Keyed(k) => k.due.len(),
-            SideState::Scan(_) | SideState::Indexed(_) => 0,
         }
     }
 
     /// Segments overlapping `span` (the Scan variant reproduces the naive
     /// full-buffer walk, including the comparisons against non-overlapping
-    /// state that the index avoids; the Keyed variant additionally skips
-    /// every other key's segments).
-    fn candidates(&self, key: u64, span: pulse_math::Span, scanned: &mut u64) -> Vec<&Segment> {
+    /// state that the index avoids).
+    fn candidates(&self, span: Span, scanned: &mut u64) -> Vec<&Segment> {
         match self {
             SideState::Scan(v) => {
                 *scanned += v.len() as u64;
@@ -185,11 +223,25 @@ impl SideState {
                 *scanned += hits.len() as u64;
                 hits
             }
-            SideState::Keyed(k) => {
-                let hits = k.map.get(&key).map(|idx| idx.overlapping(span)).unwrap_or_default();
-                *scanned += hits.len() as u64;
-                hits
+        }
+    }
+}
+
+/// Both sides' state.
+enum Sides {
+    /// Scan or indexed buffers, expired at every arrival's horizon.
+    Eager([SideState; 2]),
+    Keyed(KeyedState),
+}
+
+impl Sides {
+    fn new(kind: JoinState, on_keys: KeyJoin) -> Self {
+        match kind {
+            JoinState::Indexed if on_keys == KeyJoin::Eq => Sides::Keyed(KeyedState::default()),
+            JoinState::Indexed => {
+                Sides::Eager([0, 1].map(|_| SideState::Indexed(SegmentIndex::new())))
             }
+            JoinState::Scan => Sides::Eager([0, 1].map(|_| SideState::Scan(Vec::new()))),
         }
     }
 }
@@ -202,8 +254,7 @@ pub struct CJoin {
     template: SystemTemplate,
     on_keys: KeyJoin,
     bindings: [Binding; 2],
-    left: SideState,
-    right: SideState,
+    sides: Sides,
     lineage: SharedLineage,
     dep_count: usize,
     slack: Option<f64>,
@@ -241,8 +292,7 @@ impl CJoin {
             template,
             on_keys,
             bindings,
-            left: SideState::new(state, on_keys),
-            right: SideState::new(state, on_keys),
+            sides: Sides::new(state, on_keys),
             lineage,
             dep_count,
             slack: None,
@@ -251,10 +301,14 @@ impl CJoin {
         }
     }
 
-    /// Live segments held on both sides, and pending due-time entries:
-    /// the `state.join_segments` and `state.join_due` gauges.
+    /// Segments stored on both sides, and horizon log entries (keyed
+    /// layout only): the `state.join_segments` and `state.join_horizons`
+    /// gauges. The keyed layout counts dead segments its next sweep frees.
     pub fn state_sizes(&self) -> (usize, usize) {
-        (self.left.len() + self.right.len(), self.left.due_len() + self.right.due_len())
+        match &self.sides {
+            Sides::Eager(sides) => (sides.iter().map(SideState::len).sum(), 0),
+            Sides::Keyed(k) => (k.stored, k.log.len()),
+        }
     }
 }
 
@@ -272,17 +326,37 @@ impl COperator for CJoin {
     ) {
         self.m.items_in += 1;
         let now = seg.span.lo;
-        self.left.expire(now - self.window);
-        self.right.expire(now - self.window);
+        let horizon = now - self.window;
+        match &mut self.sides {
+            Sides::Eager(sides) => sides.iter_mut().for_each(|s| s.expire(horizon)),
+            Sides::Keyed(k) => k.arrive(seg.key, horizon),
+        }
         let from_left = input == 0;
-        let opposite = if from_left { &self.right } else { &self.left };
+        let (side, opposite) = if from_left { (0, 1) } else { (1, 0) };
+        // Stored before the probe, which reads only the opposite side.
+        match &mut self.sides {
+            Sides::Eager(sides) => sides[side].push(seg.clone()),
+            Sides::Keyed(k) => k.store(side, seg),
+        }
 
         let mut any_overlap = false;
         let mut worst_slack: Option<f64> = None;
         let mut scanned = 0;
         let mut trace_rows = 0u64;
         let mut trace_outputs = 0u32;
-        for opp in opposite.candidates(seg.key, seg.span, &mut scanned) {
+        let mut eager_hits;
+        let mut keyed_hits;
+        let candidates: &mut dyn Iterator<Item = &Segment> = match &self.sides {
+            Sides::Eager(sides) => {
+                eager_hits = sides[opposite].candidates(seg.span, &mut scanned).into_iter();
+                &mut eager_hits
+            }
+            Sides::Keyed(k) => {
+                keyed_hits = k.candidates(seg.key, opposite, seg.span).inspect(|_| scanned += 1);
+                &mut keyed_hits
+            }
+        };
+        for opp in candidates {
             let (l, r) = if from_left { (seg, opp) } else { (opp, seg) };
             if !self.on_keys.test(l.key, r.key) {
                 continue;
@@ -340,11 +414,6 @@ impl COperator for CJoin {
             tr.emit_scoped(seg.key, now, kind);
         }
         self.slack = if any_overlap { worst_slack } else { None };
-        if from_left {
-            self.left.push(seg.clone());
-        } else {
-            self.right.push(seg.clone());
-        }
     }
 
     fn metrics(&self) -> OpMetrics {
@@ -462,111 +531,286 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    fn ids(segs: &[&Segment]) -> Vec<SegmentId> {
-        let mut ids: Vec<SegmentId> = segs.iter().map(|s| s.id).collect();
-        ids.sort_unstable();
-        ids
+    fn ids<'a>(segs: impl IntoIterator<Item = &'a Segment>) -> Vec<SegmentId> {
+        segs.into_iter().map(|s| s.id).collect()
     }
 
-    /// Checks the keyed state against a scan buffer fed the same arrivals,
-    /// after expiry at `t`: the same segments live, one due entry each, no
-    /// segment at or before `t`, and no empty key left behind.
-    fn assert_keyed_state(keyed: &SideState, scan: &SideState, t: f64) {
-        let (SideState::Keyed(k), SideState::Scan(v)) = (keyed, scan) else { unreachable!() };
-        assert_eq!(k.len(), v.len(), "live segments");
-        assert_eq!(k.due.len(), k.len(), "one due entry per live segment");
-        assert!(k.map.values().all(|idx| !idx.is_empty()), "empty key index kept");
-        assert!(k.map.values().flat_map(SegmentIndex::iter).all(|s| s.span.hi > t));
+    fn stored_ids(side: &[Stored]) -> Vec<SegmentId> {
+        ids(side.iter().map(|s| &s.seg))
+    }
+
+    /// The brute-force reference for keyed state: one [`SegmentIndex`] per
+    /// key and side, every key expired at every arrival.
+    #[derive(Default)]
+    struct EagerKeyed(HashMap<u64, [SegmentIndex; 2]>);
+
+    impl EagerKeyed {
+        fn arrive(&mut self, horizon: f64) {
+            self.0.values_mut().flatten().for_each(|idx| idx.expire_before(horizon));
+        }
+
+        fn side(&self, key: u64, side: usize) -> Vec<SegmentId> {
+            self.0.get(&key).map_or_else(Vec::new, |sides| ids(sides[side].iter()))
+        }
+    }
+
+    /// Checks the lazy state against the reference: the arriving key's
+    /// sides hold the same segments in the same order, the stored count
+    /// is right, and after a sweep every key matches, no key is empty, the
+    /// log is empty and no more spares are kept than the arrivals until
+    /// the next sweep can reuse. Returns whether a sweep ran.
+    fn assert_keyed_state(lazy: &KeyedState, eager: &EagerKeyed, key: u64) -> bool {
+        let held =
+            |k: u64, side: usize| lazy.map.get(&k).map_or_else(Vec::new, |s| stored_ids(&s[side]));
+        for side in 0..2 {
+            assert_eq!(held(key, side), eager.side(key, side), "key {key} side {side}");
+        }
+        assert_eq!(lazy.stored, lazy.map.values().flatten().map(Vec::len).sum::<usize>());
+        let swept = lazy.log.is_empty();
+        if swept {
+            assert!(lazy.spare.len() <= lazy.swept, "spares kept past reuse");
+            assert!(
+                lazy.map.values().all(|sides| sides.iter().any(|s| !s.is_empty())),
+                "empty key"
+            );
+            let live = eager.0.iter().filter(|(_, sides)| sides.iter().any(|i| !i.is_empty()));
+            assert_eq!(live.clone().count(), lazy.map.len(), "keys after a sweep");
+            for (&k, _) in live {
+                for side in 0..2 {
+                    assert_eq!(held(k, side), eager.side(k, side), "key {k} after a sweep");
+                }
+            }
+        }
+        swept
     }
 
     #[test]
-    fn keyed_due_time_expiry_matches_brute_force() {
+    fn keyed_lazy_expiry_matches_eager_reference() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(29);
-        let mut probes = (0, 0);
-        for _ in 0..20 {
-            let window: f64 = rng.gen_range(0.1..3.0);
-            let mut keyed = [0, 1].map(|_| SideState::new(JoinState::Indexed, KeyJoin::Eq));
-            let mut scan = [0, 1].map(|_| SideState::new(JoinState::Scan, KeyJoin::Eq));
+        let (mut probes, mut hits, mut sweeps, mut late) = (0, 0, 0, 0);
+        for _ in 0..24 {
+            let window = if rng.gen_bool(0.5) {
+                rng.gen_range(1..12) as f64 / 4.0
+            } else {
+                rng.gen_range(0.1..3.0)
+            };
+            let keys: u64 = rng.gen_range(3..200);
+            let mut lazy = KeyedState::default();
+            let mut eager = EagerKeyed::default();
             let mut now: f64 = 0.0;
-            for _ in 0..400 {
-                // Time mostly creeps forward; sometimes an arrival runs well
-                // behind the latest one (another key's later piece came
-                // first), sometimes the stream jumps ahead past several
-                // windows. A few keys arrive often, most go silent for long
-                // stretches.
+            let mut max_horizon = f64::NEG_INFINITY;
+            for _ in 0..300 {
+                // Time mostly creeps forward; sometimes a push runs well
+                // behind the latest one, sometimes the stream jumps ahead
+                // past several windows. A few keys arrive often, most go
+                // silent for long stretches.
                 now += match rng.gen_range(0..20) {
                     0 | 1 => -rng.gen_range(0.0..2.0 * window),
                     2 => rng.gen_range(0.0..4.0 * window),
                     _ => rng.gen_range(0.0..0.3),
                 };
-                now = now.max(0.0);
-                let key: u64 =
-                    if rng.gen_bool(0.7) { rng.gen_range(0..3) } else { rng.gen_range(3..40) };
+                // A grid makes ends meet horizons and probe bounds exactly;
+                // jitter moves them to within a few EPS.
+                if rng.gen_bool(0.5) {
+                    now = (now * 8.0).round() / 8.0;
+                }
+                let key =
+                    if rng.gen_bool(0.6) { rng.gen_range(0..3) } else { rng.gen_range(3..keys) };
                 let side: usize = rng.gen_range(0..2);
-                let s = seg(key, now, now + rng.gen_range(0.0..2.0), 0.0, 0.0);
-                let t = now - window;
-                for st in keyed.iter_mut().chain(scan.iter_mut()) {
-                    st.expire(t);
+                // A late push ends at or before a horizon already seen.
+                let (lo, hi) = if rng.gen_bool(0.05) && max_horizon.is_finite() {
+                    late += 1;
+                    let hi = max_horizon - rng.gen_range(0..3) as f64 / 8.0;
+                    (hi - rng.gen_range(0.0..1.0), hi)
+                } else if rng.gen_bool(0.1) {
+                    (now, now)
+                } else {
+                    (now, now + rng.gen_range(0.0..2.0))
+                };
+                // The push's pieces arrive newest first, as `CPlan`'s LIFO
+                // queue delivers them.
+                let mut cuts: Vec<f64> = (0..rng.gen_range(0..4))
+                    .map(|_| lo + rng.gen_range(0.0..1.0) * (hi - lo))
+                    .collect();
+                cuts.extend([lo, hi]);
+                cuts.sort_by(f64::total_cmp);
+                let mut jitter = |t: f64| {
+                    let steps = [0.0, 0.0, 0.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0];
+                    t + steps[rng.gen_range(0..steps.len())] * EPS
+                };
+                let pieces: Vec<Span> = cuts
+                    .windows(2)
+                    .map(|w| {
+                        let lo = jitter(w[0]);
+                        Span::new(lo, jitter(w[1]).max(lo))
+                    })
+                    .collect();
+                for mut span in pieces.into_iter().rev() {
+                    // Rarely, a NaN end or a NaN horizon.
+                    if rng.gen_bool(0.003) {
+                        span.hi = f64::NAN;
+                    }
+                    // Models of varying count and degree, so a store that
+                    // reuses a dropped segment must resize what it copies.
+                    let n_models = rng.gen_range(1..3);
+                    let mut values = |n: usize| -> Vec<f64> {
+                        (0..rng.gen_range(0..n)).map(|_| rng.gen_range(-1.0..1.0)).collect()
+                    };
+                    let models = (0..n_models).map(|_| Poly::new(values(4))).collect();
+                    let s = Segment::new(key, span, models, values(3));
+                    let horizon = if rng.gen_bool(0.003) { f64::NAN } else { span.lo - window };
+                    max_horizon = max_horizon.max(horizon);
+                    lazy.arrive(key, horizon);
+                    eager.arrive(horizon);
+                    sweeps += usize::from(assert_keyed_state(&lazy, &eager, key));
+                    let got: Vec<&Segment> = lazy.candidates(key, 1 - side, span).collect();
+                    let want = eager
+                        .0
+                        .get(&key)
+                        .map_or_else(Vec::new, |sides| sides[1 - side].overlapping(span));
+                    assert_eq!(got, want, "key {key} probing {span:?}");
+                    probes += 1;
+                    hits += usize::from(!want.is_empty());
+                    lazy.store(side, &s);
+                    eager.0.entry(key).or_default()[side].insert(s);
                 }
-                let opp = 1 - side;
-                let got = keyed[opp].candidates(key, s.span, &mut 0);
-                let all = scan[opp].candidates(key, s.span, &mut 0);
-                let want: Vec<&Segment> = all.into_iter().filter(|c| c.key == key).collect();
-                assert_eq!(ids(&got), ids(&want), "key {key} at {now}");
-                probes.0 += 1;
-                probes.1 += usize::from(!want.is_empty());
-                for (k, sc) in keyed.iter().zip(&scan) {
-                    assert_keyed_state(k, sc, t);
-                }
-                keyed[side].push(s.clone());
-                scan[side].push(s);
             }
         }
-        assert!(probes.1 > probes.0 / 10, "too few probes hit state: {probes:?}");
+        assert!(hits > probes / 10, "too few probes hit state: {hits} of {probes}");
+        assert!(sweeps > 100 && late > 100, "sweeps {sweeps}, late pushes {late}");
     }
 
     #[test]
-    fn silent_key_is_freed_by_any_later_arrival() {
-        let mut state = SideState::new(JoinState::Indexed, KeyJoin::Eq);
-        state.push(seg(1, 0.0, 1.0, 0.0, 0.0));
-        state.push(seg(2, 0.0, 5.0, 0.0, 0.0));
-        // Key 1 never arrives again; key 2's arrival past 1.0 frees it.
-        state.expire(1.0);
-        let SideState::Keyed(k) = &state else { unreachable!() };
-        assert!(!k.map.contains_key(&1));
-        assert_eq!((k.len(), k.due.len()), (1, 1));
+    fn keyed_walk_keeps_the_index_eps_edges() {
+        let point = |t: f64| Span::new(t, t);
+        let spans = [
+            Span::new(0.0, 0.5),
+            Span::new(0.5, 1.0),
+            Span::new(0.5, 1.0 + EPS),
+            point(1.0 - EPS),
+            point(1.0),
+            point(1.0 + EPS),
+            point(1.0 + 2.0 * EPS),
+            point(2.0 - EPS),
+            Span::new(2.0 - EPS, 3.0),
+            Span::new(2.0, 3.0),
+        ];
+        let probes = [Span::new(1.0, 2.0), point(1.0), point(1.0 + EPS), point(2.0)];
+        // Every prefix of the spans, so each one is last (the running
+        // maximum end cut-off) in some state.
+        for n in 1..=spans.len() {
+            let mut k = KeyedState::default();
+            let mut idx = SegmentIndex::new();
+            for &span in &spans[..n] {
+                let s = Segment::single(7, span, Poly::constant(0.0));
+                k.arrive(7, f64::NEG_INFINITY);
+                k.store(0, &s);
+                idx.insert(s);
+            }
+            for q in probes {
+                assert_eq!(ids(k.candidates(7, 0, q)), ids(idx.overlapping(q)), "{n} spans, {q:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn silent_key_is_freed_by_the_next_sweep() {
+        let mut k = KeyedState::default();
+        for key in 0..8 {
+            k.arrive(key, -1.0);
+            k.store(0, &seg(key, 0.0, 0.5 + key as f64, 0.0, 0.0));
+        }
+        // Keys 0..4 never arrive again; key 9's arrivals at horizon 4.0
+        // leave their dead segments stored until the next sweep, which
+        // comes within as many arrivals as there are stored segments.
+        let stored = k.stored;
+        for n in 1..=stored {
+            k.arrive(9, 4.0);
+            if k.log.is_empty() {
+                assert!((0..4).all(|key| !k.map.contains_key(&key)));
+                assert_eq!((k.map.len(), k.stored), (4, 4), "{n} arrivals to the sweep");
+                return;
+            }
+            assert!(k.map.contains_key(&0), "key 0 freed before a sweep");
+        }
+        panic!("no sweep within {stored} arrivals");
     }
 
     #[test]
     fn key_that_empties_and_returns_keeps_live_segments() {
-        let mut state = SideState::new(JoinState::Indexed, KeyJoin::Eq);
-        state.push(seg(7, 0.0, 1.0, 0.0, 0.0));
-        state.push(seg(7, 0.5, 1.0, 0.0, 0.0));
-        state.expire(1.5);
-        let SideState::Keyed(k) = &state else { unreachable!() };
-        assert!(k.map.is_empty() && k.due.is_empty());
-        // Back with a segment due later than the old ones: expiries at the
-        // old due times, and at an earlier horizon, must keep it.
-        state.push(seg(7, 2.0, 10.0, 0.0, 0.0));
+        let mut k = KeyedState::default();
+        k.arrive(7, -1.0);
+        k.store(0, &seg(7, 0.0, 1.0, 0.0, 0.0));
+        k.arrive(7, -1.0);
+        k.store(0, &seg(7, 0.5, 1.0, 0.0, 0.0));
+        k.arrive(7, 1.5);
+        assert_eq!(k.stored, 0);
+        // Back with a segment ending later than the old ones: arrivals at
+        // the old ends, and at an earlier horizon, must keep it.
+        k.store(0, &seg(7, 2.0, 10.0, 0.0, 0.0));
         for t in [1.0, 1.5, 0.0, 9.0] {
-            state.expire(t);
-            assert_eq!(state.candidates(7, Span::new(9.5, 9.6), &mut 0).len(), 1, "t={t}");
+            k.arrive(7, t);
+            assert_eq!(k.candidates(7, 0, Span::new(9.5, 9.6)).count(), 1, "t={t}");
         }
-        state.expire(10.0);
-        assert_eq!(state.len(), 0);
+        k.arrive(7, 10.0);
+        assert_eq!(k.candidates(7, 0, Span::new(9.5, 9.6)).count(), 0);
+        assert_eq!(k.stored, 0);
     }
 
     #[test]
-    fn state_sizes_track_live_segments() {
+    fn state_sizes_track_stored_segments() {
         let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Eq, bindings(), lineage::shared());
         let mut out = Vec::new();
-        for key in 0..4 {
+        for key in 0..8 {
             j.process(0, &seg(key, 0.0, 0.5, 0.0, 0.0), &mut out);
         }
-        assert_eq!(j.state_sizes(), (4, 4));
-        j.process(1, &seg(9, 1.6, 2.0, 0.0, 0.0), &mut out);
-        assert_eq!(j.state_sizes(), (1, 1), "every silent key freed at horizon 0.6");
+        assert_eq!(j.state_sizes().0, 8);
+        // Key 9 arrives past every stored end. The dead segments count
+        // until the next sweep frees them and empties the horizon log.
+        for n in 1..=8 {
+            j.process(1, &seg(9, 1.6, 2.0, 0.0, 0.0), &mut out);
+            match j.state_sizes() {
+                (segments, 0) => return assert_eq!(segments, n, "key 9's segments alone"),
+                (segments, _) => assert_eq!(segments, 8 + n, "dead segments wait for the sweep"),
+            }
+        }
+        panic!("no sweep within 8 arrivals");
+    }
+
+    #[test]
+    fn non_finite_times_drop_state_without_panicking() {
+        let nan_hi = Segment::single(1, Span { lo: 0.0, hi: f64::NAN }, Poly::constant(0.0));
+        let nan_lo = Segment::single(1, Span { lo: f64::NAN, hi: 1.0 }, Poly::constant(0.0));
+        for state in [JoinState::Scan, JoinState::Indexed] {
+            let join = |window| {
+                CJoin::with_state(
+                    window,
+                    Pred::True,
+                    KeyJoin::Eq,
+                    bindings(),
+                    lineage::shared(),
+                    state,
+                )
+            };
+            let mut out = Vec::new();
+            // A NaN horizon (here from a NaN window) drops everything stored.
+            let mut j = join(f64::NAN);
+            j.process(0, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
+            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
+            assert!(out.is_empty(), "{state:?}");
+            assert_eq!(j.state_sizes().0, 1, "{state:?}");
+            // A NaN end is dropped at its first check.
+            let mut j = join(100.0);
+            j.process(0, &nan_hi, &mut out);
+            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
+            assert!(out.is_empty(), "{state:?}");
+            assert_eq!(j.state_sizes().0, 1, "{state:?}");
+            // A NaN start's horizon drops everything too.
+            j.process(0, &nan_lo, &mut out);
+            assert_eq!(j.state_sizes().0, 1, "{state:?}");
+            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
+        }
     }
 
     #[test]

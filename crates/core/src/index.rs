@@ -41,11 +41,7 @@ impl SegmentIndex {
     /// Inserts a segment (cheap when spans arrive in start order; falls
     /// back to sorted insertion otherwise).
     pub fn insert(&mut self, seg: Segment) {
-        let pos = if self.entries.last().is_none_or(|l| l.span.lo <= seg.span.lo + EPS) {
-            self.entries.len()
-        } else {
-            self.entries.partition_point(|e| e.span.lo <= seg.span.lo)
-        };
+        let pos = start_order_pos(&self.entries, seg.span.lo, |e| e.span.lo);
         self.entries.insert(pos, seg);
         self.rebuild_from(pos);
     }
@@ -93,6 +89,19 @@ impl SegmentIndex {
     /// Iterates all segments in start order.
     pub fn iter(&self) -> impl Iterator<Item = &Segment> {
         self.entries.iter()
+    }
+}
+
+/// Where an entry starting at `lo` goes among `entries`, whose starts
+/// `start` reads: last when it starts no more than `EPS` before the last
+/// entry, else after every entry starting at or before it.
+/// [`SegmentIndex::insert`] and the keyed join state both place entries
+/// here, so they keep the same order.
+pub(crate) fn start_order_pos<T>(entries: &[T], lo: f64, start: impl Fn(&T) -> f64) -> usize {
+    if entries.last().is_none_or(|l| start(l) <= lo + EPS) {
+        entries.len()
+    } else {
+        entries.partition_point(|e| start(e) <= lo)
     }
 }
 

@@ -254,8 +254,9 @@ impl CPlan {
     /// `cops.<op>.<metric>`, merging operators of the same kind (e.g. both
     /// filters of a join query sum into `cops.filter.*`), the lineage
     /// store's size as `state.lineage_snapshots` / `state.lineage_bytes`,
-    /// and the joins' state as `state.join_segments` (live segments, both
-    /// sides) / `state.join_due` (pending due-time entries).
+    /// and the joins' state as `state.join_segments` (stored segments, both
+    /// sides, including dead ones a keyed join's next sweep frees) /
+    /// `state.join_horizons` (keyed joins' horizon log entries).
     pub fn export_metrics(&self, reg: &pulse_obs::MetricsRegistry) {
         self.export_metrics_with(reg, &|name| name.to_string());
     }
@@ -292,16 +293,16 @@ impl CPlan {
         let lineage = self.lineage.lock();
         reg.counter(&decorate("state.lineage_snapshots")).set(lineage.len() as u64);
         reg.counter(&decorate("state.lineage_bytes")).set(lineage.heap_bytes() as u64);
-        let (segments, due) = self
+        let (segments, horizons) = self
             .nodes
             .iter()
             .filter_map(|n| n.as_any().downcast_ref::<CJoin>())
-            .fold((0, 0), |(s, d), j| {
-                let (js, jd) = j.state_sizes();
-                (s + js, d + jd)
+            .fold((0, 0), |(s, h), j| {
+                let (js, jh) = j.state_sizes();
+                (s + js, h + jh)
             });
         reg.counter(&decorate("state.join_segments")).set(segments as u64);
-        reg.counter(&decorate("state.join_due")).set(due as u64);
+        reg.counter(&decorate("state.join_horizons")).set(horizons as u64);
     }
 
     /// The shared lineage store (for bound inversion and validation).
