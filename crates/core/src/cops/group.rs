@@ -2,22 +2,22 @@
 //! independent operator instance for each key.
 
 use super::COperator;
+use crate::keymap::KeyMap;
 use pulse_model::Segment;
 use pulse_obs::Tracer;
 use pulse_stream::OpMetrics;
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Routes segments to a per-key instance of an inner continuous operator.
 pub struct CGroupBy {
     factory: Box<dyn Fn(u64) -> Box<dyn COperator> + Send>,
-    groups: HashMap<u64, Box<dyn COperator>>,
+    groups: KeyMap<u64, Box<dyn COperator>>,
 }
 
 impl CGroupBy {
     /// `factory` builds the per-group operator (e.g. a [`super::CSumAvg`]).
     pub fn new(factory: Box<dyn Fn(u64) -> Box<dyn COperator> + Send>) -> Self {
-        CGroupBy { factory, groups: HashMap::new() }
+        CGroupBy { factory, groups: KeyMap::default() }
     }
 
     /// Number of active groups.

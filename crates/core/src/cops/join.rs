@@ -17,15 +17,15 @@
 
 use super::{meaningful_spans, COperator};
 use crate::binding::Binding;
-use crate::eqsys::{SolveScratch, SystemTemplate};
+use crate::eqsys::{PendingSlack, SolveScratch, SystemTemplate};
 use crate::index::{start_order_pos, SegmentIndex};
+use crate::keymap::KeyMap;
 use crate::lineage::SharedLineage;
 use pulse_math::{Span, EPS};
 use pulse_model::{Pred, Segment};
 use pulse_obs::{prof, Phase, TraceKind, Tracer};
 use pulse_stream::{KeyJoin, OpMetrics};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// How the join buffers its per-side segment state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,7 +73,7 @@ struct Stored {
 /// one can take.
 #[derive(Default)]
 struct KeyedState {
-    map: HashMap<u64, [Vec<Stored>; 2]>,
+    map: KeyMap<u64, [Vec<Stored>; 2]>,
     log: Vec<(u64, f64)>,
     /// Arrivals so far; the current arrival's number.
     seq: u64,
@@ -257,7 +257,8 @@ pub struct CJoin {
     sides: Sides,
     lineage: SharedLineage,
     dep_count: usize,
-    slack: Option<f64>,
+    /// The last arrival's null pairs, in probe order.
+    nulls: PendingSlack,
     /// Solver scratch shared by every candidate pair of every arrival.
     scratch: SolveScratch,
     m: OpMetrics,
@@ -295,7 +296,7 @@ impl CJoin {
             sides: Sides::new(state, on_keys),
             lineage,
             dep_count,
-            slack: None,
+            nulls: PendingSlack::default(),
             scratch: SolveScratch::default(),
             m: OpMetrics::default(),
         }
@@ -339,8 +340,8 @@ impl COperator for CJoin {
             Sides::Keyed(k) => k.store(side, seg),
         }
 
+        self.nulls.clear();
         let mut any_overlap = false;
-        let mut worst_slack: Option<f64> = None;
         let mut scanned = 0;
         let mut trace_rows = 0u64;
         let mut trace_outputs = 0u32;
@@ -376,8 +377,7 @@ impl COperator for CJoin {
                 Ok(sys) => sys,
                 Err(_) => continue,
             };
-            tr.prof(t0, Phase::TemplateSubstitute);
-            let t0 = prof::start();
+            let t0 = tr.prof_lap(t0, Phase::TemplateSubstitute);
             let nested0 = t0.map(|_| Phase::solve_nested_ns(tr.phases()));
             let mut rows = 0;
             let sol = sys.solve_with(overlap, &mut rows, &mut self.scratch, tr);
@@ -390,8 +390,7 @@ impl COperator for CJoin {
             self.m.comparisons += rows;
             trace_rows += rows;
             if sol.is_empty() {
-                let s = sys.slack_with(overlap, &mut self.scratch);
-                worst_slack = Some(worst_slack.map_or(s, |w: f64| w.min(s)));
+                self.nulls.record(sys, overlap);
                 continue;
             }
             let mut models = l.models.clone();
@@ -413,7 +412,6 @@ impl COperator for CJoin {
             let kind = TraceKind::OpSolve { op: "join", rows: trace_rows, outputs: trace_outputs };
             tr.emit_scoped(seg.key, now, kind);
         }
-        self.slack = if any_overlap { worst_slack } else { None };
     }
 
     fn metrics(&self) -> OpMetrics {
@@ -424,12 +422,12 @@ impl COperator for CJoin {
         self.dep_count
     }
 
-    fn last_slack(&self) -> Option<f64> {
-        self.slack
+    fn reset_slack(&mut self) {
+        self.nulls.clear();
     }
 
-    fn reset_slack(&mut self) {
-        self.slack = None;
+    fn resolve_slack(&mut self) -> Option<f64> {
+        self.nulls.resolve(&mut self.scratch)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -443,6 +441,7 @@ mod tests {
     use crate::lineage;
     use pulse_math::{CmpOp, Poly, Span};
     use pulse_model::{AttrKind, Expr, Schema, SegmentId};
+    use std::collections::HashMap;
 
     fn schema() -> Schema {
         Schema::of(&[("x", AttrKind::Modeled)])
@@ -822,8 +821,151 @@ mod tests {
         j.process(0, &seg(1, 0.0, 10.0, 0.0, 0.0), &mut out); // x = 0
         j.process(1, &seg(2, 0.0, 10.0, 3.0, 0.0), &mut out); // y = 3
         assert!(out.is_empty());
-        let slack = j.last_slack().unwrap();
+        let slack = j.resolve_slack().unwrap();
         assert!((slack - 3.0).abs() < 1e-6, "slack {slack}");
+    }
+
+    /// The reference for deferred slack: `None` when the system has a
+    /// solution over `domain`, else its `System::slack_with` there.
+    fn eager_null_slack(
+        template: &mut SystemTemplate,
+        bind: impl FnMut(usize, usize, &mut Poly) -> Result<(), pulse_model::ExprError>,
+        domain: Span,
+    ) -> Option<f64> {
+        let sys = template.substitute_into(bind).ok()?;
+        let sol = sys.solve(domain, &mut 0);
+        sol.is_empty().then(|| sys.slack_with(domain, &mut SolveScratch::default()))
+    }
+
+    /// After every push that returns nothing, `CPlan::last_slack` is, bit
+    /// for bit, the eager minimum of `System::slack_with` over the null
+    /// pairs of the push's last join call, or the filter's null result
+    /// when no piece reached the join.
+    #[test]
+    fn deferred_slack_matches_eager_slack_bit_for_bit() {
+        use crate::cops::CFilter;
+        use crate::plan::CPlan;
+        use pulse_stream::{LogicalOp, LogicalPlan, PortRef};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (l, r) = (Expr::attr_of(0, 0), Expr::attr_of(1, 0));
+        // Two rows: l − r > 0.3 and l − 0.8 < 0.
+        let join_pred =
+            Pred::cmp(l.clone(), CmpOp::Gt, Expr::Add(Box::new(r), Box::new(Expr::c(0.3))))
+                .and(Pred::cmp(l, CmpOp::Lt, Expr::c(0.8)));
+        // Quadratic left models cross the filter's threshold up to twice,
+        // so one push can call the join twice (pieces newest first).
+        let filter_pred = Pred::cmp(Expr::attr(0), CmpOp::Gt, Expr::c(-0.2));
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut checked, mut multi_null, mut points, mut filter_nulls) = (0, 0, 0, 0);
+        let mut two_calls = 0;
+        for _ in 0..8 {
+            let window = rng.gen_range(0.5..3.0);
+            let mut lp = LogicalPlan::new(vec![schema(), schema()]);
+            let filter =
+                lp.add(LogicalOp::Filter { pred: filter_pred.clone() }, vec![PortRef::Source(0)]);
+            lp.add(
+                LogicalOp::Join { window, pred: join_pred.clone(), on_keys: KeyJoin::Eq },
+                vec![filter, PortRef::Source(1)],
+            );
+            let mut plan = CPlan::compile(&lp).unwrap();
+            let mut filter_ref =
+                CFilter::new(filter_pred.clone(), Binding::new(schema()), lineage::shared());
+            let mut filter_template = SystemTemplate::compile(&filter_pred.normalize());
+            let mut join_template = SystemTemplate::compile(&join_pred.normalize());
+            let [lb, rb] = bindings();
+            let mut eager = EagerKeyed::default();
+            let mut now: f64 = 0.0;
+            for _ in 0..400 {
+                now += if rng.gen_bool(0.1) {
+                    -rng.gen_range(0.0..window)
+                } else {
+                    rng.gen_range(0.0..0.4)
+                };
+                // On a grid, ends and starts meet exactly.
+                if rng.gen_bool(0.5) {
+                    now = (now * 4.0).round() / 4.0;
+                }
+                let key = rng.gen_range(0..4);
+                let source: usize = rng.gen_range(0..2);
+                let hi = if rng.gen_bool(0.15) { now } else { now + rng.gen_range(0.0..2.0) };
+                let len = hi - now;
+                // a + b·(t − now) + c·(t − now)², expanded. Left models
+                // are often a valley that dips below the filter's
+                // threshold mid-span only, which the filter cuts in two.
+                let (a, b, c) = if source == 0 && len > 0.5 && rng.gen_bool(0.5) {
+                    let bottom = -0.2 - rng.gen_range(0.05..1.0);
+                    let c: f64 = 4.0 * (-0.2 - bottom) / (len * len) * rng.gen_range(1.2..3.0);
+                    (c * len * len / 4.0 + bottom, -c * len, c)
+                } else {
+                    (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0), 0.0)
+                };
+                let poly = Poly::new(vec![a - b * now + c * now * now, b - 2.0 * c * now, c]);
+                let s = Segment::single(key, Span::new(now, hi), poly);
+                let results = plan.push(source, &s);
+
+                // The reference: the filter's pieces, then one join call
+                // per piece, newest first, each expiring eagerly.
+                let mut pieces = Vec::new();
+                let mut want = None;
+                if source == 0 {
+                    filter_ref.process(0, &s, &mut pieces);
+                    if pieces.is_empty() {
+                        want = eager_null_slack(
+                            &mut filter_template,
+                            |_, attr, slot| lb.poly_into(&s, attr, slot),
+                            s.span,
+                        );
+                        filter_nulls += 1;
+                    }
+                } else {
+                    pieces.push(s.clone());
+                }
+                let mut joined = 0;
+                for q in pieces.iter().rev() {
+                    eager.arrive(q.span.lo - window);
+                    let opposite = eager.0.get(&key).map_or_else(Vec::new, |sides| {
+                        sides[1 - source].overlapping(q.span).into_iter().cloned().collect()
+                    });
+                    want = None;
+                    let mut nulls = 0;
+                    for o in &opposite {
+                        let (l, r) = if source == 0 { (q, o) } else { (o, q) };
+                        let Some(overlap) = l.span.intersect(&r.span) else { continue };
+                        let bind = |inp: usize, attr: usize, slot: &mut Poly| {
+                            if inp == 0 {
+                                lb.poly_into(l, attr, slot)
+                            } else {
+                                rb.poly_into(r, attr, slot)
+                            }
+                        };
+                        match eager_null_slack(&mut join_template, bind, overlap) {
+                            Some(slack) => {
+                                want = Some(want.map_or(slack, |w: f64| w.min(slack)));
+                                nulls += 1;
+                                points += usize::from(overlap.is_point());
+                            }
+                            None => joined += 1,
+                        }
+                    }
+                    multi_null += usize::from(nulls > 1);
+                    eager.0.entry(key).or_default()[source].insert(q.clone());
+                }
+                assert_eq!(results.is_empty(), joined == 0, "push at {now}");
+                if results.is_empty() {
+                    assert_eq!(plan.last_slack().map(f64::to_bits), want.map(f64::to_bits));
+                    checked += usize::from(want.is_some());
+                    two_calls += usize::from(pieces.len() > 1);
+                }
+            }
+        }
+        assert!(
+            checked > 500 && multi_null > 100,
+            "checked {checked}, multi-null calls {multi_null}"
+        );
+        assert!(
+            points > 20 && filter_nulls > 100 && two_calls > 100,
+            "point overlaps {points}, filter nulls {filter_nulls}, two-call pushes {two_calls}"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub use minmax::CMinMax;
 pub use sumavg::CSumAvg;
 
 use crate::binding::Binding;
-use crate::eqsys::{legacy_subst_enabled, ExprProgram, SolveScratch, SystemTemplate};
+use crate::eqsys::{legacy_subst_enabled, ExprProgram, PendingSlack, SolveScratch, SystemTemplate};
 use crate::lineage::SharedLineage;
 use pulse_math::{Poly, EPS};
 use pulse_model::{ExprError, ExprVm, Pred, Segment, SlotMap, VmProgram};
@@ -57,16 +57,21 @@ pub trait COperator: Any {
     fn dep_count(&self) -> usize {
         1
     }
-    /// Slack of the most recent null result, if the operator is selective
-    /// and its last input produced nothing (§IV's slack validation).
-    fn last_slack(&self) -> Option<f64> {
+    /// Forgets the null results a selective operator recorded. The plan
+    /// calls this at the start of every push so [`Self::resolve_slack`]
+    /// only ever reflects the push in progress — stale slack from an
+    /// earlier push (typically a different key's segment) must not drive
+    /// another key's validation mode.
+    fn reset_slack(&mut self) {}
+    /// Slack (§IV's slack validation) of the null results of this push's
+    /// last call, if the operator is selective: the smallest `min‖Dt‖∞`
+    /// over them, `None` when it has none. Each call records its null
+    /// results in place of the previous call's; their slack is computed
+    /// only here. It is defined only after a push that returned nothing,
+    /// which is when [`crate::CPlan`] asks for it.
+    fn resolve_slack(&mut self) -> Option<f64> {
         None
     }
-    /// Clears recorded null-result slack. The plan calls this at the start
-    /// of every push so [`Self::last_slack`] only ever reflects the push in
-    /// progress — stale slack from an earlier push (typically a different
-    /// key's segment) must not drive another key's validation mode.
-    fn reset_slack(&mut self) {}
     /// Downcast support (harnesses inspect operator state, e.g. the min/max
     /// envelope, when sampling query results).
     fn as_any(&self) -> &dyn Any;
@@ -82,7 +87,8 @@ pub struct CFilter {
     binding: Binding,
     lineage: SharedLineage,
     dep_count: usize,
-    slack: Option<f64>,
+    /// The last arrival's null result, if it had one.
+    null: PendingSlack,
     /// Solver scratch shared by every arrival.
     scratch: SolveScratch,
     m: OpMetrics,
@@ -99,7 +105,7 @@ impl CFilter {
             binding,
             lineage,
             dep_count,
-            slack: None,
+            null: PendingSlack::default(),
             scratch: SolveScratch::default(),
             m: OpMetrics::default(),
         }
@@ -127,8 +133,8 @@ impl COperator for CFilter {
                 Ok(sys) => sys,
                 Err(_) => return, // non-polynomial predicate: no continuous result
             };
-        tr.prof(t0, Phase::TemplateSubstitute);
-        let t0 = prof::start();
+        self.null.clear();
+        let t0 = tr.prof_lap(t0, Phase::TemplateSubstitute);
         let nested0 = t0.map(|_| Phase::solve_nested_ns(tr.phases()));
         let mut rows = 0;
         let sol = sys.solve_with(seg.span, &mut rows, &mut self.scratch, tr);
@@ -144,11 +150,10 @@ impl COperator for CFilter {
             tr.emit_scoped(seg.key, seg.span.lo, kind);
         }
         if sol.is_empty() {
-            // Null result: record slack for §IV's slack validation.
-            self.slack = Some(sys.slack_with(seg.span, &mut self.scratch));
+            // Null result: its slack drives §IV's slack validation.
+            self.null.record(sys, seg.span);
             return;
         }
-        self.slack = None;
         let mut lineage = self.lineage.lock();
         for span in sol.spans() {
             let piece = seg.restricted(*span);
@@ -166,12 +171,12 @@ impl COperator for CFilter {
         self.dep_count
     }
 
-    fn last_slack(&self) -> Option<f64> {
-        self.slack
+    fn reset_slack(&mut self) {
+        self.null.clear();
     }
 
-    fn reset_slack(&mut self) {
-        self.slack = None;
+    fn resolve_slack(&mut self) -> Option<f64> {
+        self.null.resolve(&mut self.scratch)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -348,7 +353,7 @@ mod tests {
         // Lineage recorded.
         assert_eq!(store.lock().parents_of(out[0].id), &[s.id]);
         assert_eq!(f.metrics().items_out, 1);
-        assert!(f.last_slack().is_none());
+        assert!(f.resolve_slack().is_none());
     }
 
     #[test]
@@ -360,7 +365,7 @@ mod tests {
         let mut out = Vec::new();
         f.process(0, &seg(0, 0.0, 10.0, 0.0, 1.0), &mut out);
         assert!(out.is_empty());
-        let slack = f.last_slack().unwrap();
+        let slack = f.resolve_slack().unwrap();
         assert!((slack - 90.0).abs() < 1e-3, "slack {slack}");
     }
 

@@ -115,8 +115,9 @@ impl System {
     /// attribution — bit-identical results, no intermediate heap
     /// allocation once the scratch is warm. Time is recorded into the
     /// tracer's phase table as `solve_assemble` (the linear-equality fast
-    /// path), `solve_sturm` (root isolation/refinement) and `solve_refine`
-    /// (sign analysis between roots).
+    /// path, timed only for systems that take it), `solve_sturm` (root
+    /// isolation/refinement) and `solve_refine` (sign analysis between
+    /// roots).
     ///
     /// [`solve`]: System::solve
     pub fn solve_with(
@@ -126,11 +127,11 @@ impl System {
         s: &mut SolveScratch,
         tr: &mut Tracer,
     ) -> RangeSet {
-        let t0 = prof::start();
-        let fast = self.linear_equality_solution(domain, rows_solved);
-        tr.prof(t0, Phase::SolveAssemble);
-        if let Some(t) = fast {
-            return t;
+        if self.is_conjunctive_linear_eq() {
+            let t0 = prof::start();
+            let fast = self.linear_equality_solution(domain, rows_solved);
+            tr.prof(t0, Phase::SolveAssemble);
+            return fast;
         }
         self.solve_general(domain, rows_solved, s, tr)
     }
@@ -159,8 +160,7 @@ impl System {
                     &mut s.cmp.roots,
                     &mut s.cmp.root_buf,
                 );
-                tr.prof(t0, Phase::SolveSturm);
-                let t0 = prof::start();
+                let t0 = tr.prof_lap(t0, Phase::SolveSturm);
                 let rs = solve_cmp_from_roots(
                     &r.poly,
                     r.op,
@@ -190,12 +190,9 @@ impl System {
     /// Fast path (§III-A): when the system is a pure conjunction of
     /// equality rows, all linear, the common solution is found by direct
     /// elimination — solve the first row, substitute into the rest.
-    /// Allocation-free: the structure check and the row fold both walk the
-    /// tree directly.
-    fn linear_equality_solution(&self, domain: Span, rows_solved: &mut u64) -> Option<RangeSet> {
-        if !self.is_conjunctive_linear_eq() {
-            return None;
-        }
+    /// Allocation-free: the row fold walks the tree directly. Only for
+    /// systems [`Self::is_conjunctive_linear_eq`] accepts.
+    fn linear_equality_solution(&self, domain: Span, rows_solved: &mut u64) -> RangeSet {
         *rows_solved += self.row_count() as u64;
         let mut t: Option<f64> = None;
         let mut inconsistent = false;
@@ -221,9 +218,9 @@ impl System {
             true
         });
         if inconsistent {
-            return Some(RangeSet::empty());
+            return RangeSet::empty();
         }
-        Some(match t {
+        match t {
             Some(t)
                 if domain.contains(t) || domain.is_point() && (t - domain.lo).abs() < SOLVE_TOL =>
             {
@@ -232,7 +229,7 @@ impl System {
             Some(_) => RangeSet::empty(),
             // All rows identically zero: holds everywhere.
             None => RangeSet::single(domain),
-        })
+        }
     }
 
     /// True when the system is a pure conjunction (Row/And only) whose rows
@@ -320,14 +317,6 @@ impl System {
         }
     }
 
-    /// The max-norm `‖D·t‖∞` at one instant (fold over rows, no
-    /// materialized row list).
-    fn norm_at(&self, t: f64) -> f64 {
-        let mut m = 0.0_f64;
-        self.for_each_row(&mut |r| m = m.max(r.poly.eval(t).abs()));
-        m
-    }
-
     /// Slack (§IV): `min_t ‖D·t‖∞` over the domain — a continuous measure
     /// of how close the system comes to producing a result. Allocating
     /// wrapper over [`slack_with`].
@@ -346,48 +335,139 @@ impl System {
     ///
     /// [`slack`]: System::slack
     pub fn slack_with(&self, domain: Span, s: &mut SolveScratch) -> f64 {
-        if self.row_count() == 0 {
-            return 0.0;
+        slack_of(self, domain, s)
+    }
+}
+
+/// The row polynomials a slack is taken over, visited in one fixed order.
+trait SlackRows {
+    fn is_empty(&self) -> bool;
+    fn for_each_poly(&self, f: &mut impl FnMut(&Poly));
+}
+
+impl SlackRows for System {
+    fn is_empty(&self) -> bool {
+        self.row_count() == 0
+    }
+
+    /// In [`System::rows`] order.
+    fn for_each_poly(&self, f: &mut impl FnMut(&Poly)) {
+        self.for_each_row(&mut |r| f(&r.poly));
+    }
+}
+
+impl SlackRows for [Poly] {
+    fn is_empty(&self) -> bool {
+        <[Poly]>::is_empty(self)
+    }
+
+    fn for_each_poly(&self, f: &mut impl FnMut(&Poly)) {
+        self.iter().for_each(f);
+    }
+}
+
+/// The max-norm `‖D·t‖∞` at one instant.
+fn norm_at(rows: &(impl SlackRows + ?Sized), t: f64) -> f64 {
+    let mut m = 0.0_f64;
+    rows.for_each_poly(&mut |p| m = m.max(p.eval(t).abs()));
+    m
+}
+
+/// The slack kernel behind [`System::slack_with`] and [`PendingSlack`]:
+/// the same rows in the same order give the same bits.
+fn slack_of(rows: &(impl SlackRows + ?Sized), domain: Span, s: &mut SolveScratch) -> f64 {
+    if rows.is_empty() {
+        return 0.0;
+    }
+    if domain.is_point() {
+        return norm_at(rows, domain.lo);
+    }
+    const SAMPLES: usize = 64;
+    let step = domain.len() / SAMPLES as f64;
+    let samples = &mut s.samples;
+    samples.clear();
+    samples.push(domain.lo);
+    samples.extend((1..=SAMPLES).map(|i| domain.lo + step * i as f64));
+    s.row_vals.resize(samples.len(), 0.0);
+    s.envelope.clear();
+    s.envelope.resize(samples.len(), 0.0);
+    let (row_vals, envelope) = (&mut s.row_vals, &mut s.envelope);
+    rows.for_each_poly(&mut |p| {
+        p.eval_many(samples, row_vals);
+        for (e, v) in envelope.iter_mut().zip(row_vals.iter()) {
+            *e = e.max(v.abs());
         }
-        if domain.is_point() {
-            return self.norm_at(domain.lo);
+    });
+    let mut best_t = samples[0];
+    let mut best = envelope[0];
+    for i in 1..=SAMPLES {
+        if envelope[i] < best {
+            best = envelope[i];
+            best_t = samples[i];
         }
-        const SAMPLES: usize = 64;
-        let step = domain.len() / SAMPLES as f64;
-        let samples = &mut s.samples;
-        samples.clear();
-        samples.push(domain.lo);
-        samples.extend((1..=SAMPLES).map(|i| domain.lo + step * i as f64));
-        s.row_vals.resize(samples.len(), 0.0);
-        s.envelope.clear();
-        s.envelope.resize(samples.len(), 0.0);
-        let (row_vals, envelope) = (&mut s.row_vals, &mut s.envelope);
-        self.for_each_row(&mut |r| {
-            r.poly.eval_many(samples, row_vals);
-            for (e, v) in envelope.iter_mut().zip(row_vals.iter()) {
-                *e = e.max(v.abs());
+    }
+    // Ternary-search refinement inside the winning bracket.
+    let (mut lo, mut hi) = ((best_t - step).max(domain.lo), (best_t + step).min(domain.hi));
+    for _ in 0..60 {
+        let m1 = lo + (hi - lo) / 3.0;
+        let m2 = hi - (hi - lo) / 3.0;
+        if norm_at(rows, m1) <= norm_at(rows, m2) {
+            hi = m2;
+        } else {
+            lo = m1;
+        }
+    }
+    best.min(norm_at(rows, 0.5 * (lo + hi)))
+}
+
+/// Null results whose slack is owed but not yet computed: each one's row
+/// polynomials and domain, copied into buffers reused from call to call.
+///
+/// A selective operator records every null result of its current call
+/// here and clears it when the next call starts. Slack is read only after
+/// a push that returned nothing, so results recorded in other pushes are
+/// never resolved; those that are give the bits [`System::slack_with`]
+/// would.
+#[derive(Debug, Default)]
+pub(crate) struct PendingSlack {
+    /// Row polynomials of the recorded results, back to back. Only the
+    /// first `used` are recorded; the rest keep their allocations.
+    rows: Vec<Poly>,
+    used: usize,
+    /// Each recorded result's domain and the end of its rows.
+    nulls: Vec<(Span, usize)>,
+}
+
+impl PendingSlack {
+    /// Forgets every recorded null result.
+    pub(crate) fn clear(&mut self) {
+        self.used = 0;
+        self.nulls.clear();
+    }
+
+    /// Records a null result of `sys` over `domain`.
+    pub(crate) fn record(&mut self, sys: &System, domain: Span) {
+        sys.for_each_poly(&mut |p| {
+            match self.rows.get_mut(self.used) {
+                Some(row) => row.copy_from(p),
+                None => self.rows.push(p.clone()),
             }
+            self.used += 1;
         });
-        let mut best_t = samples[0];
-        let mut best = envelope[0];
-        for i in 1..=SAMPLES {
-            if envelope[i] < best {
-                best = envelope[i];
-                best_t = samples[i];
-            }
+        self.nulls.push((domain, self.used));
+    }
+
+    /// The smallest slack over the recorded null results, taken in the
+    /// order they were recorded; `None` when there are none.
+    pub(crate) fn resolve(&self, s: &mut SolveScratch) -> Option<f64> {
+        let mut start = 0;
+        let mut worst: Option<f64> = None;
+        for &(domain, end) in &self.nulls {
+            let slack = slack_of(&self.rows[start..end], domain, s);
+            worst = Some(worst.map_or(slack, |w| w.min(slack)));
+            start = end;
         }
-        // Ternary-search refinement inside the winning bracket.
-        let (mut lo, mut hi) = ((best_t - step).max(domain.lo), (best_t + step).min(domain.hi));
-        for _ in 0..60 {
-            let m1 = lo + (hi - lo) / 3.0;
-            let m2 = hi - (hi - lo) / 3.0;
-            if self.norm_at(m1) <= self.norm_at(m2) {
-                hi = m2;
-            } else {
-                lo = m1;
-            }
-        }
-        best.min(self.norm_at(0.5 * (lo + hi)))
+        worst
     }
 }
 

@@ -49,6 +49,7 @@ pub mod eqsys;
 pub mod historical;
 pub mod hybrid;
 pub mod index;
+mod keymap;
 pub mod lineage;
 pub mod plan;
 pub mod runtime;

@@ -66,6 +66,9 @@ pub struct CPlan {
     sinks: Vec<bool>,
     lineage: SharedLineage,
     bufs: PushBuffers,
+    /// [`Self::last_slack`]: resolved at the end of a push that returned
+    /// nothing, `None` after one that returned results.
+    slack: Option<f64>,
 }
 
 impl CPlan {
@@ -143,6 +146,7 @@ impl CPlan {
             sinks,
             lineage: store,
             bufs: PushBuffers::default(),
+            slack: None,
         })
     }
 
@@ -166,6 +170,10 @@ impl CPlan {
     ///
     /// The pushed segment is snapshotted into lineage here, once; each
     /// operator snapshots only the outputs it emits.
+    ///
+    /// Operators only record their null results; when the push returns
+    /// nothing, their slack is resolved here, before returning, for
+    /// [`Self::last_slack`].
     pub fn push_traced(&mut self, source: usize, seg: &Segment, tr: &mut Tracer) -> Vec<Segment> {
         for n in &mut self.nodes {
             n.reset_slack();
@@ -189,7 +197,20 @@ impl CPlan {
                 produced.push(out);
             }
         }
-        produced.drain(..).zip(is_result.drain(..)).filter_map(|(s, r)| r.then_some(s)).collect()
+        let results: Vec<Segment> = produced
+            .drain(..)
+            .zip(is_result.drain(..))
+            .filter_map(|(s, r)| r.then_some(s))
+            .collect();
+        self.slack = None;
+        if results.is_empty() {
+            for n in &mut self.nodes {
+                if let Some(s) = n.resolve_slack() {
+                    self.slack = Some(self.slack.map_or(s, |a: f64| a.min(s)));
+                }
+            }
+        }
+        results
     }
 
     /// Pushes a batch of segments (time-ordered per source).
@@ -325,13 +346,13 @@ impl CPlan {
         self.nodes.is_empty()
     }
 
-    /// Slack of the most recent null result across selective operators, if
-    /// any (drives the accuracy↔slack mode alternation of §IV).
+    /// Slack of the last push's null results: the smallest over the
+    /// selective operators that recorded any in their last call of the
+    /// push (drives the accuracy↔slack mode alternation of §IV). Defined
+    /// only after a push that returned nothing; `None` after one that
+    /// returned results, or when no operator recorded a null result.
     pub fn last_slack(&self) -> Option<f64> {
-        self.nodes
-            .iter()
-            .filter_map(|n| n.last_slack())
-            .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.min(s))))
+        self.slack
     }
 }
 

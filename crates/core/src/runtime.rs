@@ -8,6 +8,7 @@
 //! fresh input bounds; a null result switches the key to slack validation.
 
 use crate::audit::ShadowAuditor;
+use crate::keymap::{KeyMap, KeySet};
 use crate::plan::{CPlan, TransformError};
 use crate::validate::{
     keep_tightest, Bound, BoundInverter, EquiSplit, GradientSplit, InvertScratch, SplitHeuristic,
@@ -18,7 +19,6 @@ use pulse_model::{Schema, Segment, SegmentId, StreamModel, Tuple};
 use pulse_obs::{ExplainReport, Histogram, KeyedCounter, TraceKind, Tracer};
 use pulse_stream::LogicalPlan;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// How predictive segments are built for a source stream.
@@ -195,14 +195,14 @@ pub struct PulseRuntime {
     /// Cached unmodeled-attribute indices per source.
     unmodeled: Vec<Vec<usize>>,
     /// Adaptive predictors' anchors: last re-model observation per key.
-    anchors: HashMap<(usize, u64), (f64, Vec<f64>)>,
+    anchors: KeyMap<(usize, u64), (f64, Vec<f64>)>,
     plan: CPlan,
     cfg: RuntimeConfig,
     /// Current predictive segment per (source, key).
-    predicted: HashMap<(usize, u64), Segment>,
+    predicted: KeyMap<(usize, u64), Segment>,
     /// Reverse map: live predictive segment id → its validator key, so
     /// inverted allocations land on the stream that owns each segment.
-    seg_owner: HashMap<SegmentId, VKey>,
+    seg_owner: KeyMap<SegmentId, VKey>,
     validator: Validator,
     /// Inverted per-source-segment bounds from the last results.
     stats: RuntimeStats,
@@ -218,7 +218,7 @@ pub struct PulseRuntime {
     /// Keys with a queued solve. A repeated key flushes the queue before
     /// its next tuple validates, so per-key effects (bounds, slack mode,
     /// the predictive segment) stay ordered exactly as unbatched execution.
-    pending_keys: HashSet<u64>,
+    pending_keys: KeySet<u64>,
     /// Whether the plan keeps keys separate
     /// ([`LogicalPlan::is_key_partitionable`]) — the precondition for
     /// deferring a key's solve past other keys' validations.
@@ -262,18 +262,18 @@ impl PulseRuntime {
             predictors,
             modeled,
             unmodeled,
-            anchors: HashMap::new(),
+            anchors: KeyMap::default(),
             plan,
             cfg,
-            predicted: HashMap::new(),
-            seg_owner: HashMap::new(),
+            predicted: KeyMap::default(),
+            seg_owner: KeyMap::default(),
             validator: Validator::new(),
             stats: RuntimeStats::default(),
             watermark: f64::NEG_INFINITY,
             obs: RuntimeObs::new(),
             tracer,
             pending: Vec::new(),
-            pending_keys: HashSet::new(),
+            pending_keys: KeySet::default(),
             batchable,
             auditor,
             invert: InvertScratch::default(),

@@ -7,6 +7,7 @@
 //! checked against their segment's model at the query *inputs*. Only a
 //! violation — or a previously unseen situation — re-runs the solver.
 
+use crate::keymap::KeyMap;
 use crate::lineage::LineageStore;
 use pulse_math::EPS;
 use pulse_model::{Segment, SegmentId};
@@ -245,11 +246,11 @@ impl VKey {
 }
 
 impl std::hash::Hash for VKey {
-    /// One 8-byte write instead of the derived two (12 bytes): validator
-    /// lookups run on the per-tuple fast path, where the extra SipHash
-    /// block costs measurable ns. Mixing `source` into the high bits may
-    /// *hash*-collide for keys ≥ 2⁴⁸, which — unlike the old packed key —
-    /// is harmless: `Eq` compares both fields.
+    /// One word instead of the derived two: the validator's map spends a
+    /// multiply per word on the per-tuple fast path. With `source` mixed
+    /// into the high bits, a key ≥ 2⁴⁸ of one source can share its hash
+    /// with one key of each other source, whatever the seed. That costs a
+    /// probe, never a wrong answer, since `Eq` compares both fields.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64((self.source as u64).rotate_left(48) ^ self.key);
     }
@@ -461,7 +462,7 @@ struct KeyState {
 /// still stands (true) or the solver must re-run (false).
 #[derive(Debug, Default)]
 pub struct Validator {
-    modes: HashMap<VKey, KeyState>,
+    modes: KeyMap<VKey, KeyState>,
     /// Checks performed (the cheap per-tuple cost of Pulse's fast path).
     pub checks: u64,
     /// Violations detected.

@@ -177,6 +177,17 @@ impl PhaseTable {
         }
     }
 
+    /// [`Self::record_since`] that also returns the instant it measured
+    /// to, so a phase that follows at once starts there without reading
+    /// the clock again.
+    #[inline]
+    pub fn lap(&mut self, t0: Option<Instant>, phase: Phase) -> Option<Instant> {
+        let t0 = t0?;
+        let now = Instant::now();
+        self.record(phase, now.duration_since(t0).as_nanos() as u64);
+        Some(now)
+    }
+
     /// Accumulates another table (shard merging).
     pub fn absorb(&mut self, other: &PhaseTable) {
         for i in 0..PHASE_COUNT {
@@ -333,6 +344,18 @@ mod tests {
         let mut t = PhaseTable::default();
         t.record_since(None, Phase::Emit);
         assert!(t.is_empty(), "off-path record is a no-op");
+        assert!(t.lap(None, Phase::Emit).is_none() && t.is_empty(), "off-path lap is a no-op");
+    }
+
+    #[test]
+    fn lap_closes_one_phase_where_the_next_opens() {
+        let mut t = PhaseTable::default();
+        let t0 = Instant::now();
+        let t1 = t.lap(Some(t0), Phase::SolveSturm).unwrap();
+        t.record_since(Some(t1), Phase::SolveRefine);
+        assert!(t1 >= t0);
+        assert_eq!((t.count(Phase::SolveSturm), t.count(Phase::SolveRefine)), (1, 1));
+        assert_eq!(t.ns(Phase::SolveSturm), t1.duration_since(t0).as_nanos() as u64);
     }
 
     #[test]

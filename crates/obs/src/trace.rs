@@ -252,6 +252,17 @@ impl Tracer {
         self.phases.record_since(t0, phase);
     }
 
+    /// [`Self::prof`] that opens the next phase where this one closed:
+    /// returns the closing instant to pass on as its `t0`.
+    #[inline]
+    pub fn prof_lap(
+        &mut self,
+        t0: Option<std::time::Instant>,
+        phase: crate::prof::Phase,
+    ) -> Option<std::time::Instant> {
+        self.phases.lap(t0, phase)
+    }
+
     /// Events currently retained, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.ring.iter()

@@ -1,28 +1,31 @@
 #!/usr/bin/env bash
 # Alternating A/B runs of two builds of the replay benchmark (`benchmark/`).
 #
-#   scripts/ab.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS SEED...
+#   scripts/ab.sh PARENT_BIN CHANGE_BIN WORKLOAD[,WORKLOAD...] SECONDS SEED...
 #
 # PARENT_BIN and CHANGE_BIN are `pulse-replay-bench` executables, each built
 # from its own checkout with
 #   cargo build --release --offline --manifest-path benchmark/Cargo.toml
-# (the executable lands in benchmark/target/release/). For every seed both
-# run `--workload WORKLOAD --seed SEED --seconds SECONDS --trace 0`; which
-# one runs first alternates from seed to seed. Each run's end-to-end
-# metrics and output fingerprint are printed as it finishes. The summary
-# gives, per metric, each side's median and quartiles, the parent's IQR and
-# how many seeds the change won (higher `tuples_per_s`, lower everything
-# else; ties count for neither).
+# (the executable lands in benchmark/target/release/). For each workload in
+# the comma-separated list, and every seed, both run `--workload WORKLOAD
+# --seed SEED --seconds SECONDS --trace 0`; which one runs first alternates
+# from seed to seed. Each run's end-to-end metrics and output fingerprint
+# are printed as it finishes. Each workload's summary gives, per metric,
+# each side's median and quartiles, the parent's IQR and how many seeds the
+# change won (higher `tuples_per_s`, lower everything else; ties count for
+# neither).
 #
 # Exits 1 when a run fails its own output checks or the two fingerprints
-# for a seed differ, i.e. the builds' outputs are not bit-identical.
+# for a seed differ, i.e. the builds' outputs are not bit-identical, on any
+# workload.
 set -euo pipefail
 
 if (($# < 5)); then
-    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
-parent="$1" change="$2" workload="$3" seconds="$4"
+parent="$1" change="$2" seconds="$4"
+IFS=, read -ra workloads <<<"$3"
 shift 4
 
 runs="$(mktemp -d)"
@@ -85,16 +88,24 @@ sys.exit(status)
 EOF
 )
 
-i=0
-for seed in "$@"; do
-    if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
-    for side in "${order[@]}"; do
-        bin="$parent"
-        [[ "$side" == change ]] && bin="$change"
-        "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-            >"$runs/$side-$seed.log" 2>&1 || true
-        python3 -c "$report" run "$runs" "$side" "$seed"
+status=0
+for workload in "${workloads[@]}"; do
+    echo "== $workload"
+    dir="$runs/$workload"
+    mkdir -p "$dir"
+    i=0
+    for seed in "$@"; do
+        if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do
+            bin="$parent"
+            [[ "$side" == change ]] && bin="$change"
+            "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+                >"$dir/$side-$seed.log" 2>&1 || true
+            python3 -c "$report" run "$dir" "$side" "$seed"
+        done
+        i=$((i + 1))
     done
-    i=$((i + 1))
+    python3 -c "$report" summary "$dir" "$@" || status=1
+    echo
 done
-python3 -c "$report" summary "$runs" "$@"
+exit "$status"
