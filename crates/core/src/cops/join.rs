@@ -68,9 +68,7 @@ struct Stored {
 /// it, and for a segment stored before the sweep [`is_dead`] reads the
 /// log's first entry, their maximum. The sweep costs at most one check
 /// per arrival, amortised, and keeps stored segments within twice what it
-/// left. Dropped segments become spares whose allocations later stores
-/// reuse; a sweep keeps no more spares than the stores before the next
-/// one can take.
+/// left.
 #[derive(Default)]
 struct KeyedState {
     map: KeyMap<u64, [Vec<Stored>; 2]>,
@@ -82,8 +80,6 @@ struct KeyedState {
     /// Segments the last sweep left, and arrivals since it.
     swept: usize,
     since_sweep: usize,
-    /// Dropped segments whose allocations [`Self::store`] reuses.
-    spare: Vec<Segment>,
 }
 
 /// Whether `s` ends at or before the largest horizon logged after its
@@ -110,20 +106,20 @@ impl KeyedState {
         if self.since_sweep >= self.swept {
             self.sweep();
         } else if let Some(sides) = self.map.get_mut(&key) {
-            let spares = self.spare.len();
             for side in sides {
-                self.spare.extend(side.extract_if(.., |s| is_dead(s, &self.log)).map(|s| s.seg));
+                let before = side.len();
+                side.retain(|s| !is_dead(s, &self.log));
+                self.stored -= before - side.len();
             }
-            self.stored -= self.spare.len() - spares;
         }
     }
 
     fn sweep(&mut self) {
-        let (log, spare) = (&self.log, &mut self.spare);
+        let log = &self.log;
         let mut stored = 0;
         self.map.retain(|_, sides| {
             for side in sides.iter_mut() {
-                spare.extend(side.extract_if(.., |s| is_dead(s, log)).map(|s| s.seg));
+                side.retain(|s| !is_dead(s, log));
                 stored += side.len();
             }
             sides.iter().any(|side| !side.is_empty())
@@ -132,7 +128,6 @@ impl KeyedState {
         self.stored = stored;
         self.swept = stored;
         self.since_sweep = 0;
-        self.spare.truncate(stored);
     }
 
     /// `key`'s segments on `side` overlapping `q`, as
@@ -155,29 +150,11 @@ impl KeyedState {
 
     /// Stores a copy of the current arrival's segment on `side`.
     fn store(&mut self, side: usize, seg: &Segment) {
-        let seg = match self.spare.pop() {
-            Some(mut spare) => {
-                copy_segment(&mut spare, seg);
-                spare
-            }
-            None => seg.clone(),
-        };
         let v = &mut self.map.entry(seg.key).or_default()[side];
         let pos = start_order_pos(v, seg.span.lo, |s| s.seg.span.lo);
-        v.insert(pos, Stored { seg, seq: self.seq });
+        v.insert(pos, Stored { seg: seg.clone(), seq: self.seq });
         self.stored += 1;
     }
-}
-
-/// Overwrites `dst` with `src`, reusing `dst`'s allocations.
-fn copy_segment(dst: &mut Segment, src: &Segment) {
-    let Segment { id, key, span, models, unmodeled } = dst;
-    (*id, *key, *span) = (src.id, src.key, src.span);
-    models.truncate(src.models.len());
-    let kept = models.len();
-    models.iter_mut().zip(&src.models).for_each(|(d, s)| d.copy_from(s));
-    models.extend_from_slice(&src.models[kept..]);
-    unmodeled.clone_from(&src.unmodeled);
 }
 
 /// One side's buffer in the scan and indexed layouts.
@@ -393,14 +370,23 @@ impl COperator for CJoin {
                 self.nulls.record(sys, overlap);
                 continue;
             }
-            let mut models = l.models.clone();
+            let mut models = Vec::with_capacity(l.models.len() + r.models.len());
+            models.extend_from_slice(&l.models);
             models.extend_from_slice(&r.models);
-            let mut unmodeled = l.unmodeled.clone();
+            let mut unmodeled = Vec::with_capacity(l.unmodeled.len() + r.unmodeled.len());
+            unmodeled.extend_from_slice(&l.unmodeled);
             unmodeled.extend_from_slice(&r.unmodeled);
             let key = self.on_keys.output_key(l.key, r.key);
             let mut lineage = self.lineage.lock();
-            for span in meaningful_spans(&sol) {
-                let joined = Segment::new(key, span, models.clone(), unmodeled.clone());
+            let mut spans = meaningful_spans(&sol).peekable();
+            while let Some(span) = spans.next() {
+                // The last span takes the vectors; earlier ones copy them.
+                let (models, unmodeled) = if spans.peek().is_some() {
+                    (models.clone(), unmodeled.clone())
+                } else {
+                    (std::mem::take(&mut models), std::mem::take(&mut unmodeled))
+                };
+                let joined = Segment::new(key, span, models, unmodeled);
                 lineage.emit(&joined, &[l.id, r.id]);
                 self.m.items_out += 1;
                 trace_outputs += 1;
@@ -555,9 +541,8 @@ mod tests {
 
     /// Checks the lazy state against the reference: the arriving key's
     /// sides hold the same segments in the same order, the stored count
-    /// is right, and after a sweep every key matches, no key is empty, the
-    /// log is empty and no more spares are kept than the arrivals until
-    /// the next sweep can reuse. Returns whether a sweep ran.
+    /// is right, and after a sweep every key matches, no key is empty and
+    /// the log is empty. Returns whether a sweep ran.
     fn assert_keyed_state(lazy: &KeyedState, eager: &EagerKeyed, key: u64) -> bool {
         let held =
             |k: u64, side: usize| lazy.map.get(&k).map_or_else(Vec::new, |s| stored_ids(&s[side]));
@@ -567,7 +552,6 @@ mod tests {
         assert_eq!(lazy.stored, lazy.map.values().flatten().map(Vec::len).sum::<usize>());
         let swept = lazy.log.is_empty();
         if swept {
-            assert!(lazy.spare.len() <= lazy.swept, "spares kept past reuse");
             assert!(
                 lazy.map.values().all(|sides| sides.iter().any(|s| !s.is_empty())),
                 "empty key"

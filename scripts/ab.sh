@@ -11,9 +11,9 @@
 # --seed SEED --seconds SECONDS --trace 0`; which one runs first alternates
 # from seed to seed. Each run's end-to-end metrics and output fingerprint
 # are printed as it finishes. Each workload's summary gives, per metric,
-# each side's median and quartiles, the parent's IQR and how many seeds the
-# change won (higher `tuples_per_s`, lower everything else; ties count for
-# neither).
+# each side's median and quartiles, the parent's IQR, the ratio of the
+# change's median to the parent's, and how many seeds the change won
+# (higher `tuples_per_s`, lower everything else; ties count for neither).
 #
 # Exits 1 when a run fails its own output checks or the two fingerprints
 # for a seed differ, i.e. the builds' outputs are not bit-identical, on any
@@ -75,7 +75,7 @@ for seed in seeds:
         status = 1
 names = [n for n in results["parent"][seeds[0]][0]["metrics"]
          if all(n in results[side][s][0]["metrics"] for side in results for s in seeds)]
-print(f"\n{'metric':16} {'parent q1/median/q3':>34} {'change q1/median/q3':>34} {'parent IQR':>11} wins")
+print(f"\n{'metric':16} {'parent q1/median/q3':>34} {'change q1/median/q3':>34} {'parent IQR':>11} {'ratio':>6} wins")
 for name in names:
     p = [results["parent"][s][0]["metrics"][name]["value"] for s in seeds]
     c = [results["change"][s][0]["metrics"][name]["value"] for s in seeds]
@@ -83,7 +83,8 @@ for name in names:
     wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
     pq, cq = quartiles(p), quartiles(c)
     fmt = lambda q: "/".join(f"{v:.4g}" for v in q)
-    print(f"{name:16} {fmt(pq):>34} {fmt(cq):>34} {pq[2] - pq[0]:>11.4g} {wins}/{len(seeds)}")
+    ratio = f"{cq[1] / pq[1]:.3f}" if pq[1] else "n/a"
+    print(f"{name:16} {fmt(pq):>34} {fmt(cq):>34} {pq[2] - pq[0]:>11.4g} {ratio:>6} {wins}/{len(seeds)}")
 sys.exit(status)
 EOF
 )
