@@ -536,8 +536,8 @@ impl PulseRuntime {
             let _span = pulse_obs::span!("runtime.remodel_ns", tuple.key);
             self.predict(source, tuple)
         };
-        self.tracer.prof(prof_t0, pulse_obs::Phase::RemodelFit);
         let Some(mut seg) = seg else {
+            self.tracer.prof(prof_t0, pulse_obs::Phase::RemodelFit);
             self.stats.model_errors += 1;
             return;
         };
@@ -558,6 +558,7 @@ impl PulseRuntime {
         let seg = self.predicted.get(&pkey).expect("just inserted");
         self.seg_owner.insert(seg.id, vkey);
         self.stats.segments_pushed += 1;
+        self.tracer.prof(prof_t0, pulse_obs::Phase::RemodelFit);
         if defer && !audited {
             self.pending.push(PendingSolve { source, key: tuple.key, ts: tuple.ts, validation });
             self.pending_keys.insert(tuple.key);
@@ -672,6 +673,7 @@ impl PulseRuntime {
             self.tracer.prof(emit_t0, pulse_obs::Phase::Emit);
         }
         self.stats.outputs += new_outs.len() as u64;
+        let emit_t0 = pulse_obs::prof::start();
         if obs_on {
             // Where each emitted range stands relative to the watermark:
             // lag = how far it starts behind arrivals, lead = how far the
@@ -687,7 +689,6 @@ impl PulseRuntime {
                 }
             }
         }
-        let emit_t0 = pulse_obs::prof::start();
         if new_outs.is_empty() {
             // Null result: slack validation until inputs leave the band.
             if let Some(slack) = self.plan.last_slack() {

@@ -88,10 +88,13 @@ impl std::fmt::Display for CmpOp {
     }
 }
 
-/// Reusable buffers for [`solve_poly_cmp_scratch`]: the root list, the
-/// interval cut list, and the root-isolation scratch. One per solver loop;
-/// the returned [`RangeSet`] is the only allocation left per call. Fields
-/// are public so callers can drive the staged API
+/// Reusable buffers for [`solve_poly_cmp_append`] and
+/// [`solve_poly_cmp_scratch`]: the root list, the interval cut list, and
+/// the root-isolation scratch. One per solver loop. Once it and the output
+/// vector are warm, [`solve_poly_cmp_append`] allocates nothing except for
+/// `≠`, which normalizes its root points in a temporary set;
+/// [`solve_poly_cmp_scratch`] also allocates the [`RangeSet`] it returns.
+/// Fields are public so callers can drive the staged API
 /// ([`solve_cmp_degenerate`] → [`poly_roots_into`] →
 /// [`solve_cmp_from_roots`]) and attribute time to each stage.
 #[derive(Debug, Default)]
@@ -101,17 +104,24 @@ pub struct CmpScratch {
     pub cuts: Vec<f64>,
 }
 
+/// Degenerate cases of `p(t) R 0` needing no root isolation: the
+/// identically-zero polynomial and point domains. `Some(true)` when the
+/// whole domain satisfies the row, `Some(false)` when none of it does.
+fn degenerate(p: &Poly, op: CmpOp, domain: Span) -> Option<bool> {
+    if p.is_zero() {
+        return Some(op.accepts_zero());
+    }
+    if domain.is_point() {
+        return Some(op.test(p.eval(domain.lo), 0.0));
+    }
+    None
+}
+
 /// Degenerate fast paths of `p(t) R 0` needing no root isolation: the
 /// identically-zero polynomial and point domains.
 pub fn solve_cmp_degenerate(p: &Poly, op: CmpOp, domain: Span) -> Option<RangeSet> {
-    if p.is_zero() {
-        return Some(if op.accepts_zero() { RangeSet::single(domain) } else { RangeSet::empty() });
-    }
-    if domain.is_point() {
-        let v = p.eval(domain.lo);
-        return Some(if op.test(v, 0.0) { RangeSet::single(domain) } else { RangeSet::empty() });
-    }
-    None
+    degenerate(p, op, domain)
+        .map(|all| if all { RangeSet::single(domain) } else { RangeSet::empty() })
 }
 
 /// Solves `p(t) R 0` for `t ∈ domain`, returning the satisfying time ranges.
@@ -132,11 +142,32 @@ pub fn solve_poly_cmp_scratch(
     tol: f64,
     s: &mut CmpScratch,
 ) -> RangeSet {
-    if let Some(rs) = solve_cmp_degenerate(p, op, domain) {
-        return rs;
+    let mut spans = Vec::new();
+    solve_poly_cmp_append(p, op, domain, tol, s, &mut spans);
+    RangeSet::from_spans(spans)
+}
+
+/// Appends the spans where `p(t) R 0` holds on `domain` to `out`, without
+/// normalizing them. [`RangeSet::normalize_in_place`] over `out` then
+/// yields [`solve_poly_cmp_scratch`]'s set bit for bit — also when `out`
+/// collects several solutions, whose normalized concatenation is their
+/// union.
+pub fn solve_poly_cmp_append(
+    p: &Poly,
+    op: CmpOp,
+    domain: Span,
+    tol: f64,
+    s: &mut CmpScratch,
+    out: &mut Vec<Span>,
+) {
+    if let Some(all) = degenerate(p, op, domain) {
+        if all {
+            out.push(domain);
+        }
+        return;
     }
     poly_roots_into(p, domain.lo, domain.hi, tol, &mut s.roots, &mut s.root_buf);
-    solve_cmp_from_roots(p, op, domain, tol, &s.root_buf, &mut s.cuts)
+    append_from_roots(p, op, domain, tol, &s.root_buf, &mut s.cuts, out);
 }
 
 /// Sign analysis of `p(t) R 0` on `domain` given `p`'s roots there (as
@@ -151,11 +182,26 @@ pub fn solve_cmp_from_roots(
     roots: &[f64],
     cuts: &mut Vec<f64>,
 ) -> RangeSet {
+    let mut spans = Vec::new();
+    append_from_roots(p, op, domain, tol, roots, cuts, &mut spans);
+    RangeSet::from_spans(spans)
+}
+
+/// [`solve_cmp_from_roots`]'s spans, appended to `out` unnormalized.
+fn append_from_roots(
+    p: &Poly,
+    op: CmpOp,
+    domain: Span,
+    tol: f64,
+    roots: &[f64],
+    cuts: &mut Vec<f64>,
+    out: &mut Vec<Span>,
+) {
     match op {
-        CmpOp::Eq => RangeSet::from_spans(roots.iter().map(|&r| Span::point(r)).collect()),
+        CmpOp::Eq => out.extend(roots.iter().map(|&r| Span::point(r))),
         CmpOp::Ne => {
             let eq = RangeSet::from_spans(roots.iter().map(|&r| Span::point(r)).collect());
-            eq.complement(domain)
+            RangeSet::complement_into(eq.spans(), domain, out);
         }
         _ => {
             // Sign is constant between consecutive roots: sample midpoints.
@@ -166,7 +212,6 @@ pub fn solve_cmp_from_roots(
                 roots.iter().copied().filter(|r| *r > domain.lo + EPS && *r < domain.hi - EPS),
             );
             cuts.push(domain.hi);
-            let mut spans = Vec::new();
             for w in cuts.windows(2) {
                 let (a, b) = (w[0], w[1]);
                 if b - a <= EPS {
@@ -183,15 +228,14 @@ pub fn solve_cmp_from_roots(
                     op.accepts_zero()
                 };
                 if keep {
-                    spans.push(Span::new(a, b));
+                    out.push(Span::new(a, b));
                 }
             }
             if op.accepts_zero() {
                 // Re-attach roots so tangency points are not lost between
                 // rejected neighbours (e.g. p ≤ 0 with p = (t-2)²).
-                spans.extend(roots.iter().map(|&r| Span::point(r)));
+                out.extend(roots.iter().map(|&r| Span::point(r)));
             }
-            RangeSet::from_spans(spans)
         }
     }
 }
@@ -298,5 +342,92 @@ mod tests {
         let d = Span::new(0.0, 10.0);
         assert_eq!(solve_poly_cmp(&p, CmpOp::Lt, d, 1e-10).spans(), &[d]);
         assert!(solve_poly_cmp(&p, CmpOp::Gt, d, 1e-10).is_empty());
+    }
+
+    /// `p(t) R 0` as one allocating composition: a `RangeSet` per stage,
+    /// `≠` as the complement of `=`. The reference the appending solver
+    /// must match bit for bit.
+    fn reference_solve(p: &Poly, op: CmpOp, domain: Span, tol: f64) -> RangeSet {
+        if p.is_zero() {
+            return if op.accepts_zero() { RangeSet::single(domain) } else { RangeSet::empty() };
+        }
+        if domain.is_point() {
+            let holds = op.test(p.eval(domain.lo), 0.0);
+            return if holds { RangeSet::single(domain) } else { RangeSet::empty() };
+        }
+        let roots = crate::roots::poly_roots_in(p, domain.lo, domain.hi, tol);
+        let points = || RangeSet::from_spans(roots.iter().map(|&r| Span::point(r)).collect());
+        match op {
+            CmpOp::Eq => points(),
+            CmpOp::Ne => points().complement(domain),
+            _ => {
+                let mut cuts = vec![domain.lo];
+                cuts.extend(
+                    roots.iter().filter(|r| **r > domain.lo + EPS && **r < domain.hi - EPS),
+                );
+                cuts.push(domain.hi);
+                let mut spans = Vec::new();
+                for w in cuts.windows(2) {
+                    let (a, b) = (w[0], w[1]);
+                    if b - a <= EPS {
+                        continue;
+                    }
+                    let v = p.eval(0.5 * (a + b));
+                    let keep = if v > tol {
+                        op.accepts_positive()
+                    } else if v < -tol {
+                        op.accepts_negative()
+                    } else {
+                        op.accepts_zero()
+                    };
+                    if keep {
+                        spans.push(Span::new(a, b));
+                    }
+                }
+                if op.accepts_zero() {
+                    spans.extend(roots.iter().map(|&r| Span::point(r)));
+                }
+                RangeSet::from_spans(spans)
+            }
+        }
+    }
+
+    #[test]
+    fn append_then_normalize_equals_allocating_solve() {
+        use crate::interval::tests::{random_spans, span_bits};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ne, CmpOp::Ge, CmpOp::Gt];
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut s = CmpScratch::default();
+        let mut out = Vec::new();
+        for case in 0..2000 {
+            // Roots on a coarse grid repeat (tangencies) and land on or
+            // EPS-close to the domain's ends.
+            let mut p = Poly::constant(rng.gen_range(-2.0..2.0));
+            for _ in 0..rng.gen_range(0..4) {
+                let r =
+                    rng.gen_range(0..12) as f64 * 0.5 + rng.gen_range(-1..=1) as f64 * 0.5 * EPS;
+                p = p.mul(&Poly::linear(-r, 1.0));
+            }
+            if case % 50 == 0 {
+                p = Poly::zero();
+            }
+            let lo = rng.gen_range(0..4) as f64 * 0.5;
+            let len = if case % 20 == 0 { 0.0 } else { rng.gen_range(0..8) as f64 * 0.5 };
+            let domain = Span::new(lo, lo + len);
+            for op in ops {
+                let want = reference_solve(&p, op, domain, 1e-10);
+                let got = solve_poly_cmp_scratch(&p, op, domain, 1e-10, &mut s);
+                assert_eq!(span_bits(got.spans()), span_bits(want.spans()), "{p} {op} {domain:?}");
+                // Appended after other spans, as the min/max envelope does.
+                let prefix = random_spans(&mut rng, 4);
+                out.clear();
+                out.extend_from_slice(&prefix);
+                solve_poly_cmp_append(&p, op, domain, 1e-10, &mut s, &mut out);
+                RangeSet::normalize_in_place(&mut out);
+                let want = RangeSet::from_spans(prefix).union(&want);
+                assert_eq!(span_bits(&out), span_bits(want.spans()), "{p} {op} {domain:?}");
+            }
+        }
     }
 }

@@ -122,27 +122,41 @@ impl RangeSet {
     /// Builds a set from arbitrary spans, normalizing (sorting + merging
     /// overlapping or touching spans; points absorbed into ranges).
     pub fn from_spans(mut spans: Vec<Span>) -> Self {
+        RangeSet::normalize_in_place(&mut spans);
+        RangeSet { spans }
+    }
+
+    /// Normalizes `spans` in place into sorted, pairwise-disjoint form: the
+    /// normalization of [`RangeSet::from_spans`], without a second buffer.
+    ///
+    /// The greedy merge starts a new span exactly when a span's start lies
+    /// more than `EPS` beyond every earlier end, and the kept end is the
+    /// running maximum. Normalizing a sub-list first changes neither, so
+    /// normalizing a concatenation once is bit-identical to any chain of
+    /// [`RangeSet::union`]s over its parts.
+    pub fn normalize_in_place(spans: &mut Vec<Span>) {
         // NaN policy: `Span::new` asserts finite endpoints, so `total_cmp`
         // orders exactly like `partial_cmp` here — minus the unwrap that a
         // fuzzer could in principle reach through unchecked constructors.
         spans.sort_by(|a, b| a.lo.total_cmp(&b.lo));
-        let mut merged: Vec<Span> = Vec::with_capacity(spans.len());
-        for s in spans {
-            match merged.last_mut() {
-                Some(last) if s.lo <= last.hi + EPS => {
-                    // Touching or overlapping: extend unless both are the
-                    // same point.
-                    if s.hi > last.hi {
-                        // A point touching the right boundary of a range is
-                        // kept merged: half-open vs closed distinctions are
-                        // below root-finder tolerance anyway.
-                        last.hi = s.hi;
-                    }
+        let mut kept = 0;
+        for i in 0..spans.len() {
+            let s = spans[i];
+            if kept > 0 && s.lo <= spans[kept - 1].hi + EPS {
+                // Touching or overlapping: extend unless both are the same
+                // point. A point touching the right boundary of a range is
+                // kept merged: half-open vs closed distinctions are below
+                // root-finder tolerance anyway.
+                let last = &mut spans[kept - 1];
+                if s.hi > last.hi {
+                    last.hi = s.hi;
                 }
-                _ => merged.push(s),
+            } else {
+                spans[kept] = s;
+                kept += 1;
             }
         }
-        RangeSet { spans: merged }
+        spans.truncate(kept);
     }
 
     /// The spans in ascending order.
@@ -199,8 +213,16 @@ impl RangeSet {
     /// tolerance) are dropped; complements of points split the domain.
     pub fn complement(&self, domain: Span) -> RangeSet {
         let mut out = Vec::new();
+        RangeSet::complement_into(&self.spans, domain, &mut out);
+        RangeSet::from_spans(out)
+    }
+
+    /// Appends the complement of `spans` within `domain` to `out`, ascending
+    /// but not normalized; `spans` must be normalized (as a [`RangeSet`]'s
+    /// are). [`RangeSet::complement`] is this followed by normalization.
+    pub fn complement_into(spans: &[Span], domain: Span, out: &mut Vec<Span>) {
         let mut cursor = domain.lo;
-        for s in &self.spans {
+        for s in spans {
             if s.hi < domain.lo || s.lo > domain.hi {
                 continue;
             }
@@ -214,7 +236,6 @@ impl RangeSet {
         if domain.hi - cursor > EPS {
             out.push(Span::new(cursor, domain.hi));
         }
-        RangeSet::from_spans(out)
     }
 
     /// Set difference `self \ other` within the hull of `self`.
@@ -244,7 +265,7 @@ impl From<Span> for RangeSet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -340,5 +361,89 @@ mod tests {
         assert!(rs.contains(2.0));
         assert!(!rs.contains(1.5));
         assert_eq!(rs.measure(), 0.0);
+    }
+
+    /// Fewer than `max` random spans with points, duplicates, exactly
+    /// touching and EPS-touching ends, in no particular order.
+    pub(crate) fn random_spans(rng: &mut impl rand::Rng, max: usize) -> Vec<Span> {
+        let n = rng.gen_range(0..max);
+        let mut v: Vec<Span> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let near = v.get(rng.gen_range(0..v.len().max(1))).copied();
+            let s = match (rng.gen_range(0..6), near) {
+                (0, _) => Span::point(rng.gen_range(0..20) as f64 * 0.5),
+                (1, Some(e)) => e,
+                (2, Some(e)) => {
+                    let lo = e.hi + rng.gen_range(-2..=3) as f64 * 0.5 * EPS;
+                    if rng.gen_bool(0.3) {
+                        Span::point(lo)
+                    } else {
+                        Span::new(lo, lo + rng.gen_range(0..4) as f64 * 0.5)
+                    }
+                }
+                (3, Some(e)) => Span::new(e.hi, e.hi + rng.gen_range(0.0..2.0)),
+                (4, _) => {
+                    let lo = rng.gen_range(0..20) as f64 * 0.5;
+                    Span::new(lo, lo + rng.gen_range(1..4) as f64 * 0.5)
+                }
+                _ => {
+                    let lo = rng.gen_range(0.0..10.0);
+                    Span::new(lo, lo + rng.gen_range(0.0..2.0))
+                }
+            };
+            v.push(s);
+        }
+        v
+    }
+
+    pub(crate) fn span_bits(spans: &[Span]) -> Vec<(u64, u64)> {
+        spans.iter().map(|s| (s.lo.to_bits(), s.hi.to_bits())).collect()
+    }
+
+    #[test]
+    fn one_normalization_equals_chained_unions() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut merged = 0;
+        for _ in 0..3000 {
+            let parts: Vec<Vec<Span>> = (0..3).map(|_| random_spans(&mut rng, 8)).collect();
+            let mut all = parts.concat();
+            let n = all.len();
+            RangeSet::normalize_in_place(&mut all);
+            merged += usize::from(all.len() < n);
+            let chained = parts
+                .iter()
+                .map(|p| RangeSet::from_spans(p.clone()))
+                .reduce(|a, b| a.union(&b))
+                .unwrap();
+            assert_eq!(span_bits(&all), span_bits(chained.spans()), "{parts:?}");
+            assert!(all.windows(2).all(|w| w[1].lo > w[0].hi + EPS), "{all:?}");
+            for s in parts.iter().flatten() {
+                assert!(all.iter().any(|o| o.lo <= s.lo && s.hi <= o.hi), "{s:?} in {all:?}");
+            }
+        }
+        assert!(merged > 1000, "{merged}");
+    }
+
+    #[test]
+    fn complement_into_then_normalize_equals_complement() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..3000 {
+            let set = RangeSet::from_spans(random_spans(&mut rng, 8));
+            let lo = rng.gen_range(-1.0..5.0);
+            let domain = Span::new(lo, lo + rng.gen_range(0.0..8.0));
+            let mut out = Vec::new();
+            RangeSet::complement_into(set.spans(), domain, &mut out);
+            RangeSet::normalize_in_place(&mut out);
+            assert_eq!(span_bits(&out), span_bits(set.complement(domain).spans()), "{set:?}");
+            // Appended after other spans, as the min/max envelope does.
+            let prefix = random_spans(&mut rng, 4);
+            let mut out = prefix.clone();
+            RangeSet::complement_into(set.spans(), domain, &mut out);
+            RangeSet::normalize_in_place(&mut out);
+            let want = RangeSet::from_spans(prefix).union(&set.complement(domain));
+            assert_eq!(span_bits(&out), span_bits(want.spans()), "{set:?}");
+        }
     }
 }

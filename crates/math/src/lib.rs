@@ -20,8 +20,8 @@ pub mod roots;
 pub mod sturm;
 
 pub use cmp::{
-    solve_cmp_degenerate, solve_cmp_from_roots, solve_poly_cmp, solve_poly_cmp_scratch, CmpOp,
-    CmpScratch,
+    solve_cmp_degenerate, solve_cmp_from_roots, solve_poly_cmp, solve_poly_cmp_append,
+    solve_poly_cmp_scratch, CmpOp, CmpScratch,
 };
 pub use interval::{RangeSet, Span, EPS};
 pub use linsys::{fit_poly, solve_dense, IncrementalLinFit, LinSysError};

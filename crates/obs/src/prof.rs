@@ -74,7 +74,8 @@ pub enum Phase {
     /// Input-side validation (sampled from the suppressed fast path — the
     /// only phase measured outside the violation path, see module docs).
     Validate = 0,
-    /// Re-modeling: building the fresh predictive segment.
+    /// Re-modeling: building the fresh predictive segment and storing it
+    /// in place of the key's previous prediction.
     RemodelFit = 1,
     /// Substituting segment models into compiled system templates.
     TemplateSubstitute = 2,
@@ -96,7 +97,8 @@ pub enum Phase {
     /// substitute/isolate time).
     Solve = 8,
     /// Result installation: bound inversion and validation-mode updates,
-    /// plus (flight recorder on) each output's `OutputEmit` event and the
+    /// plus (metrics on) each output's lag/lead histogram samples and
+    /// (flight recorder on) each output's `OutputEmit` event and the
     /// lineage walk to its sources.
     Emit = 9,
 }

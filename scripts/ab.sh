@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating A/B runs of two builds of the replay benchmark (`benchmark/`).
 #
-#   scripts/ab.sh PARENT_BIN CHANGE_BIN WORKLOAD[,WORKLOAD...] SECONDS SEED...
+#   scripts/ab.sh [--layers METRIC[,METRIC...]] PARENT_BIN CHANGE_BIN WORKLOAD[,WORKLOAD...] SECONDS SEED...
 #
 # PARENT_BIN and CHANGE_BIN are `pulse-replay-bench` executables, each built
 # from its own checkout with
@@ -13,18 +13,29 @@
 # are printed as it finishes. Each workload's summary gives, per metric,
 # each side's median and quartiles, the parent's IQR, the ratio of the
 # change's median to the parent's, and how many seeds the change won
-# (higher `tuples_per_s`, lower everything else; ties count for neither).
+# (better as BENCHMARK.json declares it; ties count for neither).
+#
+# --layers runs the same alternation with `--trace 1` instead and reports
+# only the named per-layer metrics (e.g. hybrid.sync_s,plan.glue_s):
+# single traced runs of one build swing widely on a loaded host, so a
+# layer's move is judged on medians over alternating pairs too.
 #
 # Exits 1 when a run fails its own output checks or the two fingerprints
 # for a seed differ, i.e. the builds' outputs are not bit-identical, on any
 # workload.
 set -euo pipefail
 
-if (($# < 5)); then
-    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+layers="" trace=0
+if [[ "${1:-}" == --layers ]]; then
+    layers="${2:-}" trace=1
+    shift 2 || true
+fi
+if (($# < 5)) || [[ "$trace" == 1 && -z "$layers" ]]; then
+    sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent="$1" change="$2" seconds="$4"
+benchmark_json="$(dirname "$0")/../BENCHMARK.json"
 IFS=, read -ra workloads <<<"$3"
 shift 4
 
@@ -37,7 +48,10 @@ report=$(
     cat <<'EOF'
 import json, statistics, sys
 
-LOWER_IS_BETTER = {"latency_p50_ms", "latency_p90_ms", "setup_s", "peak_rss_mb"}
+LAYERS = [m for m in sys.argv[1].split(",") if m]
+declared = json.load(open(sys.argv[2]))
+HIGHER_IS_BETTER = {m["name"] for m in declared["end_to_end"] + declared["per_layer"]
+                    if m["better"] == "higher"}
 
 def load(runs, side, seed):
     """A run's result line and output fingerprint; no result line counts as a failed run."""
@@ -54,11 +68,15 @@ def quartiles(xs):
         return xs * 3
     return statistics.quantiles(xs, n=4, method="inclusive")
 
-mode, runs, args = sys.argv[1], sys.argv[2], sys.argv[3:]
+def shown(metrics):
+    """The metrics a report covers: all of them, or only the named layers."""
+    return [n for n in metrics if not LAYERS or n in LAYERS]
+
+mode, runs, args = sys.argv[3], sys.argv[4], sys.argv[5:]
 if mode == "run":
     side, seed = args
     result, fingerprint = load(runs, side, seed)
-    metrics = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
+    metrics = " ".join(f"{k}={result['metrics'][k]['value']:.6g}" for k in shown(result["metrics"]))
     ok = "ok" if result["correct"] else "FAILED"
     print(f"seed {seed} {side:6} {ok} fingerprint={fingerprint} {metrics}")
     sys.exit(0)
@@ -73,18 +91,23 @@ for seed in seeds:
     if p_fp != c_fp:
         print(f"seed {seed}: fingerprints differ: parent {p_fp}, change {c_fp}")
         status = 1
-names = [n for n in results["parent"][seeds[0]][0]["metrics"]
+names = [n for n in shown(results["parent"][seeds[0]][0]["metrics"])
          if all(n in results[side][s][0]["metrics"] for side in results for s in seeds)]
-print(f"\n{'metric':16} {'parent q1/median/q3':>34} {'change q1/median/q3':>34} {'parent IQR':>11} {'ratio':>6} wins")
+for name in LAYERS:
+    if name not in names:
+        print(f"{name}: not reported by every run")
+        status = 1
+w = max([16] + [len(n) for n in names])
+print(f"\n{'metric':{w}} {'parent q1/median/q3':>34} {'change q1/median/q3':>34} {'parent IQR':>11} {'ratio':>6} wins")
 for name in names:
     p = [results["parent"][s][0]["metrics"][name]["value"] for s in seeds]
     c = [results["change"][s][0]["metrics"][name]["value"] for s in seeds]
-    sign = -1 if name in LOWER_IS_BETTER else 1
+    sign = 1 if name in HIGHER_IS_BETTER else -1
     wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
     pq, cq = quartiles(p), quartiles(c)
     fmt = lambda q: "/".join(f"{v:.4g}" for v in q)
     ratio = f"{cq[1] / pq[1]:.3f}" if pq[1] else "n/a"
-    print(f"{name:16} {fmt(pq):>34} {fmt(cq):>34} {pq[2] - pq[0]:>11.4g} {ratio:>6} {wins}/{len(seeds)}")
+    print(f"{name:{w}} {fmt(pq):>34} {fmt(cq):>34} {pq[2] - pq[0]:>11.4g} {ratio:>6} {wins}/{len(seeds)}")
 sys.exit(status)
 EOF
 )
@@ -100,13 +123,13 @@ for workload in "${workloads[@]}"; do
         for side in "${order[@]}"; do
             bin="$parent"
             [[ "$side" == change ]] && bin="$change"
-            "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+            "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" \
                 >"$dir/$side-$seed.log" 2>&1 || true
-            python3 -c "$report" run "$dir" "$side" "$seed"
+            python3 -c "$report" "$layers" "$benchmark_json" run "$dir" "$side" "$seed"
         done
         i=$((i + 1))
     done
-    python3 -c "$report" summary "$dir" "$@" || status=1
+    python3 -c "$report" "$layers" "$benchmark_json" summary "$dir" "$@" || status=1
     echo
 done
 exit "$status"

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repo health gate: formatting, lints, the full test suite, the replay
-# benchmark's own tests (benchmark/ is a separate cargo package), the bounded
-# differential-fuzz stage, the optimizer-equivalence fuzz stage (every
-# case runs the oracle with and without the standard pass pipeline and
-# the discrete traces must match bit-for-bit, with per-pass fire
+# benchmark's own tests (benchmark/ is a separate cargo package) and its
+# output fingerprints against scripts/baselines/fingerprints.txt, the
+# bounded differential-fuzz stage, the optimizer-equivalence fuzz stage
+# (every case runs the oracle with and without the standard pass pipeline
+# and the discrete traces must match bit-for-bit, with per-pass fire
 # coverage asserted), a live scrape of a 4-shard scaling run
 # (/metrics, /health, /profile, the /timeseries collector history, the
 # /audit guarantee ledger, and the /trace.json Perfetto export), the
@@ -35,6 +36,27 @@ cargo test --workspace -q
 
 echo "== replay benchmark tests (a tiny run of every workload, both passes)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "== deterministic outputs: tiny replay fingerprints vs scripts/baselines/fingerprints.txt"
+# The benchmark tests above built the replay binary. Every workload's
+# outputs at seeds 1-3 must stay bit-identical to the checked-in baseline.
+replay_bench=benchmark/target/release/pulse-replay-bench
+fingerprint_failures=0
+while read -r workload seed want; do
+  [[ -z "$workload" || "$workload" == \#* ]] && continue
+  got=$("$replay_bench" --workload "$workload" --seed "$seed" --seconds 1 --trace 0 --tiny \
+    </dev/null 2>/dev/null | sed -n 's/^meta .*"fingerprint": "\([^"]*\)".*/\1/p' || true)
+  if [[ "$got" != "$want" ]]; then
+    echo "FAIL: $workload seed $seed: fingerprint ${got:-missing}, baseline $want" >&2
+    echo "  observed line: $workload $seed ${got:-missing}" >&2
+    fingerprint_failures=$((fingerprint_failures + 1))
+  fi
+done <scripts/baselines/fingerprints.txt
+if ((fingerprint_failures > 0)); then
+  echo "FAIL: $fingerprint_failures replay fingerprints differ from the baseline" >&2
+  exit 1
+fi
+echo "replay fingerprints match the baseline"
 
 echo "== differential fuzz: $qa_cases generated cases + unconditional corpus replay"
 PULSE_QA_CASES="$qa_cases" cargo test -p pulse-qa -q
