@@ -22,12 +22,27 @@
 //!   operator read its input).
 //!
 //! Merge inputs are synchronized at deterministic points — every
-//! [`HybridRuntime::SYNC_EVERY`] routed tuples and at finish — by draining
-//! all workers and feeding the merge stage in a canonical order (segment
-//! start time, then branch, then key). Per-key segment content does not
-//! depend on shard count (keys never share operator state), so the merge
-//! stage sees an identical input sequence — and produces identical
-//! outputs — at any shard count.
+//! [`HybridRuntime::SYNC_EVERY`] routed tuples and at finish. Sync point
+//! *k* asks every worker for the result segments of the tuples routed
+//! since sync point *k − 1* (drain *k*), then merges drain *k − 1*: the
+//! merge stage runs one window behind the workers, overlapping their work
+//! on window *k*, so neither side idles while the other runs. Each drain
+//! is fed to the merge stage in a canonical order (segment start
+//! time, then branch, then key). A worker handles its channel in FIFO
+//! order, so drain *k* holds exactly the outputs of the tuples routed
+//! before sync point *k*, and the drains merge in order; only *when* the
+//! router merges a drain moves. The price is latency: a window's results
+//! reach the merge stage at the sync point after the one that ends the
+//! window, one window later than a barrier would merge them, while a
+//! window's wall time no longer includes the merge. Per-key segment
+//! content does not depend
+//! on shard count (keys never share operator state), so the merge stage
+//! sees an identical input sequence — and produces identical outputs — at
+//! any shard count.
+//!
+//! A worker that panics closes its channels; the router's next send to or
+//! receive from it joins the worker and resumes the worker's own panic on
+//! the router thread.
 //!
 //! Explain/trace/audit surfaces are not plumbed through the hybrid path
 //! yet; use the single-threaded fallback when provenance matters more
@@ -37,7 +52,7 @@ use crate::plan::CPlan;
 use crate::runtime::{Predictor, PulseRuntime, RuntimeConfig, RuntimeStats};
 use crate::shard::{splitmix64, ShardError, ShardedRuntime, DEFAULT_BATCH};
 use crate::validate::ValidatorStats;
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use pulse_model::{Segment, Tuple};
 use pulse_obs::PhaseTable;
 use pulse_stream::{partition_rewrite, HybridPlan, LogicalPlan, OpMetrics, Optimizer, PassStat};
@@ -47,6 +62,10 @@ use std::thread::JoinHandle;
 /// runtime's backpressure depth).
 const CHANNEL_DEPTH: usize = 4;
 
+/// One worker's drain reply: its branch-tagged result segments since the
+/// previous drain, in emission order.
+type Drained = Vec<(usize, Segment)>;
+
 /// Work sent to a hybrid prefix worker.
 enum HMsg {
     // Debug is hand-rolled below: batches would dump whole tuples.
@@ -55,7 +74,7 @@ enum HMsg {
     Batch(Vec<(usize, usize, Tuple)>),
     /// Hand back every result segment produced since the last drain,
     /// tagged with its branch, in emission order.
-    Drain(Sender<Vec<(usize, Segment)>>),
+    Drain(Sender<Drained>),
     /// Garbage-collect lineage older than `t` in every branch runtime.
     Gc(f64),
     /// Publish per-branch counters into the global registry (live scrape).
@@ -113,6 +132,9 @@ pub struct HybridRuntime {
     /// Routed tuples between merge synchronizations.
     sync_every: usize,
     since_sync: usize,
+    /// Per-worker replies to the last sync point's drain, not merged yet
+    /// (empty before the first sync and after [`Self::settle`]).
+    inflight: Vec<Receiver<Drained>>,
     /// `feeds[original_source]` = every `(branch, local_source)` that
     /// consumes it (a source shared by two branches fans out).
     feeds: Vec<Vec<(usize, usize)>>,
@@ -135,9 +157,11 @@ impl std::fmt::Debug for HybridRuntime {
 }
 
 impl HybridRuntime {
-    /// Default merge synchronization interval, in routed tuples. Small
-    /// enough that merge-stage state stays fresh relative to branch
-    /// windows, large enough to amortize the drain round-trip.
+    /// Default merge synchronization interval, in routed tuples. The
+    /// merge of one window overlaps the workers' processing of the next,
+    /// so merge-stage state lags the branches by up to two windows: small
+    /// enough to keep that lag short, large enough to amortize the drain
+    /// round-trip.
     pub const SYNC_EVERY: usize = 1024;
 
     /// Builds `shards` prefix workers (each owning one runtime per branch)
@@ -259,6 +283,7 @@ impl HybridRuntime {
             batch: DEFAULT_BATCH,
             sync_every: Self::SYNC_EVERY,
             since_sync: 0,
+            inflight: Vec::new(),
             feeds,
             wiring: hp.wiring.clone(),
             suffix,
@@ -284,7 +309,10 @@ impl HybridRuntime {
 
     /// Overrides the merge synchronization interval. Results are
     /// independent of the interval; it only trades merge latency against
-    /// drain round-trips.
+    /// drain round-trips. Whatever the interval, a window's merge runs at
+    /// the next sync point (or at [`Self::finish`]), one window behind, so
+    /// a window's results are merged up to two intervals after its first
+    /// tuple is routed.
     pub fn set_sync_every(&mut self, every: usize) {
         self.sync_every = every.max(1);
     }
@@ -312,22 +340,27 @@ impl HybridRuntime {
 
     /// Garbage-collects lineage older than `t` in every branch runtime
     /// and in the merge stage. Flushes pending batches first so GC stays
-    /// ordered.
+    /// ordered, and merges the in-flight drain first, so the merge stage's
+    /// lineage holds every synchronized window before it is collected.
     pub fn gc_before(&mut self, t: f64) {
         for s in 0..self.txs.len() {
             self.flush(s);
-            self.txs[s].send(HMsg::Gc(t)).expect("hybrid worker alive");
+            self.send(s, HMsg::Gc(t));
         }
+        self.settle();
         self.suffix.lineage().lock().gc_before(t);
     }
 
     /// Publishes every worker's counters (labeled by shard and branch)
     /// plus the merge stage's (labeled `stage="merge"`) for live scraping.
+    /// Merges the in-flight drain first, so the scrape sees every window
+    /// synchronized so far.
     pub fn publish_metrics(&mut self) {
         for s in 0..self.txs.len() {
             self.flush(s);
-            self.txs[s].send(HMsg::Export).expect("hybrid worker alive");
+            self.send(s, HMsg::Export);
         }
+        self.settle();
         if pulse_obs::enabled() {
             self.suffix.export_metrics_labeled(pulse_obs::global(), &[("stage", "merge")]);
             pulse_obs::timeseries::store().sample(&pulse_obs::global().snapshot());
@@ -339,28 +372,59 @@ impl HybridRuntime {
             return;
         }
         let batch = std::mem::take(&mut self.pending[shard]);
-        self.txs[shard].send(HMsg::Batch(batch)).expect("hybrid worker alive");
+        self.send(shard, HMsg::Batch(batch));
     }
 
-    /// Synchronizes the merge stage: flushes and drains every worker, then
-    /// feeds the tagged segments to the merge plan in canonical order —
-    /// `(span.lo, branch, key)`, ties left in worker emission order (ties
-    /// share a key, and a key lives on one worker, so the order is
-    /// deterministic and independent of shard count).
+    /// Sends `msg` to worker `shard`, re-raising its panic if it died.
+    fn send(&mut self, shard: usize, msg: HMsg) {
+        if self.txs[shard].send(msg).is_err() {
+            self.worker_died(shard);
+        }
+    }
+
+    /// Re-raises worker `shard`'s panic on the calling thread. A channel
+    /// to a worker fails only once the worker's thread is unwinding (its
+    /// receiver, and with it every queued message, is dropped), so the
+    /// join returns promptly.
+    #[cold]
+    fn worker_died(&mut self, shard: usize) -> ! {
+        match self.handles.remove(shard).join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(_) => panic!("hybrid worker {shard} stopped before shutdown"),
+        }
+    }
+
+    /// A merge synchronization point: flushes every worker and requests
+    /// its drain, then merges the drain requested at the previous sync
+    /// point while the workers process this one's window.
     fn sync(&mut self) {
         self.since_sync = 0;
+        let mut requested = Vec::with_capacity(self.txs.len());
         for s in 0..self.txs.len() {
             self.flush(s);
-        }
-        let mut merged: Vec<(usize, Segment)> = Vec::new();
-        let mut replies = Vec::with_capacity(self.txs.len());
-        for tx in &self.txs {
             let (reply_tx, reply_rx) = bounded(1);
-            tx.send(HMsg::Drain(reply_tx)).expect("hybrid worker alive");
-            replies.push(reply_rx);
+            self.send(s, HMsg::Drain(reply_tx));
+            requested.push(reply_rx);
         }
-        for rx in replies {
-            merged.extend(rx.recv().expect("hybrid worker alive"));
+        self.settle();
+        self.inflight = requested;
+    }
+
+    /// Merges the in-flight drain, if any: feeds the tagged segments to the
+    /// merge plan in canonical order — `(span.lo, branch, key)`, ties left
+    /// in worker emission order (ties share a key, and a key lives on one
+    /// worker, so the order is deterministic and independent of shard
+    /// count).
+    fn settle(&mut self) {
+        if self.inflight.is_empty() {
+            return;
+        }
+        let mut merged: Drained = Vec::new();
+        for (s, rx) in std::mem::take(&mut self.inflight).into_iter().enumerate() {
+            match rx.recv() {
+                Ok(drained) => merged.extend(drained),
+                Err(_) => self.worker_died(s),
+            }
         }
         merged.sort_by(|a, b| {
             a.1.span.lo.total_cmp(&b.1.span.lo).then(a.0.cmp(&b.0)).then(a.1.key.cmp(&b.1.key))
@@ -378,16 +442,18 @@ impl HybridRuntime {
     }
 
     /// Ends the stream: final merge synchronization, worker shutdown and
-    /// join, merge-stage flush, and counter roll-up.
+    /// join, merge-stage flush, and counter roll-up. A worker that
+    /// panicked has its panic resumed here.
     pub fn finish(mut self) -> HybridRun {
         self.sync();
-        for tx in &self.txs {
-            tx.send(HMsg::Shutdown).expect("hybrid worker alive");
+        self.settle();
+        for s in 0..self.txs.len() {
+            self.send(s, HMsg::Shutdown);
         }
         self.txs.clear();
         let mut run = HybridRun::default();
         for h in self.handles.drain(..) {
-            let r = h.join().expect("hybrid worker panicked");
+            let r = h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
             run.stats.absorb(&r.stats);
             run.validator.absorb(&r.validator);
             run.metrics.absorb(&r.metrics);
@@ -647,5 +713,202 @@ mod tests {
         let run = rt.finish();
         assert_eq!(run.stats().tuples_in, 1);
         assert_eq!(run.outputs().len(), 1);
+    }
+
+    /// Adaptive price source, one modeled attribute.
+    fn price() -> Schema {
+        Schema::of(&[("price", AttrKind::Modeled)])
+    }
+
+    /// Noisy per-key price walks: tick noise above the bound keeps every
+    /// key re-modelling, so result segments flow to the merge stage all
+    /// through the stream. Sources alternate when there are two.
+    fn noisy_feed(sources: usize, keys: u64, rounds: usize) -> Vec<(usize, Tuple)> {
+        let mut rng = 0x0dd5_eed5_u64;
+        let mut noise = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut out = Vec::new();
+        for r in 0..rounds {
+            let ts = r as f64 * 0.05;
+            for key in 0..keys {
+                let p = 50.0 + key as f64 + (ts * (1.0 + key as f64 * 0.1)).sin() + 0.2 * noise();
+                out.push((out.len() % sources, Tuple::new(key, ts, vec![p])));
+            }
+        }
+        out
+    }
+
+    /// The barrier sync the pipelined one must reproduce, run on one
+    /// thread: a runtime per branch fed tuple by tuple, and every
+    /// `sync_every` tuples (and at the end) the outputs since the last sync
+    /// sorted by `(span.lo, branch, key)` and pushed through the wiring
+    /// into the merge stage. `gc_at(i)` collects lineage older than the
+    /// returned time everywhere after tuple `i`.
+    fn barrier_model(
+        hp: &HybridPlan,
+        cfg: &RuntimeConfig,
+        feed: &[(usize, Tuple)],
+        sync_every: usize,
+        gc_at: &dyn Fn(usize) -> Option<f64>,
+    ) -> Vec<Segment> {
+        let mut rts: Vec<PulseRuntime> = hp
+            .branches
+            .iter()
+            .map(|b| {
+                let preds = b.sources.iter().map(|_| Predictor::AdaptiveLinear(price())).collect();
+                PulseRuntime::with_predictors(preds, &b.plan, cfg.clone()).unwrap()
+            })
+            .collect();
+        let mut suffix = CPlan::compile(&hp.suffix).unwrap();
+        suffix.lineage().lock().set_gradients(false);
+        let mut window: Vec<(usize, Segment)> = Vec::new();
+        let mut outputs = Vec::new();
+        let mut merge = |window: &mut Vec<(usize, Segment)>, suffix: &mut CPlan| {
+            window.sort_by(|a, b| {
+                a.1.span.lo.total_cmp(&b.1.span.lo).then(a.0.cmp(&b.0)).then(a.1.key.cmp(&b.1.key))
+            });
+            for (branch, seg) in window.drain(..) {
+                for (src, &b) in hp.wiring.iter().enumerate() {
+                    if b == branch {
+                        outputs.extend(suffix.push(src, &seg));
+                    }
+                }
+            }
+        };
+        for (i, (source, t)) in feed.iter().enumerate() {
+            for (bi, b) in hp.branches.iter().enumerate() {
+                for (local, &orig) in b.sources.iter().enumerate() {
+                    if orig == *source {
+                        window.extend(rts[bi].on_tuple(local, t).into_iter().map(|s| (bi, s)));
+                    }
+                }
+            }
+            if (i + 1) % sync_every == 0 {
+                merge(&mut window, &mut suffix);
+            }
+            if let Some(cut) = gc_at(i) {
+                for rt in &mut rts {
+                    rt.gc_before(cut);
+                }
+                suffix.lineage().lock().gc_before(cut);
+            }
+        }
+        merge(&mut window, &mut suffix);
+        outputs.extend(suffix.finish());
+        outputs
+    }
+
+    /// Ordered, id-blind bit pattern of a run's outputs.
+    fn ordered_bits(outs: &[Segment]) -> Vec<(u64, [u64; 2], Vec<Vec<u64>>)> {
+        outs.iter()
+            .map(|s| {
+                (
+                    s.key,
+                    [s.span.lo.to_bits(), s.span.hi.to_bits()],
+                    s.models
+                        .iter()
+                        .map(|p| p.coeffs().iter().map(|c| c.to_bits()).collect())
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// The pipelined merge must emit exactly the barrier sync's outputs in
+    /// exactly its order — not just the same multiset — at any shard
+    /// count and sync interval, with lineage GC and metric scrapes landing
+    /// mid-window and a partial last window.
+    #[test]
+    fn pipelined_merge_matches_the_barrier_sync_in_order() {
+        // Ungrouped min (one branch), and a cross-key join whose two
+        // sides are separate branches (two branches, so the merge order
+        // interleaves them).
+        let min = min_plan(price());
+        let mut join = LogicalPlan::new(vec![price(), price()]);
+        let f = join.add(
+            LogicalOp::Filter {
+                pred: Pred::cmp(Expr::attr(0), pulse_math::CmpOp::Lt, Expr::c(53.0)),
+            },
+            vec![PortRef::Source(0)],
+        );
+        join.add(
+            LogicalOp::Join {
+                window: 0.5,
+                pred: Pred::cmp(Expr::attr_of(0, 0), pulse_math::CmpOp::Lt, Expr::attr_of(1, 0)),
+                on_keys: pulse_stream::KeyJoin::Ne,
+            },
+            vec![f, PortRef::Source(1)],
+        );
+        let cfg = RuntimeConfig { horizon: 5.0, bound: 0.05, ..Default::default() };
+        // 7 keys × 87 rounds = 609 tuples: a partial last window at every
+        // interval below.
+        for (lp, sources) in [(min, 1), (join, 2)] {
+            let hp = partition_rewrite(&lp).expect("must split");
+            let feed = noisy_feed(sources, 7, 87);
+            let gc_at = |i: usize| (i % 150 == 149).then(|| feed[i].1.ts - 2.0);
+            for sync_every in [1, 5, 64] {
+                let want = barrier_model(&hp, &cfg, &feed, sync_every, &gc_at);
+                assert!(want.len() > 20, "{} merge outputs", want.len());
+                for shards in 1..=3 {
+                    let preds = vec![Predictor::AdaptiveLinear(price()); sources];
+                    let mut rt = HybridRuntime::new(preds, &hp, cfg.clone(), shards).unwrap();
+                    rt.set_batch(3);
+                    rt.set_sync_every(sync_every);
+                    for (i, (source, t)) in feed.iter().enumerate() {
+                        rt.on_tuple(*source, t);
+                        if let Some(cut) = gc_at(i) {
+                            rt.gc_before(cut);
+                        }
+                        if i % 200 == 100 {
+                            rt.publish_metrics();
+                        }
+                    }
+                    let got = rt.finish().outputs;
+                    assert!(
+                        ordered_bits(&got) == ordered_bits(&want),
+                        "{sources} source(s), {shards} shards, sync every {sync_every}: \
+                         {} outputs, barrier model {}",
+                        got.len(),
+                        want.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A panic inside a worker resurfaces on the router thread as the
+    /// worker's own panic, whether the router next sends to the worker or
+    /// waits on its drain.
+    #[test]
+    fn a_dead_worker_reports_its_own_panic() {
+        let hp = partition_rewrite(&min_plan(price())).expect("must split");
+        for sync_every in [1, HybridRuntime::SYNC_EVERY] {
+            let mut rt = HybridRuntime::new(
+                vec![Predictor::AdaptiveLinear(price())],
+                &hp,
+                RuntimeConfig::default(),
+                2,
+            )
+            .unwrap();
+            rt.set_batch(1);
+            rt.set_sync_every(sync_every);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                // An adaptive source reads the modeled value the tuple lacks.
+                rt.on_tuple(0, &Tuple::new(1, 0.0, Vec::new()));
+                for i in 1..200 {
+                    rt.on_tuple(0, &Tuple::new(1, i as f64, vec![1.0]));
+                }
+                rt.finish()
+            }));
+            let payload = caught.expect_err("the worker's panic must reach the router");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains("index out of bounds"), "sync every {sync_every}: {msg:?}");
+        }
     }
 }

@@ -24,8 +24,8 @@ use std::time::Instant;
 /// How predictive segments are built for a source stream.
 ///
 /// `Clone` lets the sharded runtime hand each worker its own copy (the
-/// adaptive predictor's anchors live in the runtime, not here, so clones
-/// share nothing).
+/// adaptive predictor's anchors live in the runtime's per-key
+/// [`KeySlot`]s, not here, so clones share nothing).
 #[derive(Debug, Clone)]
 pub enum Predictor {
     /// Declarative MODEL clause (§II-B): coefficients come from the tuple.
@@ -186,6 +186,20 @@ struct PendingSolve {
     validation: u64,
 }
 
+/// Everything the runtime keeps per `(source, key)` between re-models:
+/// the live predictive segment, and for an adaptive source the anchor the
+/// next slope is measured from. A re-model overwrites the slot in place,
+/// so a key that keeps violating reuses its buffers instead of allocating
+/// a segment per violation.
+struct KeySlot {
+    seg: Segment,
+    /// Timestamp of the key's last re-model (adaptive sources only).
+    anchor_ts: f64,
+    /// Modeled values at `anchor_ts`, parallel to the source's modeled
+    /// attributes (adaptive sources only; empty for MODEL clauses).
+    anchor: Vec<f64>,
+}
+
 /// The predictive processor.
 pub struct PulseRuntime {
     predictors: Vec<Predictor>,
@@ -194,12 +208,10 @@ pub struct PulseRuntime {
     modeled: Vec<Vec<usize>>,
     /// Cached unmodeled-attribute indices per source.
     unmodeled: Vec<Vec<usize>>,
-    /// Adaptive predictors' anchors: last re-model observation per key.
-    anchors: KeyMap<(usize, u64), (f64, Vec<f64>)>,
     plan: CPlan,
     cfg: RuntimeConfig,
-    /// Current predictive segment per (source, key).
-    predicted: KeyMap<(usize, u64), Segment>,
+    /// Current predictive segment (and adaptive anchor) per (source, key).
+    slots: KeyMap<(usize, u64), KeySlot>,
     /// Reverse map: live predictive segment id → its validator key, so
     /// inverted allocations land on the stream that owns each segment.
     seg_owner: KeyMap<SegmentId, VKey>,
@@ -262,10 +274,9 @@ impl PulseRuntime {
             predictors,
             modeled,
             unmodeled,
-            anchors: KeyMap::default(),
             plan,
             cfg,
-            predicted: KeyMap::default(),
+            slots: KeyMap::default(),
             seg_owner: KeyMap::default(),
             validator: Validator::new(),
             stats: RuntimeStats::default(),
@@ -281,36 +292,71 @@ impl PulseRuntime {
         })
     }
 
-    /// Builds the predictive segment for a tuple via the source's predictor.
-    fn predict(&mut self, source: usize, tuple: &Tuple) -> Option<Segment> {
-        match &self.predictors[source] {
-            Predictor::Clause(sm) => sm.segment_for(tuple, self.cfg.horizon).ok(),
+    /// Re-models `(source, tuple.key)` from `tuple` through the source's
+    /// predictor and stores the new predictive segment in the key's slot.
+    /// Returns the id of the segment it replaced (`None` at a key's first
+    /// sight), or `Err` when the MODEL clause cannot be instantiated, in
+    /// which case the slot is left as it was.
+    ///
+    /// An adaptive source overwrites its slot in place: models, unmodeled
+    /// values and anchor reuse their buffers, and only the id is new.
+    /// Kept out of line so the violation path's code does not grow
+    /// `ingest`, whose suppressed half is the hot path.
+    #[inline(never)]
+    fn remodel(&mut self, source: usize, tuple: &Tuple) -> Result<Option<SegmentId>, ()> {
+        let horizon = self.cfg.horizon;
+        let pkey = (source, tuple.key);
+        let sm = match &self.predictors[source] {
+            Predictor::Clause(sm) => sm,
             Predictor::AdaptiveLinear(_) => {
                 let modeled = &self.modeled[source];
-                let vals: Vec<f64> = modeled.iter().map(|&a| tuple.values[a]).collect();
-                let anchor = self.anchors.insert((source, tuple.key), (tuple.ts, vals.clone()));
-                let models = modeled
-                    .iter()
-                    .zip(&vals)
-                    .enumerate()
-                    .map(|(slot, (_, &v))| {
-                        let slope = match &anchor {
-                            Some((ats, avs)) if tuple.ts - ats > 1e-9 => {
-                                (v - avs[slot]) / (tuple.ts - ats)
-                            }
-                            _ => 0.0,
-                        };
-                        Poly::linear(v - slope * tuple.ts, slope)
-                    })
-                    .collect();
-                let unmodeled = self.unmodeled[source].iter().map(|&a| tuple.values[a]).collect();
-                Some(Segment {
-                    id: SegmentId::fresh(),
-                    key: tuple.key,
-                    span: Span::new(tuple.ts, tuple.ts + self.cfg.horizon),
-                    models,
-                    unmodeled,
-                })
+                let unmodeled = &self.unmodeled[source];
+                let span = Span::new(tuple.ts, tuple.ts + horizon);
+                // A first sight gets an empty slot anchored at this tuple
+                // (so every slope is 0), with a placeholder id (issued ids
+                // start at 1) and a span the backdating below leaves alone;
+                // the in-place fill then builds it.
+                let mut first = false;
+                let slot = self.slots.entry(pkey).or_insert_with(|| {
+                    first = true;
+                    let seg = Segment {
+                        id: SegmentId(0),
+                        key: tuple.key,
+                        span,
+                        models: Vec::with_capacity(modeled.len()),
+                        unmodeled: Vec::with_capacity(unmodeled.len()),
+                    };
+                    let anchor = modeled.iter().map(|&a| tuple.values[a]).collect();
+                    KeySlot { seg, anchor_ts: tuple.ts, anchor }
+                });
+                // The slope is the average rate of change since the last
+                // re-model (0 when no time has passed).
+                let dt = tuple.ts - slot.anchor_ts;
+                let seg = &mut slot.seg;
+                seg.models.clear();
+                for (&a, anchor) in modeled.iter().zip(&mut slot.anchor) {
+                    let v = tuple.values[a];
+                    let slope = if dt > 1e-9 { (v - *anchor) / dt } else { 0.0 };
+                    seg.models.push(Poly::linear(v - slope * tuple.ts, slope));
+                    *anchor = v;
+                }
+                seg.unmodeled.clear();
+                seg.unmodeled.extend(unmodeled.iter().map(|&a| tuple.values[a]));
+                slot.anchor_ts = tuple.ts;
+                let replaced = std::mem::replace(&mut seg.id, SegmentId::fresh());
+                seg.span = backdated(seg.span, span, tuple.ts, horizon);
+                return Ok((!first).then_some(replaced));
+            }
+        };
+        let mut seg = sm.segment_for(tuple, horizon).map_err(|_| ())?;
+        match self.slots.get_mut(&pkey) {
+            Some(slot) => {
+                seg.span = backdated(slot.seg.span, seg.span, tuple.ts, horizon);
+                Ok(Some(std::mem::replace(&mut slot.seg, seg).id))
+            }
+            None => {
+                self.slots.insert(pkey, KeySlot { seg, anchor_ts: tuple.ts, anchor: Vec::new() });
+                Ok(None)
             }
         }
     }
@@ -450,7 +496,7 @@ impl PulseRuntime {
         // everything the solver does for it.
         let mut validation = 0u64;
         let mut checked = false;
-        if let Some(seg) = self.predicted.get(&pkey) {
+        if let Some(KeySlot { seg, .. }) = self.slots.get(&pkey) {
             if seg.span.contains(tuple.ts) {
                 checked = true;
                 let modeled = &self.modeled[source];
@@ -532,31 +578,19 @@ impl PulseRuntime {
         let slow_t0 = obs_on.then(|| start.unwrap_or_else(Instant::now));
         // Re-model from this tuple and re-solve.
         let prof_t0 = pulse_obs::prof::start();
-        let seg = {
+        let remodeled = {
             let _span = pulse_obs::span!("runtime.remodel_ns", tuple.key);
-            self.predict(source, tuple)
+            self.remodel(source, tuple)
         };
-        let Some(mut seg) = seg else {
+        let Ok(replaced) = remodeled else {
             self.tracer.prof(prof_t0, pulse_obs::Phase::RemodelFit);
             self.stats.model_errors += 1;
             return;
         };
-        // Expiry (not violation) must not leave a coverage gap: the old
-        // prediction stays authoritative until the new one begins, so the
-        // new segment backdates its start to the predecessor's end (update
-        // semantics — a successor supersedes only from where it starts).
-        if let Some(old) = self.predicted.get(&pkey) {
-            if old.span.hi <= tuple.ts && old.span.hi > seg.span.lo - self.cfg.horizon {
-                seg.span = pulse_math::Span::new(old.span.hi.min(seg.span.lo), seg.span.hi);
-            }
+        if let Some(old) = replaced {
+            self.seg_owner.remove(&old);
         }
-        // Store first, then push a borrow of the stored segment — the old
-        // code cloned the whole segment into `predicted` on every violation.
-        if let Some(old) = self.predicted.insert(pkey, seg) {
-            self.seg_owner.remove(&old.id);
-        }
-        let seg = self.predicted.get(&pkey).expect("just inserted");
-        self.seg_owner.insert(seg.id, vkey);
+        self.seg_owner.insert(self.slots[&pkey].seg.id, vkey);
         self.stats.segments_pushed += 1;
         self.tracer.prof(prof_t0, pulse_obs::Phase::RemodelFit);
         if defer && !audited {
@@ -587,7 +621,7 @@ impl PulseRuntime {
             source,
             tuple,
             validated,
-            self.predicted.get(&(source, tuple.key)),
+            self.slots.get(&(source, tuple.key)).map(|s| &s.seg),
             &self.modeled[source],
             self.validator.mode(Self::vkey(source, tuple.key)),
             &self.plan,
@@ -612,7 +646,7 @@ impl PulseRuntime {
         let obs_on = pulse_obs::enabled();
         let trace_on = self.tracer.on();
         let vkey = Self::vkey(source, key);
-        let seg = self.predicted.get(&(source, key)).expect("solve queued for a live segment");
+        let seg = &self.slots.get(&(source, key)).expect("solve queued for a live segment").seg;
         let solve_start = if trace_on {
             let remodel =
                 self.tracer.emit(validation, key, ts, TraceKind::Remodel { seg: seg.id.0 });
@@ -899,6 +933,20 @@ impl PulseRuntime {
     }
 }
 
+/// The span a re-model at `ts` gives its new segment `span`, given the
+/// predecessor's `old` span. Expiry (not violation) must not leave a
+/// coverage gap: the old prediction stays authoritative until the new one
+/// begins, so a segment that expired within the last horizon backdates
+/// its successor's start to its own end (update semantics — a successor
+/// supersedes only from where it starts).
+fn backdated(old: Span, span: Span, ts: f64, horizon: f64) -> Span {
+    if old.hi <= ts && old.hi > span.lo - horizon {
+        Span::new(old.hi.min(span.lo), span.hi)
+    } else {
+        span
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1148,5 +1196,161 @@ mod tests {
         assert!(rt.on_tuple(0, &tup(1, 1.0, 1.0, 1.0)).is_empty());
         assert!(rt.on_tuple(0, &tup(2, 1.0, 99.0, -1.0)).is_empty());
         assert_eq!(rt.stats().suppressed, 2);
+    }
+
+    /// The allocating re-model the runtime used before per-key slots: a
+    /// fresh segment per re-model, the anchor in a map of its own, and the
+    /// predecessor backdating the new segment before the insert. Kept as
+    /// the reference the in-place [`PulseRuntime::remodel`] must match.
+    #[derive(Default)]
+    struct AllocatingRemodel {
+        anchors: KeyMap<(usize, u64), (f64, Vec<f64>)>,
+        predicted: KeyMap<(usize, u64), Segment>,
+    }
+
+    impl AllocatingRemodel {
+        fn predict(&mut self, rt: &PulseRuntime, source: usize, tuple: &Tuple) -> Option<Segment> {
+            match &rt.predictors[source] {
+                Predictor::Clause(sm) => sm.segment_for(tuple, rt.cfg.horizon).ok(),
+                Predictor::AdaptiveLinear(_) => {
+                    let modeled = &rt.modeled[source];
+                    let vals: Vec<f64> = modeled.iter().map(|&a| tuple.values[a]).collect();
+                    let anchor = self.anchors.insert((source, tuple.key), (tuple.ts, vals.clone()));
+                    let models = modeled
+                        .iter()
+                        .zip(&vals)
+                        .enumerate()
+                        .map(|(slot, (_, &v))| {
+                            let slope = match &anchor {
+                                Some((ats, avs)) if tuple.ts - ats > 1e-9 => {
+                                    (v - avs[slot]) / (tuple.ts - ats)
+                                }
+                                _ => 0.0,
+                            };
+                            Poly::linear(v - slope * tuple.ts, slope)
+                        })
+                        .collect();
+                    let unmodeled = rt.unmodeled[source].iter().map(|&a| tuple.values[a]).collect();
+                    Some(Segment {
+                        id: SegmentId::fresh(),
+                        key: tuple.key,
+                        span: Span::new(tuple.ts, tuple.ts + rt.cfg.horizon),
+                        models,
+                        unmodeled,
+                    })
+                }
+            }
+        }
+
+        /// Returns whether the key had a predecessor, and whether the new
+        /// segment was backdated to the predecessor's end.
+        fn remodel(&mut self, rt: &PulseRuntime, source: usize, tuple: &Tuple) -> (bool, bool) {
+            let pkey = (source, tuple.key);
+            let mut seg = self.predict(rt, source, tuple).expect("clause instantiates");
+            let mut backdated = false;
+            if let Some(old) = self.predicted.get(&pkey) {
+                if old.span.hi <= tuple.ts && old.span.hi > seg.span.lo - rt.cfg.horizon {
+                    seg.span = Span::new(old.span.hi.min(seg.span.lo), seg.span.hi);
+                    backdated = true;
+                }
+            }
+            (self.predicted.insert(pkey, seg).is_some(), backdated)
+        }
+    }
+
+    /// Bit pattern of a segment's content, id aside.
+    fn seg_bits(seg: &Segment) -> (u64, [u64; 2], Vec<Vec<u64>>, Vec<u64>) {
+        (
+            seg.key,
+            [seg.span.lo.to_bits(), seg.span.hi.to_bits()],
+            seg.models.iter().map(|p| p.coeffs().iter().map(|c| c.to_bits()).collect()).collect(),
+            seg.unmodeled.iter().map(|u| u.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn in_place_remodel_matches_the_allocating_reference() {
+        // Source 0: a MODEL clause over two modeled attributes; source 1:
+        // the adaptive predictor. Both carry one unmodeled attribute.
+        let clause_schema = Schema::of(&[
+            ("x", AttrKind::Modeled),
+            ("vx", AttrKind::Coefficient),
+            ("y", AttrKind::Modeled),
+            ("vy", AttrKind::Coefficient),
+            ("w", AttrKind::Unmodeled),
+        ]);
+        let sm = StreamModel::new(
+            clause_schema.clone(),
+            vec![
+                ModelSpec::new(0, Expr::attr(0) + Expr::attr(1) * Expr::Time),
+                ModelSpec::new(2, Expr::attr(2) + Expr::attr(3) * Expr::Time),
+            ],
+        )
+        .unwrap();
+        let adaptive_schema = Schema::of(&[
+            ("x", AttrKind::Modeled),
+            ("y", AttrKind::Modeled),
+            ("w", AttrKind::Unmodeled),
+        ]);
+        let mut lp = LogicalPlan::new(vec![clause_schema, adaptive_schema.clone()]);
+        lp.add(LogicalOp::Filter { pred: Pred::True }, vec![PortRef::Source(0)]);
+        lp.add(LogicalOp::Filter { pred: Pred::True }, vec![PortRef::Source(1)]);
+        let cfg = RuntimeConfig { horizon: 1.0, ..Default::default() };
+        let predictors = vec![Predictor::Clause(sm), Predictor::AdaptiveLinear(adaptive_schema)];
+        let mut rt = PulseRuntime::with_predictors(predictors, &lp, cfg).unwrap();
+        let mut reference = AllocatingRemodel::default();
+
+        let mut rng = 0x5eed_u64;
+        let mut unit = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut ts, mut last) = (0.0, (0, 0));
+        let (mut first_sights, mut backdates, mut same_ts) = (0, 0, 0);
+        for _ in 0..4000 {
+            // One tuple in ten repeats the last (source, key) at the same
+            // timestamp or under 1e-9 s after it; the rest advance time by
+            // up to 0.3 s, so a key's gaps straddle the 1 s horizon and its
+            // prediction sometimes expires before the next tuple.
+            let (source, key) = if unit() < 0.1 {
+                if unit() < 0.5 {
+                    ts += 5e-10 * unit();
+                }
+                last
+            } else {
+                ts += 0.3 * unit();
+                ((unit() * 2.0) as usize, (unit() * 6.0) as u64)
+            };
+            last = (source, key);
+            let values = if source == 0 {
+                vec![100.0 * unit(), unit() - 0.5, 100.0 * unit(), unit() - 0.5, unit()]
+            } else {
+                vec![100.0 * unit(), 100.0 * unit(), unit()]
+            };
+            let tuple = Tuple::new(key, ts, values);
+            let pkey = (source, key);
+            let prev = rt.slots.get(&pkey).map(|s| (s.seg.id, s.anchor_ts));
+            if let Some((_, anchor_ts)) = prev {
+                same_ts += (source == 1 && ts - anchor_ts <= 1e-9) as u32;
+            }
+            let replaced = rt.remodel(source, &tuple).expect("clause instantiates");
+            let (had, backdated) = reference.remodel(&rt, source, &tuple);
+            assert_eq!(replaced, prev.map(|(id, _)| id), "returns the replaced segment's id");
+            assert_eq!(had, prev.is_some());
+            first_sights += !had as u32;
+            backdates += backdated as u32;
+            let slot = &rt.slots[&pkey];
+            assert_ne!(Some(slot.seg.id), replaced, "every re-model takes a fresh id");
+            assert_eq!(seg_bits(&slot.seg), seg_bits(&reference.predicted[&pkey]));
+            if source == 1 {
+                let (ats, avs) = &reference.anchors[&pkey];
+                assert_eq!(slot.anchor_ts.to_bits(), ats.to_bits());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&slot.anchor), bits(avs));
+            }
+        }
+        assert_eq!(first_sights, 12, "every (source, key) pair is first seen once");
+        assert!(backdates > 50, "{backdates} backdated re-models");
+        assert!(same_ts > 50, "{same_ts} same-timestamp adaptive re-models");
     }
 }

@@ -1,18 +1,22 @@
 //! Deterministic allocation gate: heap allocations per pushed segment
-//! through a MACD-shaped `CPlan` and a global-min `CPlan`.
+//! through a MACD-shaped `CPlan` and a global-min `CPlan`, and per
+//! violation through a `PulseRuntime` running the MACD plan.
 //!
 //! Timing gates swing with host load; an allocation count does not. A
 //! counting global allocator tallies allocations (reallocations included)
 //! per thread, so the harness's other threads cannot inflate the count.
 //! The stream is a fixed seeded one, and every segment id comes from one
 //! process-wide counter that lineage pages by, so this file holds a single
-//! test and nothing else in the process makes segments.
+//! test and nothing else in the process makes segments. The runtime count
+//! runs after the `CPlan` counts, which keep the ids they were measured
+//! with.
 
-use pulse::core::CPlan;
+use pulse::core::runtime::{Predictor, PulseRuntime, RuntimeConfig};
+use pulse::core::{CPlan, DEFAULT_BATCH};
 use pulse::math::{CmpOp, Poly, Span};
-use pulse::model::{AttrKind, Expr, Pred, Schema, Segment};
+use pulse::model::{AttrKind, Expr, Pred, Schema, Segment, Tuple};
 use pulse::stream::{AggFunc, KeyJoin, LogicalOp, LogicalPlan, PortRef};
-use pulse::workload::nyse;
+use pulse::workload::nyse::{self, NyseConfig, NyseGen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -142,6 +146,43 @@ fn allocs_per_push(plan: &LogicalPlan, segs: &[Segment]) -> f64 {
     n as f64 / segs.len() as f64
 }
 
+/// Tuples fed before counting starts, so every symbol has been seen and
+/// the runtime's per-key maps have grown to size.
+const WARM_UP: usize = 2048;
+
+/// Allocations per violation through [`PulseRuntime::on_pairs`] on a
+/// seeded noisy NYSE stream (200 symbols, 25 stream-seconds) with the
+/// adaptive predictor, batched as the replay benchmark batches it. Every
+/// re-model counts as a violation here, expired predictions included.
+fn allocs_per_violation(plan: &LogicalPlan) -> f64 {
+    let trades = NyseGen::new(NyseConfig {
+        symbols: 200,
+        drift_duration: 2.0,
+        tick_noise: 0.002,
+        seed: 1,
+        ..NyseConfig::default()
+    })
+    .generate(25.0);
+    let pairs: Vec<(usize, Tuple)> = trades.into_iter().map(|t| (0, t)).collect();
+    let cfg = RuntimeConfig { horizon: 5.0, bound: 0.05, ..Default::default() };
+    let mut rt =
+        PulseRuntime::with_predictors(vec![Predictor::AdaptiveLinear(nyse::schema())], plan, cfg)
+            .expect("plan compiles");
+    let (warm, counted) = pairs.split_at(WARM_UP);
+    for chunk in warm.chunks(DEFAULT_BATCH) {
+        rt.on_pairs(chunk);
+    }
+    let remodels0 = rt.stats().segments_pushed;
+    let before = allocs();
+    for chunk in counted.chunks(DEFAULT_BATCH) {
+        rt.on_pairs(chunk);
+    }
+    let n = allocs() - before;
+    let remodels = rt.stats().segments_pushed - remodels0;
+    assert!(remodels > 0, "the stream never violated");
+    n as f64 / remodels as f64
+}
+
 #[test]
 fn allocations_per_push_stay_within_budget() {
     let segs = stream(7);
@@ -159,4 +200,16 @@ fn allocations_per_push_stay_within_budget() {
             measured * 1.1
         );
     }
+    // The budget is the count measured when the runtime started
+    // re-modelling each key in place, plus 10%. Before that, with a fresh
+    // segment and anchor per violation and the prediction and the anchor
+    // in two maps, the same stream made 8.62 allocations per violation.
+    let measured = 4.62;
+    let per_violation = allocs_per_violation(&macd());
+    println!("runtime: {per_violation:.2} allocations per violation");
+    assert!(
+        per_violation <= measured * 1.1,
+        "runtime: {per_violation:.2} allocations per violation, budget {:.2}",
+        measured * 1.1
+    );
 }
