@@ -1,10 +1,11 @@
 //! Shard-scaling sweep for the predictive runtime.
 //!
 //! Runs a keyed NYSE-style MACD workload (thousands of symbols, adaptive
-//! linear price models) through the single-threaded `PulseRuntime` and the
-//! `ShardedRuntime` at increasing shard counts, reporting tuples/sec and
-//! ns/tuple per configuration. Results land in `BENCH_scaling.json` at the
-//! repo root so the perf trajectory is tracked across PRs.
+//! linear price models) through the single-threaded `PulseRuntime` and
+//! `HybridRuntime::partitioned` at increasing shard counts, reporting
+//! tuples/sec and ns/tuple per configuration. Results land in
+//! `BENCH_scaling.json` at the repo root so the perf trajectory is tracked
+//! across PRs.
 //!
 //! Key-partitioned sharding wins twice: shards run on separate cores, and
 //! each shard's operator state only holds its own keys — the join/aggregate
@@ -36,29 +37,30 @@
 //! `/timeseries`, `/watch`, `/trace.json`, `/explain`, `/audit`, `/health`
 //! and `/profile` over HTTP while the sweep runs (phases tick the collector
 //! every [`PUBLISH_EVERY`] tuples, feeding both the labelled counters and
-//! the time-series history; `/trace.json` renders the live sharded
+//! the time-series history; `/trace.json` renders the live parallel
 //! runtime's flight-recorder rings as a Perfetto-loadable Chrome trace);
 //! `PULSE_SERVE_LINGER=<secs>` keeps the listener up after the sweep so
-//! scrapers (CI curl, `pulse_top`) have a stable window.
+//! scrapers (CI curl, `pulse_top`) have a stable window. Every parallel
+//! phase — sharded MACD and hybrid global min alike — installs its
+//! explain handle and caches its rings and audit ledger when it ends, so
+//! scrapes after the sweep read the last phase, the hybrid one.
 
 use pulse_bench::measure::merge_feeds;
 use pulse_bench::queries;
 use pulse_core::runtime::Predictor;
-use pulse_core::{
-    ExplainHandle, HybridRuntime, PulseRuntime, RuntimeConfig, RuntimeStats, ShardedRuntime,
-};
+use pulse_core::{ExplainHandle, HybridRuntime, PulseRuntime, RuntimeConfig, RuntimeStats};
 use pulse_model::Tuple;
 use pulse_stream::{partition_rewrite, AggFunc, LogicalOp, LogicalPlan, PortRef};
 use pulse_workload::{nyse, NyseConfig, NyseGen};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The `/explain` endpoint's route to whichever sharded runtime is live:
-/// each sharded phase installs its handle, and clears it before finishing.
+/// The `/explain` endpoint's route to whichever parallel runtime is live:
+/// each parallel phase installs its handle, and clears it before finishing.
 type ExplainSlot = Arc<Mutex<Option<ExplainHandle>>>;
 
 /// Shared state behind the serving routes. `trace_cache` holds the last
-/// completed sharded phase's rendered Chrome trace, so `/trace.json`
+/// completed parallel phase's rendered Chrome trace, so `/trace.json`
 /// stays answerable between phases and through the linger window (the
 /// live handle can't serve once its runtime finishes); `audit_cache`
 /// does the same for the last phase's merged guarantee-audit ledger.
@@ -221,21 +223,16 @@ fn single_threaded(
     (secs, rt.stats(), *rt.phases())
 }
 
-fn sharded(
-    lp: &pulse_stream::LogicalPlan,
+/// One parallel phase: routes the whole feed through `rt` (a sharded MACD
+/// or a hybrid global-min runtime). When serving, the phase installs its
+/// explain handle, ticks the collector, and caches its final rings and
+/// merged audit ledger so the routes keep answering after it ends.
+fn parallel(
+    mut rt: HybridRuntime,
     tuples: &[Tuple],
-    shards: usize,
-    cfg: &RuntimeConfig,
     ctx: Option<&ServeCtx>,
 ) -> (f64, RuntimeStats, pulse_obs::PhaseTable) {
     let merged = merge_feeds(&[(0, tuples)]);
-    let mut rt = ShardedRuntime::new(
-        vec![Predictor::AdaptiveLinear(nyse::schema())],
-        lp,
-        cfg.clone(),
-        shards,
-    )
-    .expect("MACD is key-partitionable");
     if let Some(ctx) = ctx {
         *ctx.slot.lock().unwrap() = Some(rt.explain_handle());
     }
@@ -284,32 +281,6 @@ fn global_min_plan(width: f64, slide: f64) -> LogicalPlan {
         vec![PortRef::Source(0)],
     );
     lp
-}
-
-fn hybrid(
-    lp: &LogicalPlan,
-    tuples: &[Tuple],
-    shards: usize,
-    cfg: &RuntimeConfig,
-) -> (f64, RuntimeStats, pulse_obs::PhaseTable) {
-    let hp = partition_rewrite(lp).expect("global min takes the partition rewrite");
-    let mut rt = HybridRuntime::new(
-        vec![Predictor::AdaptiveLinear(nyse::schema())],
-        &hp,
-        cfg.clone(),
-        shards,
-    )
-    .expect("rewritten branches are partitionable");
-    let start = Instant::now();
-    for (i, t) in tuples.iter().enumerate() {
-        rt.on_tuple(0, t);
-        if i % 50_000 == 0 {
-            rt.gc_before(t.ts - 50.0);
-        }
-    }
-    let run = rt.finish();
-    let secs = start.elapsed().as_secs_f64();
-    (secs, run.stats, run.phases)
 }
 
 fn row(
@@ -386,14 +357,13 @@ fn with_measured_violation_ns<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Starts the HTTP surface when `PULSE_SERVE_ADDR` is set, returning the
-/// listener handle plus the slot sharded phases publish their explain
+/// listener handle plus the slot parallel phases publish their explain
 /// handle into. Turns tracing on — a served run is an observed run by
 /// definition (metrics and the profiler are already on for every sweep).
 fn maybe_serve() -> Option<(pulse_obs::ServeHandle, ServeCtx)> {
     let addr = std::env::var("PULSE_SERVE_ADDR").ok()?;
     pulse_obs::set_trace_enabled(true);
     let slot: ExplainSlot = Arc::new(Mutex::new(None));
-    let trace_cache: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let route = slot.clone();
     let explain: pulse_obs::ExplainFn = Arc::new(move |key, t0, t1| {
         let handle = route.lock().unwrap().clone()?;
@@ -401,37 +371,16 @@ fn maybe_serve() -> Option<(pulse_obs::ServeHandle, ServeCtx)> {
     });
     // `/trace.json` drains the live runtime's flight-recorder rings into
     // Chrome Trace Event JSON — open the URL in Perfetto while the sweep
-    // runs (or during the linger window, served from the last completed
-    // phase's snapshot) to see per-shard solve tracks.
-    let trace_route = slot.clone();
-    let cache = trace_cache.clone();
-    let trace: pulse_obs::TraceFn = Arc::new(move || {
-        if let Some(handle) = trace_route.lock().unwrap().clone() {
-            if let Some(rings) = handle.trace_events() {
-                let json =
-                    pulse_obs::chrome_trace(rings.iter().map(|(s, evs)| (*s, evs.as_slice())));
-                *cache.lock().unwrap() = Some(json.clone());
-                return Some(json);
-            }
-        }
-        cache.lock().unwrap().clone()
+    // runs (or during the linger window) to see per-shard solve tracks.
+    let trace_cache = Arc::new(Mutex::new(None));
+    let trace = live_or_cached(&slot, &trace_cache, |h| {
+        let rings = h.trace_events()?;
+        Some(pulse_obs::chrome_trace(rings.iter().map(|(s, evs)| (*s, evs.as_slice()))))
     });
     // `/audit` fans out to every live shard and merges the per-key
-    // guarantee ledgers; between phases it serves the last completed
-    // phase's merged summary.
-    let audit_route = slot.clone();
-    let audit_cache: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let acache = audit_cache.clone();
-    let audit: pulse_obs::AuditFn = Arc::new(move || {
-        if let Some(handle) = audit_route.lock().unwrap().clone() {
-            if let Some(ledger) = handle.audit() {
-                let json = ledger.summary_json(8);
-                *acache.lock().unwrap() = Some(json.clone());
-                return Some(json);
-            }
-        }
-        acache.lock().unwrap().clone()
-    });
+    // guarantee ledgers.
+    let audit_cache = Arc::new(Mutex::new(None));
+    let audit = live_or_cached(&slot, &audit_cache, |h| Some(h.audit()?.summary_json(8)));
     let routes = pulse_obs::Routes::new().with_explain(explain).with_trace(trace).with_audit(audit);
     let h = pulse_obs::serve(&addr, routes).expect("bind PULSE_SERVE_ADDR");
     println!(
@@ -439,6 +388,25 @@ fn maybe_serve() -> Option<(pulse_obs::ServeHandle, ServeCtx)> {
         h.addr()
     );
     Some((h, ServeCtx { slot, trace_cache, audit_cache }))
+}
+
+/// A route that renders from the live phase's handle when one is
+/// installed (refreshing `cache`), and between phases serves `cache`:
+/// the last completed phase's snapshot.
+fn live_or_cached(
+    slot: &ExplainSlot,
+    cache: &Arc<Mutex<Option<String>>>,
+    render: impl Fn(&ExplainHandle) -> Option<String> + Send + Sync + 'static,
+) -> Arc<dyn Fn() -> Option<String> + Send + Sync> {
+    let (slot, cache) = (slot.clone(), cache.clone());
+    Arc::new(move || {
+        let live = slot.lock().unwrap().clone().and_then(|h| render(&h));
+        if live.is_some() {
+            cache.lock().unwrap().clone_from(&live);
+            return live;
+        }
+        cache.lock().unwrap().clone()
+    })
 }
 
 fn main() {
@@ -467,19 +435,26 @@ fn main() {
         );
     }
     let reps = env_usize("PULSE_SCALING_REPS", 1);
+    let preds = || vec![Predictor::AdaptiveLinear(nyse::schema())];
+    let ctx = serve.as_ref().map(|(_, ctx)| ctx);
     let (st_run, st_viol_ns) = median_rep(reps, || {
         with_measured_violation_ns(|| single_threaded(&lp, &tuples, &cfg, serve.is_some()))
     });
     let mut rows = vec![row("single-threaded", "single", 1, tuples.len(), &st_run, st_viol_ns)];
-    for &s in &k.shards {
-        let (run, viol_ns) = median_rep(reps, || {
-            with_measured_violation_ns(|| {
-                sharded(&lp, &tuples, s, &cfg, serve.as_ref().map(|(_, ctx)| ctx))
-            })
-        });
-        assert_eq!(run.1.tuples_in, tuples.len() as u64);
-        rows.push(row(&format!("{s} shard(s)"), "sharded", s, tuples.len(), &run, viol_ns));
-    }
+    // One row per shard count of a parallel mode; `build(s)` makes the
+    // runtime for `s` shards.
+    let sweep = |rows: &mut Vec<Row>, mode, label: &str, build: &dyn Fn(usize) -> HybridRuntime| {
+        for &s in &k.shards {
+            let (run, viol_ns) = median_rep(reps, || {
+                with_measured_violation_ns(|| parallel(build(s), &tuples, ctx))
+            });
+            assert_eq!(run.1.tuples_in, tuples.len() as u64);
+            rows.push(row(&format!("{label} {s}"), mode, s, tuples.len(), &run, viol_ns));
+        }
+    };
+    sweep(&mut rows, "sharded", "shards", &|s| {
+        HybridRuntime::partitioned(preds(), &lp, cfg.clone(), s).expect("MACD is key-partitionable")
+    });
 
     let sharded_at = |n: usize| rows.iter().find(|r| r.mode == "sharded" && r.shards == n);
     if let (Some(r1), Some(r4)) = (sharded_at(1), sharded_at(4)) {
@@ -491,17 +466,16 @@ fn main() {
     // partition rewrite existed: the whole plan on one runtime, global
     // envelope over every symbol. `hybrid` is the rewritten shape.
     let min_lp = global_min_plan(short, slide);
+    let min_hp = partition_rewrite(&min_lp).expect("global min takes the partition rewrite");
     println!("global-min: ungrouped Min over {} symbols, width {short:.2}s", k.symbols);
     let (fb_run, fb_viol_ns) = median_rep(reps, || {
         with_measured_violation_ns(|| single_threaded(&min_lp, &tuples, &cfg, false))
     });
     rows.push(row("min fallback", "fallback", 1, tuples.len(), &fb_run, fb_viol_ns));
-    for &s in &k.shards {
-        let (run, viol_ns) =
-            median_rep(reps, || with_measured_violation_ns(|| hybrid(&min_lp, &tuples, s, &cfg)));
-        assert_eq!(run.1.tuples_in, tuples.len() as u64);
-        rows.push(row(&format!("min hybrid {s}"), "hybrid", s, tuples.len(), &run, viol_ns));
-    }
+    sweep(&mut rows, "hybrid", "min hybrid", &|s| {
+        HybridRuntime::new(preds(), &min_hp, cfg.clone(), s)
+            .expect("rewritten branches are partitionable")
+    });
     let fallback_row = rows.iter().find(|r| r.mode == "fallback");
     let hybrid_at = |n: usize| rows.iter().find(|r| r.mode == "hybrid" && r.shards == n);
     if let (Some(fb), Some(h4)) = (fallback_row, hybrid_at(4)) {

@@ -38,9 +38,9 @@
 //! most recent `OutputEmit` of the offending key.
 
 use crate::cops::{CGroupBy, CMinMax, COperator, CSumAvg};
+use crate::hybrid::splitmix64;
 use crate::plan::CPlan;
 use crate::runtime::RuntimeConfig;
-use crate::shard::splitmix64;
 use crate::validate::ValidationMode;
 use pulse_model::{Segment, Tuple};
 use pulse_obs::{AuditLedger, Histogram, TraceKind, Tracer};
@@ -58,8 +58,8 @@ struct AggSpec {
 }
 
 /// The per-runtime shadow oracle. One lives inside each [`crate::PulseRuntime`]
-/// whose [`RuntimeConfig::audit_rate`] is non-zero; the sharded runtime
-/// merges their ledgers at `finish()`.
+/// whose [`RuntimeConfig::audit_rate`] is non-zero; [`crate::HybridRuntime`]
+/// merges its workers' ledgers at `finish()`.
 pub struct ShadowAuditor {
     rate: u64,
     fault: f64,

@@ -17,9 +17,9 @@
 //! * [`runtime`] — the online predictive processing loop: models predict,
 //!   validation detects errors, and the solver re-runs only on violations
 //!   (§II-A, §IV);
-//! * [`shard`] — key-partitioned parallel execution: N worker threads each
-//!   run a full runtime over the keys a hash assigns them, for plans whose
-//!   operators keep keys separate.
+//! * [`hybrid`] — parallel execution: N worker threads each run a full
+//!   runtime over the keys a hash assigns them, plus a serial merge stage
+//!   for plans the partition rewrite split at a cross-key operator.
 //!
 //! ```
 //! use pulse_core::CPlan;
@@ -54,7 +54,6 @@ pub mod lineage;
 pub mod plan;
 pub mod runtime;
 pub mod sampler;
-pub mod shard;
 pub mod validate;
 
 pub use audit::ShadowAuditor;
@@ -65,13 +64,12 @@ pub use eqsys::{
     SystemTemplate, SOLVE_TOL,
 };
 pub use historical::HistoricalStore;
-pub use hybrid::{export_opt_metrics, AutoRun, AutoRuntime, HybridRun, HybridRuntime};
+pub use hybrid::{ExplainHandle, HybridRun, HybridRuntime, ShardError, DEFAULT_BATCH};
 pub use index::SegmentIndex;
 pub use lineage::{LineageStore, SharedLineage};
 pub use plan::{CPlan, TransformError};
 pub use runtime::{Heuristic, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats};
 pub use sampler::{SampleStaleness, Sampler};
-pub use shard::{ExplainHandle, MergedRun, ShardError, ShardedRuntime, DEFAULT_BATCH};
 pub use validate::{
     AccuracySummary, BoundInverter, EquiSplit, GradientSplit, KeyAccuracy, SplitHeuristic, VKey,
     ValidationMode, Validator, ValidatorStats,

@@ -79,13 +79,6 @@ pub struct RuntimeConfig {
     /// Fault injection for auditor tests: added to the continuous side of
     /// every audited comparison. 0 (the default) audits honestly.
     pub audit_fault_offset: f64,
-    /// Run the logical plan through the normalization optimizer
-    /// ([`pulse_stream::Optimizer`]) before compiling, and let
-    /// [`crate::hybrid::AutoRuntime`] fall back to the partition rewrite
-    /// instead of a single thread when the plan is not key-partitionable.
-    /// Off by default: rewrites are proven by the differential oracle, and
-    /// existing callers expect plans to run exactly as written.
-    pub optimize: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -98,7 +91,6 @@ impl Default for RuntimeConfig {
             audit_rate: 0,
             calibration: pulse_stream::Calibration::default(),
             audit_fault_offset: 0.0,
-            optimize: false,
         }
     }
 }

@@ -11,7 +11,7 @@
 //! verdict degrades.
 
 use pulse_core::runtime::Predictor;
-use pulse_core::{RuntimeConfig, ShardedRuntime};
+use pulse_core::{HybridRuntime, RuntimeConfig};
 use pulse_math::CmpOp;
 use pulse_model::{AttrKind, Expr, ModelSpec, Pred, Schema, StreamModel, Tuple};
 use pulse_stream::{LogicalOp, LogicalPlan, PortRef};
@@ -69,8 +69,29 @@ fn health_verdict_flips_when_shard_channel_saturates() {
         vec![PortRef::Source(0)],
     );
     let cfg = RuntimeConfig { horizon: 1e12, bound: 0.05, ..Default::default() };
-    let mut rt = ShardedRuntime::new(vec![Predictor::Clause(sm)], &lp, cfg, 1).expect("builds");
+    let mut rt =
+        HybridRuntime::partitioned(vec![Predictor::Clause(sm)], &lp, cfg, 1).expect("builds");
     rt.set_batch(1);
+
+    let mut i = 0u64;
+    let mut max_depth = 0;
+    let mut feed = |rt: &mut HybridRuntime| {
+        // Flip sign once per 64-key sweep so each key alternates between
+        // +100 and −100 across its visits and every revisit violates its
+        // constant model (i % 2 would give each key a fixed sign — 64 is
+        // even — and a permanently suppressed, cheap fast path).
+        let x = if (i / 64).is_multiple_of(2) { 100.0 } else { -100.0 };
+        rt.on_tuple(0, &Tuple::new(i % 64, i as f64, vec![x, 0.0]));
+        max_depth = max_depth.max(rt.queue_depth(0));
+        i += 1;
+        assert!(i < 50_000_000, "queue never saturated after {i} tuples");
+    };
+    // Two full sweeps before anyone polls `/health`: a key's first visit
+    // only fits its model, so no key can violate before its second visit,
+    // and the stop flag below may end the feed at the first 503.
+    for _ in 0..128 {
+        feed(&mut rt);
+    }
 
     // Feed from this thread while a stop flag lets us quit as soon as the
     // verdict has flipped; the router blocks in `send` whenever the worker
@@ -85,18 +106,8 @@ fn health_verdict_flips_when_shard_channel_saturates() {
             body
         })
     };
-    let mut i = 0u64;
-    let mut max_depth = 0;
     while !stop.load(Ordering::Relaxed) {
-        // Flip sign once per 64-key sweep so each key alternates between
-        // +100 and −100 across its visits and every revisit violates its
-        // constant model (i % 2 would give each key a fixed sign — 64 is
-        // even — and a permanently suppressed, cheap fast path).
-        let x = if (i / 64).is_multiple_of(2) { 100.0 } else { -100.0 };
-        rt.on_tuple(0, &Tuple::new(i % 64, i as f64, vec![x, 0.0]));
-        max_depth = max_depth.max(rt.queue_depth(0));
-        i += 1;
-        assert!(i < 50_000_000, "queue never saturated after {i} tuples");
+        feed(&mut rt);
     }
     let degraded = watcher.join().expect("watcher");
     assert!(degraded.contains("\"degraded\""), "degraded body: {degraded}");

@@ -9,7 +9,7 @@
 //! same query fanned to the owning worker over its channel.
 
 use pulse_core::runtime::{Predictor, PulseRuntime, RuntimeConfig};
-use pulse_core::shard::ShardedRuntime;
+use pulse_core::HybridRuntime;
 use pulse_math::CmpOp;
 use pulse_model::{AttrKind, Expr, Pred, Schema, Tuple};
 use pulse_obs::{set_trace_enabled, TraceEvent, TraceKind};
@@ -168,7 +168,8 @@ fn sharded_explain_reaches_the_owning_worker() {
     set_trace_enabled(true);
     let lp = macd_plan();
     let mut sharded =
-        ShardedRuntime::new(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 4).unwrap();
+        HybridRuntime::partitioned(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 4)
+            .unwrap();
     for t in tuples(8, 120) {
         sharded.on_tuple(0, &t);
     }

@@ -8,9 +8,8 @@
 //! allocated from a process-wide counter and output *order* across shards
 //! is arbitrary, so the comparison is order-insensitive and id-blind.
 
-use pulse_core::hybrid::HybridRuntime;
 use pulse_core::runtime::{Predictor, PulseRuntime, RuntimeConfig};
-use pulse_core::shard::{ShardError, ShardedRuntime};
+use pulse_core::{HybridRuntime, ShardError};
 use pulse_math::CmpOp;
 use pulse_model::{AttrKind, Expr, Pred, Schema, Segment, Tuple};
 use pulse_stream::{partition_rewrite, AggFunc, KeyJoin, LogicalOp, LogicalPlan, PortRef};
@@ -123,7 +122,8 @@ fn sharded_macd_matches_single_threaded() {
     // Sharded run over the same feed, including a mid-stream GC at the
     // same point and a batch size that doesn't divide the feed evenly.
     let mut sharded =
-        ShardedRuntime::new(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 4).unwrap();
+        HybridRuntime::partitioned(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 4)
+            .unwrap();
     sharded.set_batch(7);
     for (i, t) in feed.iter().enumerate() {
         sharded.on_tuple(0, t);
@@ -170,7 +170,8 @@ fn one_shard_equals_single_threaded() {
     }
 
     let mut sharded =
-        ShardedRuntime::new(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 1).unwrap();
+        HybridRuntime::partitioned(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 1)
+            .unwrap();
     for t in &feed {
         sharded.on_tuple(0, t);
     }
@@ -319,8 +320,9 @@ fn cross_key_plans_are_refused_with_a_reason() {
         LogicalOp::Join { window: 1.0, pred: Pred::True, on_keys: KeyJoin::Ne },
         vec![PortRef::Source(0), PortRef::Source(0)],
     );
-    let err = ShardedRuntime::new(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 2)
-        .unwrap_err();
+    let err =
+        HybridRuntime::partitioned(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 2)
+            .unwrap_err();
     let ShardError::NotPartitionable(v) = &err else {
         panic!("expected NotPartitionable, got {err:?}")
     };

@@ -72,7 +72,7 @@ fn headroom_bp(deviation: f64, allowance: f64) -> u64 {
 
 /// The guarantee ledger: per-key SLO state plus global roll-ups. Cloned
 /// out of shard workers and merged with [`AuditLedger::absorb`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuditLedger {
     keys: HashMap<u64, KeyLedger>,
     pub checks: u64,

@@ -6,7 +6,7 @@
 //!    semantic baseline;
 //! 2. the **continuous** single-threaded [`PulseRuntime`] — the system
 //!    under test;
-//! 3. the **sharded** [`ShardedRuntime`] (4 shards) when the plan is
+//! 3. the **sharded** [`HybridRuntime::partitioned`] (4 shards) when the plan is
 //!    key-partitionable, or a second single-threaded run when it is not
 //!    (the documented fallback path).
 //!
@@ -36,7 +36,7 @@ use crate::plangen::{branch_slots, residual, AggSpec, JoinSpec, Shape, Step};
 use crate::streamgen::Case;
 use pulse_core::{
     CGroupBy, CMinMax, COperator, CSumAvg, Heuristic, HybridRuntime, Predictor, PulseRuntime,
-    RuntimeConfig, ShardError, ShardedRuntime,
+    RuntimeConfig, ShardError,
 };
 use pulse_model::{Segment, Tuple};
 use pulse_stream::{
@@ -469,7 +469,7 @@ fn run_third_engine(
     let fail = |stage: &'static str, detail: String| CaseFailure { seed: case.seed, stage, detail };
     match lp.key_partition_violation() {
         None => {
-            let mut sh = ShardedRuntime::new(predictors(), lp, cfg.clone(), 4)
+            let mut sh = HybridRuntime::partitioned(predictors(), lp, cfg.clone(), 4)
                 .map_err(|e| fail("shard", format!("partitionable plan rejected: {e}")))?;
             for t in tuples {
                 sh.on_tuple(0, t);
@@ -495,7 +495,7 @@ fn run_third_engine(
             report.shard_outputs = merged.outputs.len();
         }
         Some(v) => {
-            match ShardedRuntime::new(predictors(), lp, cfg.clone(), 4) {
+            match HybridRuntime::partitioned(predictors(), lp, cfg.clone(), 4) {
                 Err(ShardError::NotPartitionable(pv)) => {
                     if pv != v {
                         return Err(fail(

@@ -18,8 +18,8 @@
 use std::sync::Mutex;
 
 use pulse_core::{
-    set_legacy_subst, Heuristic, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats,
-    ShardedRuntime,
+    set_legacy_subst, Heuristic, HybridRuntime, Predictor, PulseRuntime, RuntimeConfig,
+    RuntimeStats,
 };
 use pulse_model::{Segment, Tuple};
 use pulse_qa::Case;
@@ -192,7 +192,7 @@ fn sharded_batching_bit_identical_at_1_and_4_shards() {
         covered += 1;
         let (one, stats_one) = drive_per_tuple(&lp, &tuples, &cfg);
         for shards in [1usize, 4] {
-            let mut sh = ShardedRuntime::new(
+            let mut sh = HybridRuntime::partitioned(
                 vec![Predictor::Clause(tracks::stream_model())],
                 &lp,
                 cfg.clone(),

@@ -16,7 +16,6 @@ pub mod logical;
 pub mod metrics;
 pub mod ops;
 pub mod opt;
-pub mod parallel;
 pub mod plan;
 pub mod reference;
 
@@ -28,6 +27,5 @@ pub use opt::{
     partition_rewrite, BranchPlan, HybridPlan, Optimized, Optimizer, Pass, PassStat,
     PredicatePushdown, ProjectionPrune,
 };
-pub use parallel::Pipeline;
 pub use plan::Plan;
 pub use reference::{fingerprint, Calibration, Comparison, SegPrint, ToleranceModel};

@@ -12,7 +12,7 @@
 //! plan (with a node index map, since a pass may renumber nodes) or `None`
 //! when the plan is already normal with respect to it. The driver loops the
 //! pass list until no pass fires, counting applications and skips per pass
-//! so the runtime can export them as `opt.*` metrics.
+//! ([`PassStat`]).
 //!
 //! The payoff pass is [`partition_rewrite`]: it takes a plan rejected by
 //! [`LogicalPlan::is_key_partitionable`] and, when the single cross-key

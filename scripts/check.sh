@@ -7,7 +7,10 @@
 # and the discrete traces must match bit-for-bit, with per-pass fire
 # coverage asserted), a live scrape of a 4-shard scaling run
 # (/metrics, /health, /profile, the /timeseries collector history, the
-# /audit guarantee ledger, and the /trace.json Perfetto export), the
+# /audit guarantee ledger, and the /trace.json Perfetto export; every
+# parallel phase of the sweep, sharded MACD and hybrid global min alike,
+# serves /explain, /trace.json and /audit, so a scrape after the sweep
+# reads the hybrid phase, held to the same asserts), the
 # observability overhead gates (obs_bench min-of-batches deltas for
 # metrics, profiler-on suppressed path, the profiler's violation-path
 # percentage, and the guarantee auditor's suppressed-path and
@@ -103,8 +106,9 @@ for _ in $(seq 1 60); do
      && "${samples:-0}" -ge 10 ]] && break
   sleep 0.25
 done
-# One trace scrape: served live while a sharded phase runs, and from the
-# cached final snapshot of the last completed phase afterwards.
+# One trace scrape: served live while a parallel phase runs, and from the
+# cached final snapshot of the last completed phase (the hybrid global
+# min) afterwards.
 trace=$(curl -sf --max-time 5 http://127.0.0.1:9187/trace.json || true)
 wait "$scaling_pid"
 if [[ "$metrics" != *'pulse_runtime_tuples_in{shard="'* ]]; then
