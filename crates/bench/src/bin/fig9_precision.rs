@@ -30,7 +30,7 @@ fn main() {
     // Measure every bound first; the normalized offered rate is derived
     // from the loose-bound capacities afterwards (single runs are noisy).
     let mut sweep = p.precision_sweep.clone();
-    sweep.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    sweep.sort_by(|a, b| b.total_cmp(a));
     let mut measured = Vec::new();
     for &rel in &sweep {
         let bound = rel * price_scale;

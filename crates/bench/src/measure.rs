@@ -82,7 +82,7 @@ pub fn best_of(reps: usize, mut f: impl FnMut() -> RunResult) -> RunResult {
 pub fn merge_feeds<'a>(feeds: &[(usize, &'a [Tuple])]) -> Vec<(usize, &'a Tuple)> {
     let mut merged: Vec<(usize, &Tuple)> =
         feeds.iter().flat_map(|(src, ts)| ts.iter().map(move |t| (*src, t))).collect();
-    merged.sort_by(|a, b| a.1.ts.partial_cmp(&b.1.ts).unwrap());
+    merged.sort_by(|a, b| a.1.ts.total_cmp(&b.1.ts));
     merged
 }
 
@@ -200,7 +200,7 @@ pub fn fit_only(feeds: &[(usize, &[Tuple])], fit: FitConfig, modeled: Vec<usize>
 pub fn run_segments(lp: &LogicalPlan, feeds: &[(usize, &[Segment])]) -> RunResult {
     let mut merged: Vec<(usize, &Segment)> =
         feeds.iter().flat_map(|(src, ss)| ss.iter().map(move |s| (*src, s))).collect();
-    merged.sort_by(|a, b| a.1.span.lo.partial_cmp(&b.1.span.lo).unwrap());
+    merged.sort_by(|a, b| a.1.span.lo.total_cmp(&b.1.span.lo));
     let mut plan = CPlan::compile(lp).expect("transformable query");
     let (outputs, secs) = timed("run_segments_ns", || {
         let mut outputs = 0u64;

@@ -195,4 +195,54 @@ mod tests {
         assert_eq!(lp.nodes.len(), 4);
         assert_eq!(lp.sinks(), vec![3]);
     }
+
+    /// The partition rewrite splits `following` at its `Ne` self-join, so
+    /// the branch is only the identity filter over the source. That filter
+    /// compiles to nothing: each worker hands the merge stage the pushed
+    /// segments themselves. Stationary vessels make every tuple after a
+    /// key's first one suppressed, so the hybrid run must equal the
+    /// unrewritten single-threaded run bit for bit at any shard count.
+    #[test]
+    fn following_hybrid_branch_is_a_bare_source() {
+        use pulse_core::{HybridRuntime, Predictor, PulseRuntime, RuntimeConfig};
+        use pulse_model::Tuple;
+        use pulse_stream::{fingerprint, partition_rewrite};
+
+        let lp = following(1.0, 2.0, 0.5, 1000.0);
+        let hp = partition_rewrite(&lp).expect("the Ne self-join splits");
+        assert_eq!(hp.branches.len(), 1);
+        let b = &hp.branches[0];
+        assert!(matches!(b.plan.nodes[b.sink].op, LogicalOp::Filter { pred: Pred::True }));
+        assert!(CPlan::compile(&b.plan).unwrap().op(b.sink).is_none());
+
+        let feed: Vec<Tuple> = (0..60)
+            .flat_map(|r| {
+                (0..5u64).map(move |k| {
+                    let (x, y) = (100.0 * k as f64, 50.0 * k as f64);
+                    Tuple::new(k, r as f64 * 0.1, vec![x, 0.0, y, 0.0])
+                })
+            })
+            .collect();
+        let cfg = RuntimeConfig { horizon: 5.0, bound: 0.05, ..Default::default() };
+        let predictors = || vec![Predictor::Clause(ais::stream_model())];
+        let mut single = PulseRuntime::with_predictors(predictors(), &lp, cfg.clone()).unwrap();
+        let mut want = Vec::new();
+        for t in &feed {
+            want.extend(single.on_tuple(0, t));
+        }
+        assert!(!want.is_empty(), "no pair stayed under the threshold");
+        let mut stats = None;
+        for shards in 1..=3 {
+            let mut h = HybridRuntime::new(predictors(), &hp, cfg.clone(), shards).unwrap();
+            h.set_sync_every(16);
+            for t in &feed {
+                h.on_tuple(0, t);
+            }
+            let run = h.finish();
+            // The branch emits each pushed segment once, as itself.
+            assert_eq!(run.stats.outputs, run.stats.segments_pushed, "{shards} shards");
+            assert_eq!(*stats.get_or_insert(run.stats), run.stats, "{shards} shards");
+            assert_eq!(fingerprint(&run.outputs), fingerprint(&want), "{shards} shards");
+        }
+    }
 }

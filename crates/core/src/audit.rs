@@ -295,7 +295,7 @@ fn live_window_value(
     group: u64,
     close: f64,
 ) -> Option<f64> {
-    let op: &dyn COperator = plan.op(node);
+    let op: &dyn COperator = plan.op(node)?;
     let inner: &dyn COperator =
         if spec.grouped { op.as_any().downcast_ref::<CGroupBy>()?.group(group)? } else { op };
     match spec.func {

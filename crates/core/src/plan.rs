@@ -4,12 +4,13 @@
 //! stream queries, instantiating an internal query plan comprised of
 //! simultaneous equation systems." [`CPlan::compile`] maps each logical
 //! operator to its continuous counterpart over the same DAG; segments are
-//! the first-class items flowing between nodes.
+//! the first-class items flowing between nodes. A filter whose predicate
+//! normalizes to `true` has no system to solve and compiles to nothing.
 
 use crate::binding::Binding;
 use crate::cops::{CFilter, CGroupBy, CJoin, CMap, CMinMax, COperator, CSumAvg, CUnion};
 use crate::lineage::{self, SharedLineage};
-use pulse_model::Segment;
+use pulse_model::{Pred, Segment};
 use pulse_obs::Tracer;
 use pulse_stream::{AggFunc, LogicalOp, LogicalPlan, OpMetrics, PortRef};
 
@@ -58,9 +59,10 @@ struct PushBuffers {
     scratch: Vec<Segment>,
 }
 
-/// A compiled continuous plan.
+/// A compiled continuous plan, indexed by logical node.
 pub struct CPlan {
-    nodes: Vec<Box<dyn COperator>>,
+    /// `None` for a pass-through filter, which has no operator.
+    nodes: Vec<Option<Box<dyn COperator>>>,
     node_edges: Vec<Vec<Consumer>>,
     source_edges: Vec<Vec<Consumer>>,
     sinks: Vec<bool>,
@@ -73,28 +75,42 @@ pub struct CPlan {
 
 impl CPlan {
     /// Transforms a logical plan into equation-system operators.
+    ///
+    /// A filter whose predicate normalizes to [`Pred::True`] (the residue
+    /// predicate pushdown leaves, the partition rewrite's identity branch,
+    /// or one written by hand) maps every input to itself, so it gets no
+    /// operator: its consumers attach to its input, transitively through
+    /// chains of such filters. When it is a sink, its edge stays, and a
+    /// push copies the segment arriving on it into the results at the
+    /// position its output had, so a sink over a source returns the pushed
+    /// segment itself.
     pub fn compile(logical: &LogicalPlan) -> Result<CPlan, TransformError> {
         let store = lineage::shared();
-        let mut nodes: Vec<Box<dyn COperator>> = Vec::with_capacity(logical.nodes.len());
+        let mut nodes = Vec::with_capacity(logical.nodes.len());
         let mut node_edges = vec![Vec::new(); logical.nodes.len()];
         let mut source_edges = vec![Vec::new(); logical.sources.len()];
         for (i, ln) in logical.nodes.iter().enumerate() {
             let in_schema = |port: usize| Binding::new(logical.schema_of(ln.inputs[port]));
-            let op: Box<dyn COperator> = match &ln.op {
+            let op: Option<Box<dyn COperator>> = match &ln.op {
                 LogicalOp::Filter { pred } => {
-                    Box::new(CFilter::new(pred.clone(), in_schema(0), store.clone()))
+                    let pred = pred.normalize();
+                    if pred == Pred::True {
+                        None
+                    } else {
+                        Some(Box::new(CFilter::new(pred, in_schema(0), store.clone())))
+                    }
                 }
                 LogicalOp::Map { exprs, .. } => {
-                    Box::new(CMap::new(exprs.clone(), in_schema(0), store.clone()))
+                    Some(Box::new(CMap::new(exprs.clone(), in_schema(0), store.clone())))
                 }
-                LogicalOp::Join { window, pred, on_keys } => Box::new(CJoin::new(
+                LogicalOp::Join { window, pred, on_keys } => Some(Box::new(CJoin::new(
                     *window,
                     pred.clone(),
                     *on_keys,
                     [in_schema(0), in_schema(1)],
                     store.clone(),
-                )),
-                LogicalOp::Union => Box::new(CUnion::new()),
+                ))),
+                LogicalOp::Union => Some(Box::new(CUnion::new())),
                 LogicalOp::Aggregate { func, attr, width, slide: _, group_by_key } => {
                     let binding = in_schema(0);
                     let slot = binding
@@ -107,11 +123,11 @@ impl CPlan {
                             let is_min = matches!(func, AggFunc::Min);
                             if *group_by_key {
                                 let st = store.clone();
-                                Box::new(CGroupBy::new(Box::new(move |_| {
+                                Some(Box::new(CGroupBy::new(Box::new(move |_| {
                                     Box::new(CMinMax::new(is_min, slot, width, st.clone()))
-                                })))
+                                }))))
                             } else {
-                                Box::new(CMinMax::new(is_min, slot, width, store.clone()))
+                                Some(Box::new(CMinMax::new(is_min, slot, width, store.clone())))
                             }
                         }
                         AggFunc::Sum | AggFunc::Avg => {
@@ -120,9 +136,9 @@ impl CPlan {
                             }
                             let avg = matches!(func, AggFunc::Avg);
                             let st = store.clone();
-                            Box::new(CGroupBy::new(Box::new(move |_| {
+                            Some(Box::new(CGroupBy::new(Box::new(move |_| {
                                 Box::new(CSumAvg::new(avg, slot, width, st.clone()))
-                            })))
+                            }))))
                         }
                     }
                 }
@@ -139,6 +155,24 @@ impl CPlan {
         for s in logical.sinks() {
             sinks[s] = true;
         }
+        // Splice each pass-through non-sink out of its producers' edge
+        // lists, its consumers taking its place in order: the LIFO queue
+        // then visits them exactly when it would have visited them after
+        // the filter.
+        let splice = |edges: &[Consumer]| {
+            let mut out = Vec::with_capacity(edges.len());
+            let mut stack: Vec<Consumer> = edges.iter().rev().copied().collect();
+            while let Some((n, p)) = stack.pop() {
+                if nodes[n].is_some() || sinks[n] {
+                    out.push((n, p));
+                } else {
+                    stack.extend(node_edges[n].iter().rev().copied());
+                }
+            }
+            out
+        };
+        let source_edges = source_edges.iter().map(|e| splice(e)).collect();
+        let node_edges = node_edges.iter().map(|e| splice(e)).collect();
         Ok(CPlan {
             nodes,
             node_edges,
@@ -163,11 +197,6 @@ impl CPlan {
     /// Pushes one segment from source `source`, returning query outputs;
     /// operators stamp their equation-system work into `tr` as they go.
     ///
-    /// Produced segments live in one arena; the work queue and fan-out
-    /// edges carry indices into it, so a segment consumed by several
-    /// operators (or kept as a result *and* consumed downstream) is never
-    /// cloned.
-    ///
     /// The pushed segment is snapshotted into lineage here, once; each
     /// operator snapshots only the outputs it emits.
     ///
@@ -175,42 +204,59 @@ impl CPlan {
     /// nothing, their slack is resolved here, before returning, for
     /// [`Self::last_slack`].
     pub fn push_traced(&mut self, source: usize, seg: &Segment, tr: &mut Tracer) -> Vec<Segment> {
-        for n in &mut self.nodes {
+        for n in self.nodes.iter_mut().flatten() {
             n.reset_slack();
         }
         self.lineage.lock().register(seg);
-        let PushBuffers { produced, is_result, queue, scratch } = &mut self.bufs;
-        produced.clear();
-        is_result.clear();
+        let queue = &mut self.bufs.queue;
         queue.clear();
         queue.extend(self.source_edges[source].iter().map(|&(n, p)| (n, p, Self::SRC)));
-        while let Some((node, port, idx)) = queue.pop() {
-            scratch.clear();
-            let input = if idx == Self::SRC { seg } else { &produced[idx] };
-            self.nodes[node].process_traced(port, input, tr, scratch);
-            for out in scratch.drain(..) {
-                let oi = produced.len();
-                is_result.push(self.sinks[node]);
-                for &(n, p) in &self.node_edges[node] {
-                    queue.push((n, p, oi));
-                }
-                produced.push(out);
-            }
-        }
-        let results: Vec<Segment> = produced
-            .drain(..)
-            .zip(is_result.drain(..))
-            .filter_map(|(s, r)| r.then_some(s))
-            .collect();
+        let mut results = Vec::new();
+        self.drain(seg, tr, &mut results);
         self.slack = None;
         if results.is_empty() {
-            for n in &mut self.nodes {
+            for n in self.nodes.iter_mut().flatten() {
                 if let Some(s) = n.resolve_slack() {
                     self.slack = Some(self.slack.map_or(s, |a: f64| a.min(s)));
                 }
             }
         }
         results
+    }
+
+    /// Runs the work queue to empty, `SRC` entries reading `seg`, and
+    /// appends the results to `results` in the order they were produced.
+    ///
+    /// Produced segments live in one arena; the work queue and fan-out
+    /// edges carry indices into it, so a segment consumed by several
+    /// operators (or kept as a result *and* consumed downstream) is never
+    /// cloned. An entry for a pass-through sink, which has no operator,
+    /// copies its input into the arena as a result.
+    fn drain(&mut self, seg: &Segment, tr: &mut Tracer, results: &mut Vec<Segment>) {
+        let CPlan { nodes, node_edges, sinks, bufs, .. } = self;
+        let PushBuffers { produced, is_result, queue, scratch } = bufs;
+        while let Some((node, port, idx)) = queue.pop() {
+            let input = if idx == Self::SRC { seg } else { &produced[idx] };
+            let Some(op) = &mut nodes[node] else {
+                let out = input.clone();
+                is_result.push(true);
+                produced.push(out);
+                continue;
+            };
+            scratch.clear();
+            op.process_traced(port, input, tr, scratch);
+            for out in scratch.drain(..) {
+                let oi = produced.len();
+                is_result.push(sinks[node]);
+                for &(n, p) in &node_edges[node] {
+                    queue.push((n, p, oi));
+                }
+                produced.push(out);
+            }
+        }
+        results.extend(
+            produced.drain(..).zip(is_result.drain(..)).filter_map(|(s, r)| r.then_some(s)),
+        );
     }
 
     /// Pushes a batch of segments (time-ordered per source).
@@ -222,37 +268,23 @@ impl CPlan {
         out
     }
 
-    /// End-of-stream flush through the DAG (same arena scheme as `push`).
+    /// End-of-stream flush through the DAG: each flushed segment runs
+    /// through its node's consumers as a pushed segment would.
     pub fn finish(&mut self) -> Vec<Segment> {
         let mut results = Vec::new();
-        let mut scratch = Vec::new();
+        let mut pending = Vec::new();
         for node in 0..self.nodes.len() {
-            let mut pending = Vec::new();
-            self.nodes[node].flush(&mut pending);
-            let mut produced: Vec<Segment> = Vec::new();
-            let mut is_result: Vec<bool> = Vec::new();
-            let mut queue: Vec<(usize, usize, usize)> = Vec::new();
-            for out in pending {
-                let oi = produced.len();
-                is_result.push(self.sinks[node]);
-                for &(n, p) in &self.node_edges[node] {
-                    queue.push((n, p, oi));
+            let Some(op) = &mut self.nodes[node] else { continue };
+            op.flush(&mut pending);
+            for out in pending.drain(..) {
+                if self.sinks[node] {
+                    results.push(out);
+                    continue;
                 }
-                produced.push(out);
-                while let Some((n, p, idx)) = queue.pop() {
-                    scratch.clear();
-                    self.nodes[n].process(p, &produced[idx], &mut scratch);
-                    for o in scratch.drain(..) {
-                        let oi = produced.len();
-                        is_result.push(self.sinks[n]);
-                        for &(n2, p2) in &self.node_edges[n] {
-                            queue.push((n2, p2, oi));
-                        }
-                        produced.push(o);
-                    }
-                }
+                let queue = &mut self.bufs.queue;
+                queue.extend(self.node_edges[node].iter().map(|&(n, p)| (n, p, Self::SRC)));
+                self.drain(&out, &mut Tracer::off(), &mut results);
             }
-            results.extend(produced.into_iter().zip(is_result).filter_map(|(s, r)| r.then_some(s)));
         }
         results
     }
@@ -260,15 +292,15 @@ impl CPlan {
     /// Sum of all operator metrics.
     pub fn metrics(&self) -> OpMetrics {
         let mut m = OpMetrics::default();
-        for n in &self.nodes {
+        for n in self.nodes.iter().flatten() {
             m.absorb(&n.metrics());
         }
         m
     }
 
-    /// Metrics of a single node.
+    /// Metrics of a single node (zeros for a pass-through filter).
     pub fn node_metrics(&self, node: usize) -> OpMetrics {
-        self.nodes[node].metrics()
+        self.nodes[node].as_ref().map(|n| n.metrics()).unwrap_or_default()
     }
 
     /// Publishes every operator's counters into `reg` under
@@ -303,7 +335,7 @@ impl CPlan {
     ) {
         let mut per: std::collections::BTreeMap<&'static str, OpMetrics> =
             std::collections::BTreeMap::new();
-        for n in &self.nodes {
+        for n in self.nodes.iter().flatten() {
             per.entry(n.name()).or_default().absorb(&n.metrics());
         }
         for (name, m) in per {
@@ -314,14 +346,14 @@ impl CPlan {
         let lineage = self.lineage.lock();
         reg.counter(&decorate("state.lineage_snapshots")).set(lineage.len() as u64);
         reg.counter(&decorate("state.lineage_bytes")).set(lineage.heap_bytes() as u64);
-        let (segments, horizons) = self
-            .nodes
-            .iter()
-            .filter_map(|n| n.as_any().downcast_ref::<CJoin>())
-            .fold((0, 0), |(s, h), j| {
-                let (js, jh) = j.state_sizes();
-                (s + js, h + jh)
-            });
+        let (segments, horizons) =
+            self.nodes.iter().flatten().filter_map(|n| n.as_any().downcast_ref::<CJoin>()).fold(
+                (0, 0),
+                |(s, h), j| {
+                    let (js, jh) = j.state_sizes();
+                    (s + js, h + jh)
+                },
+            );
         reg.counter(&decorate("state.join_segments")).set(segments as u64);
         reg.counter(&decorate("state.join_horizons")).set(horizons as u64);
     }
@@ -331,17 +363,18 @@ impl CPlan {
         &self.lineage
     }
 
-    /// Operator access for state inspection (e.g. sampling an envelope).
-    pub fn op(&self, node: usize) -> &dyn COperator {
-        self.nodes[node].as_ref()
+    /// Operator access for state inspection (e.g. sampling an envelope);
+    /// `None` for a pass-through filter, which compiles to no operator.
+    pub fn op(&self, node: usize) -> Option<&dyn COperator> {
+        self.nodes[node].as_deref()
     }
 
-    /// Number of operator nodes.
+    /// Number of logical nodes, pass-through filters included.
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// True when the plan has no operators.
+    /// True when the plan has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
@@ -516,5 +549,130 @@ mod tests {
         assert!(out.is_empty());
         let slack = plan.last_slack().unwrap();
         assert!((slack - 40.0).abs() < 1e-3, "slack {slack}");
+    }
+
+    fn pass() -> LogicalOp {
+        LogicalOp::Filter { pred: Pred::True }
+    }
+
+    /// A filter that holds on every test segment but compiles to a
+    /// `CFilter`, which is what a `true` filter ran as before.
+    fn always() -> LogicalOp {
+        LogicalOp::Filter { pred: Pred::cmp(Expr::attr(0), CmpOp::Gt, Expr::c(-1e9)) }
+    }
+
+    /// Everything but the id: what a pass-through must preserve.
+    fn content(segs: &[Segment]) -> Vec<(u64, Span, Vec<Poly>, Vec<f64>)> {
+        segs.iter().map(|s| (s.key, s.span, s.models.to_vec(), s.unmodeled.to_vec())).collect()
+    }
+
+    /// `filters` chained over source 0: the plan and the chain's end.
+    fn chain(filters: &[LogicalOp]) -> (LogicalPlan, PortRef) {
+        let mut lp = LogicalPlan::new(vec![src()]);
+        let mut port = PortRef::Source(0);
+        for f in filters {
+            port = lp.add(f.clone(), vec![port]);
+        }
+        (lp, port)
+    }
+
+    /// [`chain`] under a grouped min.
+    fn min_over(filters: &[LogicalOp]) -> LogicalPlan {
+        let (mut lp, port) = chain(filters);
+        let min = LogicalOp::Aggregate {
+            func: AggFunc::Min,
+            attr: 0,
+            width: 2.0,
+            slide: 1.0,
+            group_by_key: true,
+        };
+        lp.add(min, vec![port]);
+        lp
+    }
+
+    fn arrivals() -> Vec<Segment> {
+        (0..12)
+            .map(|i| {
+                let lo = i as f64 * 0.5;
+                seg(i % 3, lo, lo + 1.0, (i * 7 % 5) as f64, if i % 2 == 0 { 0.5 } else { -0.5 })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn true_filters_compile_to_nothing() {
+        // One filter, then a chain of two that resolves transitively.
+        for depth in 1..=2 {
+            let mut bare = CPlan::compile(&min_over(&[])).unwrap();
+            let mut passed = CPlan::compile(&min_over(&vec![pass(); depth])).unwrap();
+            let mut solved = CPlan::compile(&min_over(&[always()])).unwrap();
+            assert!((0..depth).all(|n| passed.op(n).is_none()) && solved.op(0).is_some());
+            assert_eq!(passed.len(), depth + 1);
+            for (i, a) in arrivals().iter().enumerate() {
+                let want = bare.push(0, a);
+                assert_eq!(content(&passed.push(0, a)), content(&want));
+                assert_eq!(content(&solved.push(0, a)), content(&want));
+                // The solved filter snapshots each arrival once more.
+                let snaps = |p: &CPlan| p.lineage().lock().len();
+                assert_eq!(snaps(&passed), snaps(&bare));
+                assert_eq!(snaps(&solved), snaps(&bare) + i + 1);
+            }
+            assert_eq!(content(&passed.finish()), content(&bare.finish()));
+            assert_eq!(passed.node_metrics(0), OpMetrics::default());
+            assert_eq!(passed.metrics(), bare.metrics());
+            let reg = pulse_obs::MetricsRegistry::new();
+            passed.export_metrics(&reg);
+            let names = reg.snapshot().counters;
+            assert!(names.iter().any(|(n, _)| n.starts_with("cops.minmax.")));
+            assert!(!names.iter().any(|(n, _)| n.starts_with("cops.filter.")), "{names:?}");
+        }
+    }
+
+    #[test]
+    fn true_filter_sink_over_a_source_returns_the_pushed_segment() {
+        for depth in 1..=2 {
+            let mut plan = CPlan::compile(&chain(&vec![pass(); depth]).0).unwrap();
+            for a in &arrivals() {
+                let out = plan.push(0, a);
+                assert_eq!(out.len(), 1);
+                assert_eq!(out[0].id, a.id);
+                assert_eq!(content(&out), content(std::slice::from_ref(a)));
+                assert_eq!(plan.lineage().lock().sources_of(out[0].id), vec![a.id]);
+            }
+            assert!(plan.finish().is_empty());
+        }
+    }
+
+    #[test]
+    fn true_filter_sink_keeps_its_result_order() {
+        // A two-piece filter (x² > 4 on x = t over [-5, 5]) feeds a map
+        // sink and a filter sink, in both edge orders; the filter sink's
+        // results must interleave with the map's exactly as a solved
+        // filter's do.
+        let build = |sink: LogicalOp, sink_first: bool| {
+            let mut lp = LogicalPlan::new(vec![src()]);
+            let x = Expr::attr(0);
+            let two = lp.add(
+                LogicalOp::Filter { pred: Pred::cmp(x.clone() * x, CmpOp::Gt, Expr::c(4.0)) },
+                vec![PortRef::Source(0)],
+            );
+            let map = LogicalOp::Map { exprs: vec![Expr::attr(0) * Expr::c(2.0)], schema: src() };
+            if sink_first {
+                lp.add(sink, vec![two]);
+                lp.add(map, vec![two]);
+            } else {
+                lp.add(map, vec![two]);
+                lp.add(sink, vec![two]);
+            }
+            CPlan::compile(&lp).unwrap()
+        };
+        for sink_first in [true, false] {
+            let mut passed = build(pass(), sink_first);
+            let mut solved = build(always(), sink_first);
+            let a = seg(1, -5.0, 5.0, 0.0, 1.0);
+            let (got, want) = (passed.push(0, &a), solved.push(0, &a));
+            assert_eq!(want.len(), 4);
+            assert_eq!(content(&got), content(&want));
+        }
     }
 }

@@ -35,13 +35,13 @@
 use crate::plangen::{branch_slots, residual, AggSpec, JoinSpec, Shape, Step};
 use crate::streamgen::Case;
 use pulse_core::{
-    CGroupBy, CMinMax, COperator, CSumAvg, Heuristic, HybridRuntime, Predictor, PulseRuntime,
-    RuntimeConfig, ShardError,
+    CGroupBy, CMinMax, COperator, CPlan, CSumAvg, Heuristic, HybridRuntime, Predictor,
+    PulseRuntime, RuntimeConfig, ShardError,
 };
-use pulse_model::{Segment, Tuple};
+use pulse_model::{Pred, Segment, Tuple};
 use pulse_stream::{
-    fingerprint, partition_rewrite, AggFunc, Calibration, HybridPlan, KeyJoin, LogicalPlan,
-    Optimizer, ToleranceModel,
+    fingerprint, partition_rewrite, AggFunc, Calibration, HybridPlan, KeyJoin, LogicalOp,
+    LogicalPlan, Optimizer, ToleranceModel,
 };
 use pulse_workload::{tracks, TrackSet};
 
@@ -165,6 +165,19 @@ fn eval_chain(tr: &TrackSet, key: u64, ts: f64, steps: &[Step]) -> ChainEval {
     }
 }
 
+/// A filter whose predicate normalizes to `true` has no system to solve,
+/// so the compiled plan must hold no operator for it.
+fn no_pass_through_operator(lp: &LogicalPlan, plan: &CPlan) -> Result<(), String> {
+    for (i, n) in lp.nodes.iter().enumerate() {
+        if let LogicalOp::Filter { pred } = &n.op {
+            if pred.normalize() == Pred::True && plan.op(i).is_some() {
+                return Err(format!("n{i}: a `true` filter compiled to an operator\n{lp}"));
+            }
+        }
+    }
+    Ok(())
+}
+
 fn agg_window_value(
     rt: &PulseRuntime,
     sink: usize,
@@ -172,7 +185,7 @@ fn agg_window_value(
     group: u64,
     close: f64,
 ) -> Option<f64> {
-    let op: &dyn COperator = rt.plan().op(sink);
+    let op: &dyn COperator = rt.plan().op(sink)?;
     let inner: &dyn COperator =
         if spec.grouped { op.as_any().downcast_ref::<CGroupBy>()?.group(group)? } else { op };
     match spec.func {
@@ -227,6 +240,7 @@ pub fn run_case_with(
     let predictors = || vec![Predictor::Clause(tracks::stream_model())];
     let mut rt = PulseRuntime::with_predictors(predictors(), &lp, cfg.clone())
         .map_err(|e| fail("compile", format!("continuous transform failed: {e}\n{lp}")))?;
+    no_pass_through_operator(&lp, rt.plan()).map_err(|d| fail("compile", d))?;
     let mut disc = pulse_stream::Plan::compile(&lp);
 
     // ---- interleaved drive: single-threaded continuous + discrete -------
@@ -414,6 +428,11 @@ fn run_hybrid_engine(
     report: &mut CaseReport,
 ) -> Result<(), CaseFailure> {
     let fail = |stage: &'static str, detail: String| CaseFailure { seed: case.seed, stage, detail };
+    for b in &hp.branches {
+        let plan = CPlan::compile(&b.plan)
+            .map_err(|e| fail("hybrid", format!("branch transform failed: {e}\n{}", b.plan)))?;
+        no_pass_through_operator(&b.plan, &plan).map_err(|d| fail("hybrid", d))?;
+    }
     let mut runs = Vec::new();
     for shards in [1usize, 4] {
         let mut h = HybridRuntime::new(predictors(), hp, cfg.clone(), shards).map_err(|e| {

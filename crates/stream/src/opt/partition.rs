@@ -85,7 +85,8 @@ fn ancestors(plan: &LogicalPlan, port: PortRef) -> Vec<bool> {
 
 /// Extracts the subplan rooted at `port` as a standalone branch. A bare
 /// source root gets an identity pass-through filter so the branch has a
-/// sink to stream from.
+/// sink to stream from; the continuous compiler builds no operator for
+/// it, so the branch emits each pushed segment itself.
 fn extract_branch(plan: &LogicalPlan, port: PortRef) -> BranchPlan {
     let anc = ancestors(plan, port);
     // Sources referenced by the subtree, ascending for determinism.

@@ -9,10 +9,11 @@
 //!   π_e(σ_{p∘e}(X))` for any expression list `e`.
 //! * **filter-after-join** — when every attribute the predicate reads comes
 //!   from one join side, the filter slides below the join onto that side's
-//!   input; the original node degenerates to a pass-through (`Pred::True`).
-//!   Sound because the join treats its value predicate and the downstream
-//!   filter conjunctively over the same pair span, and a one-sided
-//!   predicate's truth does not depend on the pairing.
+//!   input; the original node degenerates to a pass-through (`Pred::True`),
+//!   which the continuous compiler builds no operator for. Sound because
+//!   the join treats its value predicate and the downstream filter
+//!   conjunctively over the same pair span, and a one-sided predicate's
+//!   truth does not depend on the pairing.
 
 use super::{consumer_counts, insert_node, Pass, Rewrite};
 use crate::logical::{LogicalOp, LogicalPlan, PortRef};

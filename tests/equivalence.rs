@@ -90,7 +90,7 @@ fn min_aggregate_envelope_matches_discrete_window_min() {
             pulse.push(0, &segs[next_seg]);
             next_seg += 1;
         }
-        let env = pulse.op(0).as_any().downcast_ref::<CMinMax>().unwrap();
+        let env = pulse.op(0).unwrap().as_any().downcast_ref::<CMinMax>().unwrap();
         // Discrete min is over samples; continuous min over the continuum
         // of the same window. They agree on piecewise-linear data whose
         // kinks land on sample instants (our generator's construction).
