@@ -17,8 +17,9 @@ use pulse_math::CmpOp;
 use pulse_model::{AttrKind, Expr, ModelSpec, Pred, Schema, StreamModel, Tuple};
 use pulse_stream::{LogicalOp, LogicalPlan, PortRef};
 
-/// Runtime primed so every benched tuple is absorbed by validation alone.
-fn suppressed_runtime() -> (PulseRuntime, Tuple) {
+/// Runtime primed so every benched tuple is absorbed by validation alone;
+/// `trace_capacity` > 0 gives it a flight-recorder ring.
+fn suppressed_runtime(trace_capacity: usize) -> (PulseRuntime, Tuple) {
     let schema = Schema::of(&[("x", AttrKind::Modeled), ("v", AttrKind::Coefficient)]);
     let sm = StreamModel::new(
         schema.clone(),
@@ -30,7 +31,7 @@ fn suppressed_runtime() -> (PulseRuntime, Tuple) {
         LogicalOp::Filter { pred: Pred::cmp(Expr::attr(0), CmpOp::Gt, Expr::c(-1e9)) },
         vec![PortRef::Source(0)],
     );
-    let cfg = RuntimeConfig { horizon: 1e12, bound: 1.0, ..Default::default() };
+    let cfg = RuntimeConfig { horizon: 1e12, bound: 1.0, trace_capacity, ..Default::default() };
     let mut rt = PulseRuntime::new(vec![sm], &lp, cfg).unwrap();
     // First tuple installs the model and accuracy bound (the one solve).
     rt.on_tuple(0, &Tuple::new(1, 0.0, vec![0.0, 2.0]));
@@ -44,13 +45,13 @@ fn bench_fast_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("suppressed");
     group.sample_size(100);
 
-    let (mut rt, t) = suppressed_runtime();
+    let (mut rt, t) = suppressed_runtime(0);
     pulse_obs::set_enabled(false);
     group.bench_function("obs_off", |b| b.iter(|| black_box(rt.on_tuple(0, black_box(&t)).len())));
     // Everything except the initial model-installing tuple was suppressed.
     assert_eq!(rt.stats().suppressed + 1, rt.stats().tuples_in);
 
-    let (mut rt, t) = suppressed_runtime();
+    let (mut rt, t) = suppressed_runtime(0);
     pulse_obs::set_enabled(true);
     group.bench_function("obs_on", |b| b.iter(|| black_box(rt.on_tuple(0, black_box(&t)).len())));
     pulse_obs::set_enabled(false);
@@ -62,13 +63,11 @@ fn bench_fast_path(c: &mut Criterion) {
     // Flight recorder on: every suppressed tuple records an arrival and a
     // validation verdict into the ring. This is the debugging posture, not
     // the production one — no gate, just visibility into the cost.
-    let (mut rt, t) = suppressed_runtime();
+    let (mut rt, t) = suppressed_runtime(16_384);
     pulse_obs::set_enabled(true);
-    pulse_obs::set_trace_enabled(true);
     group.bench_function("obs_on_trace", |b| {
         b.iter(|| black_box(rt.on_tuple(0, black_box(&t)).len()))
     });
-    pulse_obs::set_trace_enabled(false);
     pulse_obs::set_enabled(false);
     assert!(!rt.tracer().is_empty(), "traced runs must land events in the ring");
 

@@ -11,8 +11,9 @@
 //! - `obs_on_prof`: ops posture plus the violation-path profiler — on the
 //!   suppressed path the profiler reuses the sampled fast-path timestamp,
 //!   so its marginal cost must stay within a couple of nanoseconds;
-//! - `obs_on_trace`: recorder ring capturing arrival + validation events
-//!   per tuple (debugging posture);
+//! - `obs_on_trace`: ops posture on a runtime built with a flight-recorder
+//!   ring, capturing arrival + validation events per tuple (debugging
+//!   posture);
 //! - `audit_unsampled` / `audit_sampled`: the live guarantee auditor
 //!   present with the benched key outside / inside the 1-in-N audited
 //!   subset. `audit_rate = 0` (every other posture) never constructs the
@@ -21,26 +22,20 @@
 //!   — one splitmix64 hash plus a 64-bit modulo, ~2-3 ns on this
 //!   machine — and is gated at `PULSE_AUDIT_GATE_NS` (default 5 ns).
 //!
-//! A second, violation-heavy pair (`viol_obs_on`, `viol_obs_on_prof`)
-//! times the slow path — every tuple breaks its model and re-runs the
-//! solver — where the profiler records real phase timestamps and is
-//! gated as a percentage instead. The pair interleaves postures
+//! A violation-heavy pair (`viol_obs_on`, `viol_obs_on_prof`) times the
+//! slow path — every tuple breaks its model and re-runs the solver —
+//! where the profiler records real phase timestamps and is gated as a
+//! percentage instead. The pair interleaves postures
 //! rep-by-rep and compares *medians*: the runs last seconds, so slow
 //! machine drift (thermal, cache pressure from the sweep before) lands
 //! on whichever posture runs second — back-to-back blocks reported a
 //! nonsensical −0.6% profiler overhead on this machine.
 //!
-//! A third pair on the same workload (`viol_subst_vm`,
-//! `viol_subst_legacy`) toggles `pulse_core::set_legacy_subst` instead:
-//! the compile-once bytecode VM substitution (production default)
-//! against the retained AST-walk interpreter. It is informational — the
-//! bench_diff band tracks it, but no gate fails on it — and documents
-//! what the VM buys end-to-end on a violation-heavy stream.
-//!
-//! A fourth pair (`viol_audit_off`, `viol_audit_on`) prices the live
-//! guarantee auditor at the scaling sweep's production rate (1-in-64
-//! symbols shadow-compared against a discrete reference evaluator),
-//! gated at `PULSE_AUDIT_GATE_PCT` (default 20%).
+//! A second pair on the same workload (`viol_audit_off`,
+//! `viol_audit_on`) prices the live guarantee auditor at the scaling
+//! sweep's production rate (1-in-64 symbols shadow-compared against a
+//! discrete reference evaluator), gated at `PULSE_AUDIT_GATE_PCT`
+//! (default 20%).
 //!
 //! The suppressed postures report the *minimum* ns/tuple over many
 //! batches — the min is the steady-state cost, immune to scheduler noise
@@ -67,14 +62,20 @@ use pulse_workload::{nyse, NyseConfig, NyseGen};
 use std::hint::black_box;
 use std::time::Instant;
 
+/// Configuration of the suppressed-path runtime: auditing and the flight
+/// recorder off, the production default. Postures override one field:
+/// `audit_rate = 0` never constructs the shadow auditor, so the
+/// suppressed path is bit-for-bit the pre-audit code; `u64::MAX` leaves
+/// the benched key unsampled (per-tuple cost = one splitmix64 hash +
+/// branch), `1` samples it (full source-promise re-check per suppressed
+/// tuple). A nonzero `trace_capacity` gives the runtime a recorder ring.
+fn suppressed_cfg() -> RuntimeConfig {
+    RuntimeConfig { horizon: 1e12, bound: 1.0, ..Default::default() }
+}
+
 /// Runtime primed so every benched tuple is absorbed by validation alone
-/// (same setup as the criterion bench). `audit_rate = 0` is the
-/// production default: the shadow auditor is never constructed, so the
-/// suppressed path is bit-for-bit the pre-audit code. Non-zero rates
-/// layer the guarantee auditor on: `u64::MAX` leaves the benched key
-/// unsampled (per-tuple cost = one splitmix64 hash + branch), `1`
-/// samples it (full source-promise re-check per suppressed tuple).
-fn suppressed_runtime(audit_rate: u64) -> (PulseRuntime, Tuple) {
+/// (same setup as the criterion bench).
+fn suppressed_runtime(cfg: RuntimeConfig) -> (PulseRuntime, Tuple) {
     let schema = Schema::of(&[("x", AttrKind::Modeled), ("v", AttrKind::Coefficient)]);
     let sm = StreamModel::new(
         schema.clone(),
@@ -86,7 +87,6 @@ fn suppressed_runtime(audit_rate: u64) -> (PulseRuntime, Tuple) {
         LogicalOp::Filter { pred: Pred::cmp(Expr::attr(0), CmpOp::Gt, Expr::c(-1e9)) },
         vec![PortRef::Source(0)],
     );
-    let cfg = RuntimeConfig { horizon: 1e12, bound: 1.0, audit_rate, ..Default::default() };
     let mut rt = PulseRuntime::new(vec![sm], &lp, cfg).unwrap();
     rt.on_tuple(0, &Tuple::new(1, 0.0, vec![0.0, 2.0]));
     let t = Tuple::new(1, 1.0, vec![2.0, 2.0]);
@@ -94,13 +94,16 @@ fn suppressed_runtime(audit_rate: u64) -> (PulseRuntime, Tuple) {
     (rt, t)
 }
 
+/// Flight-recorder ring of the `obs_on_trace` posture (per runtime).
+const TRACE_CAPACITY: usize = 16_384;
+
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Min ns/tuple over `reps` batches of `per` suppressed tuples.
-fn measure(reps: usize, per: usize, audit_rate: u64) -> f64 {
-    let (mut rt, t) = suppressed_runtime(audit_rate);
+fn measure(reps: usize, per: usize, cfg: RuntimeConfig) -> f64 {
+    let (mut rt, t) = suppressed_runtime(cfg);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
@@ -199,22 +202,6 @@ fn measure_pair(reps: usize, mut rep_of: impl FnMut(bool) -> f64) -> (f64, f64) 
     (median(&mut off), median(&mut on))
 }
 
-/// [`measure_pair`] over a global boolean toggle (profiler, legacy
-/// substitution); the toggle is left off.
-fn measure_toggle_pair(
-    reps: usize,
-    lp: &LogicalPlan,
-    tuples: &[Tuple],
-    set: impl Fn(bool),
-) -> (f64, f64) {
-    let out = measure_pair(reps, |enabled| {
-        set(enabled);
-        violation_rep(lp, tuples, &violation_cfg(0))
-    });
-    set(false);
-    out
-}
-
 #[derive(serde::Serialize)]
 struct Posture {
     config: String,
@@ -225,7 +212,7 @@ struct Posture {
 #[derive(serde::Serialize)]
 struct ViolPosture {
     config: String,
-    /// Median over interleaved reps (see [`measure_violation_pair`]).
+    /// Median over interleaved reps (see [`measure_pair`]).
     ns_per_tuple: f64,
     /// Percent over the `viol_obs_on` reference.
     overhead_pct: f64,
@@ -254,9 +241,8 @@ fn main() {
     let viol_per = viol_tuples.len();
 
     pulse_obs::set_enabled(false);
-    pulse_obs::set_trace_enabled(false);
     pulse_obs::set_prof_enabled(false);
-    let off = measure(reps, per, 0);
+    let off = measure(reps, per, suppressed_cfg());
 
     // Guarantee-audit postures on the suppressed path, still at the
     // production obs_off posture. `audit_rate = 0` (the default `off`
@@ -265,33 +251,28 @@ fn main() {
     // decision when the auditor exists but the key is not in the 1-in-N
     // subset, and `audit_sampled` the full source-promise re-check on an
     // audited key.
-    let audit_unsampled = measure(reps, per, u64::MAX);
-    let audit_sampled = measure(reps, per, 1);
+    let audit_unsampled =
+        measure(reps, per, RuntimeConfig { audit_rate: u64::MAX, ..suppressed_cfg() });
+    let audit_sampled = measure(reps, per, RuntimeConfig { audit_rate: 1, ..suppressed_cfg() });
 
     pulse_obs::set_enabled(true);
-    let on = measure(reps, per, 0);
+    let on = measure(reps, per, suppressed_cfg());
 
     pulse_obs::set_prof_enabled(true);
-    let prof = measure(reps, per, 0);
+    let prof = measure(reps, per, suppressed_cfg());
     pulse_obs::set_prof_enabled(false);
 
-    pulse_obs::set_trace_enabled(true);
-    let traced = measure(reps, per, 0);
-    pulse_obs::set_trace_enabled(false);
+    let traced =
+        measure(reps, per, RuntimeConfig { trace_capacity: TRACE_CAPACITY, ..suppressed_cfg() });
 
     // Violation-heavy pair: obs stays on (the posture operators run with),
     // only the profiler toggles — per rep, so both postures sample the
     // same machine conditions.
-    let (viol_on, viol_prof) =
-        measure_toggle_pair(viol_reps, &viol_lp, &viol_tuples, pulse_obs::set_prof_enabled);
-
-    // Substitution engine pair on the same workload: the compile-once
-    // bytecode VM (production default, toggle off) vs the retained
-    // AST-walk interpreter it replaced. Profiler off; only the
-    // substitution path differs, so the delta is the VM's whole-pipeline
-    // win on a violation-heavy stream.
-    let (viol_vm, viol_legacy) =
-        measure_toggle_pair(viol_reps, &viol_lp, &viol_tuples, pulse_core::set_legacy_subst);
+    let (viol_on, viol_prof) = measure_pair(viol_reps, |enabled| {
+        pulse_obs::set_prof_enabled(enabled);
+        violation_rep(&viol_lp, &viol_tuples, &violation_cfg(0))
+    });
+    pulse_obs::set_prof_enabled(false);
 
     // Guarantee-audit pair on the same violation-heavy stream: the
     // shadow auditor at the scaling sweep's production rate (1-in-64
@@ -322,7 +303,6 @@ fn main() {
         println!("{:>16}: {:>8.1} ns/tuple  ({:+.1} ns)", p.config, p.ns_per_tuple, p.overhead_ns);
     }
     let viol_pct = (viol_prof - viol_on) / viol_on * 100.0;
-    let legacy_pct = (viol_legacy - viol_vm) / viol_vm * 100.0;
     let audit_pct = (viol_audit_on - viol_audit_off) / viol_audit_off * 100.0;
     let violation_postures = vec![
         ViolPosture { config: "viol_obs_on".into(), ns_per_tuple: viol_on, overhead_pct: 0.0 },
@@ -330,12 +310,6 @@ fn main() {
             config: "viol_obs_on_prof".into(),
             ns_per_tuple: viol_prof,
             overhead_pct: viol_pct,
-        },
-        ViolPosture { config: "viol_subst_vm".into(), ns_per_tuple: viol_vm, overhead_pct: 0.0 },
-        ViolPosture {
-            config: "viol_subst_legacy".into(),
-            ns_per_tuple: viol_legacy,
-            overhead_pct: legacy_pct,
         },
         ViolPosture {
             config: "viol_audit_off".into(),

@@ -153,7 +153,7 @@ fn render_history(addr: &str, out: &mut String) {
         ("runtime.tuples_in", true),
         ("runtime.violations", true),
         ("runtime.outputs", true),
-        ("runtime.solve_ns.p99_ns", false),
+        ("runtime.violation_path_ns.p99_ns", false),
     ];
     let mut pane = String::new();
     for (metric, is_counter) in specs {

@@ -132,10 +132,15 @@ fn workload(k: &Knobs) -> Vec<Tuple> {
     .generate(stream_duration(k))
 }
 
-fn config(k: &Knobs) -> RuntimeConfig {
+/// Flight-recorder ring per runtime when serving (a served run traces;
+/// an unserved one records nothing).
+const SERVED_TRACE_CAPACITY: usize = 16_384;
+
+fn config(k: &Knobs, serving: bool) -> RuntimeConfig {
     RuntimeConfig {
         horizon: 5.0,
         bound: 0.05,
+        trace_capacity: if serving { SERVED_TRACE_CAPACITY } else { 0 },
         // Live guarantee auditing: 1-in-64 symbols get shadow-compared
         // against a discrete reference evaluator while the sweep runs, so
         // `/audit` answers with real headroom numbers. 0 disables.
@@ -363,11 +368,11 @@ fn with_measured_violation_ns<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Starts the HTTP surface when `PULSE_SERVE_ADDR` is set, returning the
 /// listener handle plus the slot parallel phases publish their explain
-/// handle into. Turns tracing on — a served run is an observed run by
-/// definition (metrics and the profiler are already on for every sweep).
+/// handle into. A served run is an observed run by definition, so its
+/// runtimes trace ([`config`] gives them a ring); metrics and the profiler
+/// are already on for every sweep.
 fn maybe_serve() -> Option<(pulse_obs::ServeHandle, ServeCtx)> {
     let addr = std::env::var("PULSE_SERVE_ADDR").ok()?;
-    pulse_obs::set_trace_enabled(true);
     let slot: ExplainSlot = Arc::new(Mutex::new(None));
     let route = slot.clone();
     let explain: pulse_obs::ExplainFn = Arc::new(move |key, t0, t1| {
@@ -432,7 +437,7 @@ fn main() {
         k.shards
     );
 
-    let cfg = config(&k);
+    let cfg = config(&k, serve.is_some());
     if cfg.audit_rate > 0 {
         println!(
             "guarantee audit: 1-in-{} symbols shadow-compared (live at /audit)",

@@ -39,16 +39,8 @@ impl Binding {
 
     /// Polynomial form of attribute `attr` within `seg`.
     pub fn poly_of(&self, seg: &Segment, attr: usize) -> Result<Poly, ExprError> {
-        if attr >= self.schema.len() {
-            return Err(ExprError::UnknownAttr { input: 0, attr });
-        }
-        match self.schema.attr(attr).kind {
-            AttrKind::Modeled => Ok(seg.models[self.slots[attr].unwrap()].clone()),
-            AttrKind::Unmodeled => Ok(Poly::constant(seg.unmodeled[self.unmodeled[attr].unwrap()])),
-            AttrKind::Key | AttrKind::Coefficient => Err(ExprError::NotPolynomial(
-                "key/coefficient attributes are not visible to continuous operators",
-            )),
-        }
+        let mut p = Poly::zero();
+        self.poly_into(seg, attr, &mut p).map(|_| p)
     }
 
     /// [`poly_of`] writing into a caller-owned buffer (a VM coefficient

@@ -18,7 +18,7 @@ pub use minmax::CMinMax;
 pub use sumavg::CSumAvg;
 
 use crate::binding::Binding;
-use crate::eqsys::{legacy_subst_enabled, ExprProgram, PendingSlack, SolveScratch, SystemTemplate};
+use crate::eqsys::{PendingSlack, SolveScratch, SystemTemplate};
 use crate::lineage::SharedLineage;
 use pulse_math::{Poly, EPS};
 use pulse_model::{ExprError, ExprVm, Pred, Segment, SlotMap, VmProgram};
@@ -191,14 +191,10 @@ pub struct CMap {
     /// map; per-segment work is writing models into the VM's coefficient
     /// slots and running the programs.
     programs: Vec<VmProgram>,
-    /// Retained AST-walk programs (legacy substitution path).
-    legacy: Vec<ExprProgram>,
     slots: SlotMap,
     vm: ExprVm,
     binding: Binding,
     lineage: SharedLineage,
-    /// Scratch stack reused across segments by the legacy programs.
-    stack: Vec<Poly>,
     m: OpMetrics,
 }
 
@@ -206,31 +202,14 @@ impl CMap {
     pub fn new(exprs: Vec<pulse_model::Expr>, binding: Binding, lineage: SharedLineage) -> Self {
         let mut slots = SlotMap::new();
         let programs = exprs.iter().map(|e| VmProgram::compile(e, &mut slots)).collect();
-        let legacy = exprs.iter().map(ExprProgram::compile).collect();
         let mut vm = ExprVm::new();
         vm.ensure_slots(slots.len());
-        CMap {
-            programs,
-            legacy,
-            slots,
-            vm,
-            binding,
-            lineage,
-            stack: Vec::new(),
-            m: OpMetrics::default(),
-        }
+        CMap { programs, slots, vm, binding, lineage, m: OpMetrics::default() }
     }
 
-    /// Projects `seg` through every program (VM or legacy, per the
-    /// process-wide toggle).
+    /// Projects `seg` through every program.
     fn project(&mut self, seg: &Segment) -> Result<Vec<Poly>, ExprError> {
-        let CMap { programs, legacy, slots, vm, binding, stack, .. } = self;
-        if legacy_subst_enabled() {
-            return legacy
-                .iter()
-                .map(|p| p.eval(&mut |_, attr| binding.poly_of(seg, attr), stack))
-                .collect();
-        }
+        let CMap { programs, slots, vm, binding, .. } = self;
         vm.ensure_slots(slots.len());
         for (i, &(_, attr)) in slots.attrs().iter().enumerate() {
             binding.poly_into(seg, attr, vm.slot_mut(i))?;

@@ -17,28 +17,11 @@ use pulse_math::{
     poly_roots_into, solve_cmp_degenerate, solve_cmp_from_roots, CmpOp, CmpScratch, Poly, RangeSet,
     Span,
 };
-use pulse_model::{Expr, ExprError, ExprVm, Pred, SlotMap, VmProgram};
+use pulse_model::{ExprError, ExprVm, Pred, SlotMap, VmProgram};
 use pulse_obs::{prof, Phase, Tracer};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Default root-finding tolerance used by the operators.
 pub const SOLVE_TOL: f64 = 1e-9;
-
-static LEGACY_SUBST: AtomicBool = AtomicBool::new(false);
-
-/// Routes [`SystemTemplate`] substitution through the retained AST-walk
-/// interpreter instead of the bytecode VM, process-wide. Exists for
-/// differential testing and the `obs_bench` legacy posture; the VM is the
-/// production path.
-pub fn set_legacy_subst(on: bool) {
-    LEGACY_SUBST.store(on, Ordering::Relaxed);
-}
-
-/// Whether legacy (AST-walk) substitution is active (one relaxed load).
-#[inline]
-pub fn legacy_subst_enabled() -> bool {
-    LEGACY_SUBST.load(Ordering::Relaxed)
-}
 
 /// Reusable buffers for the solve and slack paths: the comparison-solver
 /// scratch (root isolation stack, root/cut lists) plus the max-norm
@@ -471,159 +454,26 @@ impl PendingSlack {
     }
 }
 
-/// One step of a compiled expression program (reverse-Polish over a
-/// polynomial stack).
-#[derive(Debug, Clone)]
-enum Step {
-    Const(f64),
-    Attr {
-        input: usize,
-        attr: usize,
-    },
-    Time,
-    Add,
-    Sub,
-    Mul,
-    Neg,
-    Pow(u32),
-    /// Divisor must substitute to a non-zero constant (mirrors
-    /// [`Expr::to_poly`]'s polynomial-fragment rule).
-    Div,
-    /// `sqrt`/`abs` survived normalization: always errors at substitution,
-    /// exactly like the tree walk would.
-    Err(&'static str),
-}
-
-/// A compiled projection expression: the [`Expr`] tree flattened once into
-/// a linear program, so per-segment evaluation is a tight loop of
-/// polynomial ops with no tree traversal.
-#[derive(Debug, Clone)]
-pub struct ExprProgram {
-    steps: Vec<Step>,
-}
-
-impl ExprProgram {
-    /// Flattens `expr` (postorder).
-    pub fn compile(expr: &Expr) -> ExprProgram {
-        let mut steps = Vec::new();
-        compile_expr(expr, &mut steps);
-        ExprProgram { steps }
-    }
-
-    /// Evaluates against a model `lookup`, reusing `stack` across calls.
-    pub fn eval<F>(&self, lookup: &mut F, stack: &mut Vec<Poly>) -> Result<Poly, ExprError>
-    where
-        F: FnMut(usize, usize) -> Result<Poly, ExprError>,
-    {
-        stack.clear();
-        for step in &self.steps {
-            match step {
-                Step::Const(v) => stack.push(Poly::constant(*v)),
-                Step::Attr { input, attr } => stack.push(lookup(*input, *attr)?),
-                Step::Time => stack.push(Poly::t()),
-                Step::Add => {
-                    let b = stack.pop().expect("balanced program");
-                    let a = stack.last_mut().expect("balanced program");
-                    *a = a.add(&b);
-                }
-                Step::Sub => {
-                    let b = stack.pop().expect("balanced program");
-                    let a = stack.last_mut().expect("balanced program");
-                    *a = a.sub(&b);
-                }
-                Step::Mul => {
-                    let b = stack.pop().expect("balanced program");
-                    let a = stack.last_mut().expect("balanced program");
-                    *a = a.mul(&b);
-                }
-                Step::Neg => {
-                    let a = stack.last_mut().expect("balanced program");
-                    *a = a.neg();
-                }
-                Step::Pow(n) => {
-                    let a = stack.last_mut().expect("balanced program");
-                    *a = a.powi(*n);
-                }
-                Step::Div => {
-                    let d = stack.pop().expect("balanced program");
-                    if d.is_constant() && !d.is_zero() {
-                        let a = stack.last_mut().expect("balanced program");
-                        *a = a.scale(1.0 / d.coeff(0));
-                    } else {
-                        return Err(ExprError::NotPolynomial("division by non-constant"));
-                    }
-                }
-                Step::Err(what) => return Err(ExprError::NotPolynomial(what)),
-            }
-        }
-        Ok(stack.pop().expect("balanced program"))
-    }
-}
-
-fn compile_expr(e: &Expr, out: &mut Vec<Step>) {
-    match e {
-        Expr::Const(v) => out.push(Step::Const(*v)),
-        Expr::Attr { input, attr } => out.push(Step::Attr { input: *input, attr: *attr }),
-        Expr::Time => out.push(Step::Time),
-        Expr::Add(a, b) => {
-            compile_expr(a, out);
-            compile_expr(b, out);
-            out.push(Step::Add);
-        }
-        Expr::Sub(a, b) => {
-            compile_expr(a, out);
-            compile_expr(b, out);
-            out.push(Step::Sub);
-        }
-        Expr::Mul(a, b) => {
-            compile_expr(a, out);
-            compile_expr(b, out);
-            out.push(Step::Mul);
-        }
-        Expr::Div(a, b) => {
-            compile_expr(a, out);
-            compile_expr(b, out);
-            out.push(Step::Div);
-        }
-        Expr::Neg(a) => {
-            compile_expr(a, out);
-            out.push(Step::Neg);
-        }
-        Expr::Pow(a, n) => {
-            compile_expr(a, out);
-            out.push(Step::Pow(*n));
-        }
-        Expr::Sqrt(_) => out.push(Step::Err("sqrt (normalize the predicate)")),
-        Expr::Abs(_) => out.push(Step::Err("abs (normalize the predicate)")),
-    }
-}
-
 /// A per-operator equation-system template: the predicate's boolean shape
 /// and each row's difference-form program compiled once at operator
 /// construction, so per-segment work reduces to substituting the incoming
 /// models into the precompiled row programs — no `Pred` traversal and no
 /// system-tree allocation on the hot path.
 ///
-/// Rows are compiled twice: into bytecode [`VmProgram`]s sharing one
-/// [`SlotMap`] (the production path — substitution writes coefficients into
-/// preallocated VM slots, one write per distinct `(input, attr)`, then runs
-/// each row program into the row's polynomial buffer), and into the
-/// retained AST-walk [`ExprProgram`]s (the legacy path, switchable via
-/// [`set_legacy_subst`] for differential testing and benchmarking). Both
-/// paths produce bit-identical polynomials.
+/// Rows compile into bytecode [`VmProgram`]s sharing one [`SlotMap`]:
+/// substitution writes coefficients into preallocated VM slots, one write
+/// per distinct `(input, attr)`, then runs each row program into the row's
+/// polynomial buffer. [`System::build`] is the tree-walk reference the VM
+/// is tested against.
 #[derive(Debug, Clone)]
 pub struct SystemTemplate {
     sys: System,
     /// VM row programs in [`System::rows`] order; each computes `lhs − rhs`.
     programs: Vec<VmProgram>,
-    /// Retained AST-walk row programs (legacy substitution).
-    legacy: Vec<ExprProgram>,
     /// One slot per distinct `(input, attr)`, shared by all row programs.
     slots: SlotMap,
     /// The per-operator VM instance (slot storage + evaluation stack).
     vm: ExprVm,
-    /// Scratch reused by the legacy path.
-    stack: Vec<Poly>,
 }
 
 impl SystemTemplate {
@@ -634,41 +484,30 @@ impl SystemTemplate {
     /// [`substitute`]: SystemTemplate::substitute
     pub fn compile(pred: &Pred) -> SystemTemplate {
         let mut programs = Vec::new();
-        let mut legacy = Vec::new();
         let mut slots = SlotMap::new();
-        let sys = Self::shape(pred, &mut programs, &mut legacy, &mut slots);
+        let sys = Self::shape(pred, &mut programs, &mut slots);
         let mut vm = ExprVm::new();
         vm.ensure_slots(slots.len());
-        SystemTemplate { sys, programs, legacy, slots, vm, stack: Vec::new() }
+        SystemTemplate { sys, programs, slots, vm }
     }
 
-    fn shape(
-        pred: &Pred,
-        programs: &mut Vec<VmProgram>,
-        legacy: &mut Vec<ExprProgram>,
-        slots: &mut SlotMap,
-    ) -> System {
+    fn shape(pred: &Pred, programs: &mut Vec<VmProgram>, slots: &mut SlotMap) -> System {
         match pred {
             Pred::True => System::True,
             Pred::False => System::False,
             Pred::Cmp { lhs, op, rhs } => {
-                let mut steps = Vec::new();
-                compile_expr(lhs, &mut steps);
-                compile_expr(rhs, &mut steps);
-                steps.push(Step::Sub);
-                legacy.push(ExprProgram { steps });
                 programs.push(VmProgram::compile_diff(lhs, rhs, slots));
                 System::Row(DiffEq { poly: Poly::constant(0.0), op: *op })
             }
             Pred::And(a, b) => System::And(
-                Box::new(Self::shape(a, programs, legacy, slots)),
-                Box::new(Self::shape(b, programs, legacy, slots)),
+                Box::new(Self::shape(a, programs, slots)),
+                Box::new(Self::shape(b, programs, slots)),
             ),
             Pred::Or(a, b) => System::Or(
-                Box::new(Self::shape(a, programs, legacy, slots)),
-                Box::new(Self::shape(b, programs, legacy, slots)),
+                Box::new(Self::shape(a, programs, slots)),
+                Box::new(Self::shape(b, programs, slots)),
             ),
-            Pred::Not(a) => System::Not(Box::new(Self::shape(a, programs, legacy, slots))),
+            Pred::Not(a) => System::Not(Box::new(Self::shape(a, programs, slots))),
         }
     }
 
@@ -698,16 +537,7 @@ impl SystemTemplate {
     where
         F: FnMut(usize, usize, &mut Poly) -> Result<(), ExprError>,
     {
-        if legacy_subst_enabled() {
-            let mut lookup = |input: usize, attr: usize| -> Result<Poly, ExprError> {
-                let mut p = Poly::zero();
-                bind(input, attr, &mut p)?;
-                Ok(p)
-            };
-            let SystemTemplate { sys, legacy, stack, .. } = self;
-            return Self::run_legacy(sys, legacy, stack, &mut lookup);
-        }
-        let SystemTemplate { sys, programs, slots, vm, .. } = self;
+        let SystemTemplate { sys, programs, slots, vm } = self;
         vm.ensure_slots(slots.len());
         for (i, &(input, attr)) in slots.attrs().iter().enumerate() {
             bind(input, attr, vm.slot_mut(i))?;
@@ -726,35 +556,6 @@ impl SystemTemplate {
             Some(e) => Err(e),
             None => {
                 debug_assert_eq!(idx, programs.len());
-                Ok(&*sys)
-            }
-        }
-    }
-
-    fn run_legacy<'a, F>(
-        sys: &'a mut System,
-        legacy: &[ExprProgram],
-        stack: &mut Vec<Poly>,
-        lookup: &mut F,
-    ) -> Result<&'a System, ExprError>
-    where
-        F: FnMut(usize, usize) -> Result<Poly, ExprError>,
-    {
-        let mut idx = 0;
-        let mut err: Option<ExprError> = None;
-        sys.for_each_row_mut(&mut |row| {
-            if err.is_none() {
-                match legacy[idx].eval(lookup, stack) {
-                    Ok(p) => row.poly = p,
-                    Err(e) => err = Some(e),
-                }
-                idx += 1;
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => {
-                debug_assert_eq!(idx, legacy.len());
                 Ok(&*sys)
             }
         }

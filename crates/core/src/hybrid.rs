@@ -1052,8 +1052,13 @@ mod tests {
     /// each branch over every key.
     #[test]
     fn explain_and_audit_cover_every_branch() {
-        pulse_obs::set_trace_enabled(true);
-        let cfg = RuntimeConfig { horizon: 5.0, bound: 0.05, audit_rate: 1, ..Default::default() };
+        let cfg = RuntimeConfig {
+            horizon: 5.0,
+            bound: 0.05,
+            audit_rate: 1,
+            trace_capacity: 16384,
+            ..Default::default()
+        };
         // The auditor's discrete reference keeps one open window per
         // slide step, so the min gets a short window here.
         let min = aggregate(price(), AggFunc::Min, 2.0, 0.5, false);
@@ -1088,7 +1093,6 @@ mod tests {
                 assert!(run.audit == want, "{sources} source(s), {shards} shards: ledgers differ");
             }
         }
-        pulse_obs::set_trace_enabled(false);
     }
 
     /// A panic inside a worker resurfaces on the router thread as the

@@ -59,10 +59,7 @@ pub mod validate;
 pub use audit::ShadowAuditor;
 pub use binding::Binding;
 pub use cops::{CFilter, CGroupBy, CJoin, CMap, CMinMax, COperator, CSumAvg, CUnion};
-pub use eqsys::{
-    legacy_subst_enabled, set_legacy_subst, DiffEq, ExprProgram, SolveScratch, System,
-    SystemTemplate, SOLVE_TOL,
-};
+pub use eqsys::{DiffEq, SolveScratch, System, SystemTemplate, SOLVE_TOL};
 pub use historical::HistoricalStore;
 pub use hybrid::{ExplainHandle, HybridRun, HybridRuntime, ShardError, DEFAULT_BATCH};
 pub use index::SegmentIndex;

@@ -16,7 +16,7 @@
 //!   and — only while the gradient split heuristic may read them — the
 //!   models' derivative coefficients. Nothing else of the segment is kept.
 //! * **No per-snapshot allocation.** Snapshots are fixed-size records
-//!   appended to chunks of [`CHUNK`]; parent ids and derivatives go into
+//!   appended to chunks of `CHUNK` records; parent ids and derivatives go into
 //!   per-chunk arenas. Recycled chunks keep their capacity.
 //! * **No hashing.** `SegmentId`s come from one increasing counter, so an
 //!   id finds its snapshot through a paged offset table.

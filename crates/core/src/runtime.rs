@@ -25,7 +25,7 @@ use std::time::Instant;
 ///
 /// `Clone` lets the sharded runtime hand each worker its own copy (the
 /// adaptive predictor's anchors live in the runtime's per-key
-/// [`KeySlot`]s, not here, so clones share nothing).
+/// `KeySlot`s, not here, so clones share nothing).
 #[derive(Debug, Clone)]
 pub enum Predictor {
     /// Declarative MODEL clause (§II-B): coefficients come from the tuple.
@@ -64,9 +64,10 @@ pub struct RuntimeConfig {
     pub bound: f64,
     /// Bound-splitting heuristic.
     pub heuristic: Heuristic,
-    /// Flight-recorder ring capacity (events retained per runtime). The
-    /// ring never allocates until tracing is actually switched on via
-    /// [`pulse_obs::set_trace_enabled`]; 0 disables recording entirely.
+    /// Flight-recorder ring capacity (events retained per runtime), and the
+    /// recorder's only switch: a runtime built with a nonzero capacity
+    /// records every causal event, and 0 (the default) records nothing.
+    /// The ring grows as events arrive, up to this many.
     pub trace_capacity: usize,
     /// Shadow-oracle sampling: audit the keys where `splitmix64(key) %
     /// audit_rate == 0` (1 = every key, 0 = auditing off — the suppressed
@@ -87,7 +88,7 @@ impl Default for RuntimeConfig {
             horizon: 10.0,
             bound: 1.0,
             heuristic: Heuristic::Equi,
-            trace_capacity: 16384,
+            trace_capacity: 0,
             audit_rate: 0,
             calibration: pulse_stream::Calibration::default(),
             audit_fault_offset: 0.0,
@@ -570,11 +571,7 @@ impl PulseRuntime {
         let slow_t0 = obs_on.then(|| start.unwrap_or_else(Instant::now));
         // Re-model from this tuple and re-solve.
         let prof_t0 = pulse_obs::prof::start();
-        let remodeled = {
-            let _span = pulse_obs::span!("runtime.remodel_ns", tuple.key);
-            self.remodel(source, tuple)
-        };
-        let Ok(replaced) = remodeled else {
+        let Ok(replaced) = self.remodel(source, tuple) else {
             self.tracer.prof(prof_t0, pulse_obs::Phase::RemodelFit);
             self.stats.model_errors += 1;
             return;
@@ -657,10 +654,7 @@ impl PulseRuntime {
         // scans, lineage, segment construction) as the Solve cell.
         let push_t0 = pulse_obs::prof::start();
         let nested0 = push_t0.map(|_| pulse_obs::Phase::push_nested_ns(self.tracer.phases()));
-        let new_outs = {
-            let _span = pulse_obs::span!("runtime.solve_ns", key);
-            self.plan.push_traced(source, seg, &mut self.tracer)
-        };
+        let new_outs = self.plan.push_traced(source, seg, &mut self.tracer);
         if let (Some(t0), Some(n0)) = (push_t0, nested0) {
             let total = t0.elapsed().as_nanos() as u64;
             let nested = pulse_obs::Phase::push_nested_ns(self.tracer.phases()) - n0;
@@ -723,7 +717,6 @@ impl PulseRuntime {
                 self.validator.set_accuracy(vkey, Bound::symmetric(self.cfg.bound));
             }
         } else {
-            let _span = pulse_obs::span!("validate.invert_ns", key);
             self.install_bounds(&new_outs, vkey);
         }
         self.tracer.prof(emit_t0, pulse_obs::Phase::Emit);
@@ -1073,8 +1066,30 @@ mod tests {
         assert!(rt.validator().stats().checks >= s.suppressed);
     }
 
+    /// The ring's capacity is the flight recorder's only switch: a runtime
+    /// built with one records every causal event with no other call, and
+    /// the default configuration records nothing.
     #[test]
-    fn obs_wiring_records_counters_and_spans() {
+    fn trace_capacity_is_the_recorder_switch() {
+        let (schema, sm) = source();
+        let lp = filter_plan(schema, -100.0);
+        let recorded = |trace_capacity| {
+            let cfg =
+                RuntimeConfig { horizon: 100.0, bound: 0.5, trace_capacity, ..Default::default() };
+            let mut rt = PulseRuntime::new(vec![sm.clone()], &lp, cfg).unwrap();
+            rt.on_tuple(0, &tup(9, 0.0, 0.0, 1.0)); // initial solve
+            rt.on_tuple(0, &tup(9, 1.0, 1.0, 1.0)); // suppressed
+            rt.on_tuple(0, &tup(9, 2.0, 50.0, 1.0)); // violation → re-solve
+            rt.trace_events()
+        };
+        let events = recorded(64);
+        let solves = events.iter().filter(|e| matches!(e.kind, TraceKind::SolveEnd { .. })).count();
+        assert_eq!(solves, 2, "{events:?}");
+        assert!(recorded(RuntimeConfig::default().trace_capacity).is_empty());
+    }
+
+    #[test]
+    fn obs_wiring_records_counters_and_histograms() {
         let (schema, sm) = source();
         let lp = filter_plan(schema, -100.0);
         let cfg = RuntimeConfig { horizon: 100.0, bound: 0.5, ..Default::default() };
@@ -1092,9 +1107,7 @@ mod tests {
         assert!(d.counter("runtime.suppressed").unwrap() >= 1);
         assert!(d.counter("runtime.violations").unwrap() >= 1);
         assert!(d.histogram("runtime.fast_path_ns").unwrap().count >= 1);
-        assert!(d.histogram("runtime.solve_ns").unwrap().count >= 1);
-        assert!(d.histogram("runtime.remodel_ns").unwrap().count >= 1);
-        assert!(d.histogram("validate.invert_ns").unwrap().count >= 1);
+        assert!(d.histogram("runtime.violation_path_ns").unwrap().count >= 1);
         assert!(d.counter("cops.filter.systems_solved").unwrap() >= 2);
         assert!(d.counter("validate.checks").unwrap() >= 2);
     }

@@ -56,7 +56,6 @@ fn injected_fault_is_detected_reported_and_flips_health() {
     };
     let mut rt =
         PulseRuntime::with_predictors(vec![Predictor::Clause(sm)], &lp, cfg).expect("compile");
-    pulse_obs::set_trace_enabled(true);
     for i in 0..20 {
         let ts = i as f64 * 0.1;
         // The object follows its model exactly: every check after the
@@ -64,7 +63,6 @@ fn injected_fault_is_detected_reported_and_flips_health() {
         // the auditor disagree.
         rt.on_tuple(0, &Tuple::new(7, ts, vec![2.0 * ts, 2.0]));
     }
-    pulse_obs::set_trace_enabled(false);
 
     // 1. The ledger reports the breaches with the offending observation.
     let ledger = rt.audit_ledger().expect("auditor on").clone();

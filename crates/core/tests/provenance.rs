@@ -12,16 +12,9 @@ use pulse_core::runtime::{Predictor, PulseRuntime, RuntimeConfig};
 use pulse_core::HybridRuntime;
 use pulse_math::CmpOp;
 use pulse_model::{AttrKind, Expr, Pred, Schema, Tuple};
-use pulse_obs::{set_trace_enabled, TraceEvent, TraceKind};
+use pulse_obs::{TraceEvent, TraceKind};
 use pulse_stream::{AggFunc, KeyJoin, LogicalOp, LogicalPlan, PortRef};
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
-
-/// The trace flag is process-global; tests that flip it serialize here.
-fn flag_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn schema() -> Schema {
     Schema::of(&[("price", AttrKind::Modeled)])
@@ -96,8 +89,6 @@ fn tuples(keys: u64, rounds: usize) -> Vec<Tuple> {
 
 #[test]
 fn every_solve_chains_to_a_violated_validation() {
-    let _g = flag_lock();
-    set_trace_enabled(true);
     let lp = macd_plan();
     let mut rt =
         PulseRuntime::with_predictors(vec![Predictor::AdaptiveLinear(schema())], &lp, config())
@@ -106,7 +97,6 @@ fn every_solve_chains_to_a_violated_validation() {
     for t in tuples(8, 160) {
         outs.extend(rt.on_tuple(0, &t));
     }
-    set_trace_enabled(false);
 
     let by_id: HashMap<u64, &TraceEvent> = rt.tracer().events().map(|e| (e.id, e)).collect();
     let parent = |e: &TraceEvent| (e.parent != 0).then(|| by_id.get(&e.parent).copied()).flatten();
@@ -164,8 +154,6 @@ fn every_solve_chains_to_a_violated_validation() {
 
 #[test]
 fn sharded_explain_reaches_the_owning_worker() {
-    let _g = flag_lock();
-    set_trace_enabled(true);
     let lp = macd_plan();
     let mut sharded =
         HybridRuntime::partitioned(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 4)
@@ -192,7 +180,6 @@ fn sharded_explain_reaches_the_owning_worker() {
     assert!(from_thread.is_some_and(|r| !r.solves.is_empty()));
 
     sharded.finish();
-    set_trace_enabled(false);
     assert!(handle.explain(3, 0.0, 100.0).is_none(), "dead runtime explains nothing");
 }
 
@@ -202,8 +189,6 @@ fn sharded_explain_reaches_the_owning_worker() {
 /// degenerate time ranges.
 #[test]
 fn explain_edge_cases_return_empty_reports() {
-    let _g = flag_lock();
-    set_trace_enabled(true);
     let lp = macd_plan();
     let mut rt =
         PulseRuntime::with_predictors(vec![Predictor::AdaptiveLinear(schema())], &lp, config())
@@ -211,7 +196,6 @@ fn explain_edge_cases_return_empty_reports() {
     for t in tuples(4, 120) {
         rt.on_tuple(0, &t);
     }
-    set_trace_enabled(false);
 
     // A key the stream never carried: nothing to explain.
     let rep = rt.explain(999, 0.0, 100.0);
@@ -235,8 +219,6 @@ fn explain_edge_cases_return_empty_reports() {
 /// range finds exactly the initial solve.
 #[test]
 fn explain_zero_violation_key_reports_only_the_initial_solve() {
-    let _g = flag_lock();
-    set_trace_enabled(true);
     // Passthrough filter over a constant stream with a generous bound:
     // after each key's first tuple instantiates a model, every later
     // tuple validates and is suppressed — zero violations.
@@ -253,7 +235,6 @@ fn explain_zero_violation_key_reports_only_the_initial_solve() {
             rt.on_tuple(0, &Tuple::new(key, round as f64 * 0.1, vec![7.0]));
         }
     }
-    set_trace_enabled(false);
     let stats = rt.stats();
     assert_eq!(stats.violations, 0, "constant stream within bound must not violate");
 

@@ -6,15 +6,8 @@
 use pulse_core::runtime::{Predictor, PulseRuntime, RuntimeConfig};
 use pulse_core::HybridRuntime;
 use pulse_model::{AttrKind, Schema, Tuple};
-use pulse_obs::{set_trace_enabled, TraceKind};
+use pulse_obs::TraceKind;
 use pulse_stream::{AggFunc, LogicalOp, LogicalPlan, PortRef};
-use std::sync::{Mutex, MutexGuard};
-
-/// The obs flags are process-global; tests that flip them serialize here.
-fn flag_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn schema() -> Schema {
     Schema::of(&[("price", AttrKind::Modeled)])
@@ -59,7 +52,6 @@ fn noisy_tuples(keys: u64, rounds: usize) -> Vec<Tuple> {
 
 #[test]
 fn publish_metrics_samples_the_global_store() {
-    let _g = flag_lock();
     pulse_obs::set_enabled(true);
     let mut rt =
         PulseRuntime::with_predictors(vec![Predictor::AdaptiveLinear(schema())], &plan(), config())
@@ -90,8 +82,6 @@ fn publish_metrics_samples_the_global_store() {
 
 #[test]
 fn sharded_trace_rings_export_as_chrome_trace() {
-    let _g = flag_lock();
-    set_trace_enabled(true);
     let mut sharded =
         HybridRuntime::partitioned(vec![Predictor::AdaptiveLinear(schema())], &plan(), config(), 4)
             .unwrap();
@@ -140,21 +130,17 @@ fn sharded_trace_rings_export_as_chrome_trace() {
     assert!(direct.iter().map(|(_, evs)| evs.len()).sum::<usize>() >= total);
 
     sharded.finish();
-    set_trace_enabled(false);
     assert!(handle.trace_events().is_none(), "dead runtime exports nothing");
 }
 
 #[test]
 fn single_runtime_trace_events_round_trip() {
-    let _g = flag_lock();
-    set_trace_enabled(true);
     let mut rt =
         PulseRuntime::with_predictors(vec![Predictor::AdaptiveLinear(schema())], &plan(), config())
             .unwrap();
     for t in noisy_tuples(2, 40) {
         rt.on_tuple(0, &t);
     }
-    set_trace_enabled(false);
     let events = rt.trace_events();
     assert!(!events.is_empty());
     assert_eq!(events.len(), rt.tracer().len());

@@ -8,7 +8,7 @@
 //!
 //! Coefficients are stored in ascending degree order with trailing
 //! near-zeros trimmed, so `degree()` is meaningful and arithmetic stays
-//! compact. Up to [`INLINE`] of them live inside the `Poly` itself, so the
+//! compact. Up to `INLINE` (4) of them live inside the `Poly` itself, so the
 //! low-degree polynomials every segment carries cost no heap allocation to
 //! build, clone or drop; higher degrees spill to a `Vec`.
 

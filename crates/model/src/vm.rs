@@ -18,9 +18,9 @@
 //! shard); once its buffers are warm, a run performs no heap allocation.
 //!
 //! Every arithmetic op uses the in-place `Poly` kernels that are
-//! bit-identical to the allocating ones, so VM results match the retained
-//! AST interpreter (`Expr::to_poly`) bit for bit — a property the
-//! differential suite and `vm_equiv` tests pin down.
+//! bit-identical to the allocating ones, so VM results match the tree walk
+//! (`Expr::to_poly`) bit for bit — a property the differential suite and
+//! `vm_equiv` tests pin down.
 
 use crate::expr::{Expr, ExprError};
 use pulse_math::Poly;
@@ -238,7 +238,7 @@ impl ExprVm {
 
     /// Runs `prog` against the bound slots, writing the result into `out`.
     ///
-    /// Results are bit-identical to the retained-AST interpreter: every op
+    /// Results are bit-identical to the tree walk ([`Expr::to_poly`]): every op
     /// uses the in-place polynomial kernels whose operation order matches
     /// the allocating ones exactly.
     pub fn run(&mut self, prog: &VmProgram, out: &mut Poly) -> Result<(), ExprError> {
@@ -320,7 +320,7 @@ fn two(stack: &mut [Poly], sp: usize) -> (&mut Poly, &Poly) {
 mod tests {
     use super::*;
 
-    /// Reference interpretation through the retained AST walk.
+    /// Reference interpretation through the tree walk.
     fn ast_eval(
         e: &Expr,
         lookup: &impl Fn(usize, usize) -> Result<Poly, ExprError>,

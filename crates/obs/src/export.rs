@@ -222,11 +222,10 @@ fn shard_records(shard: u32, events: &[TraceEvent], out: &mut Vec<Value>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{set_trace_enabled, Tracer};
+    use crate::trace::Tracer;
 
     /// One full causal chain in a fresh tracer ring.
     fn recorded_ring() -> Vec<TraceEvent> {
-        set_trace_enabled(true);
         let mut tr = Tracer::ring(64);
         let a = tr.emit(0, 7, 1.0, TraceKind::SegmentArrival { source: 0 });
         let v =
@@ -243,7 +242,6 @@ mod tests {
             TraceKind::SolveEnd { system_size: 4, roots: 1, iters: 3, ns: 1500 },
         );
         tr.emit(e, 7, 1.0, TraceKind::OutputEmit { seg: 41, lo: 1.0, hi: 4.0, sources: vec![40] });
-        set_trace_enabled(false);
         tr.events().cloned().collect()
     }
 

@@ -5,9 +5,10 @@
 //! validation counters, per-shard tuple counters), derives a handful of
 //! [`Signals`], and runs them through threshold + sustained-duration
 //! [`Rule`]s. Every evaluation produces a [`HealthReport`] — the
-//! machine-parseable verdict `/health` serves — and rule transitions
-//! (fire/clear) are appended to the ring-buffer event log as
-//! `health.fire.<rule>` / `health.clear.<rule>` events.
+//! machine-parseable verdict `/health` serves. Each rule's `firing` flag
+//! and breach `streak` in that report are the record of its transitions:
+//! a rule fires once its streak reaches `sustain` and clears when the
+//! streak resets.
 //!
 //! "Sustained-duration" is measured in consecutive evaluations rather than
 //! wall seconds: the evaluator is driven by whoever polls it (the HTTP
@@ -197,7 +198,6 @@ impl HealthReport {
 pub struct HealthEvaluator {
     rules: Vec<Rule>,
     streaks: Vec<u32>,
-    firing: Vec<bool>,
     last: Option<Snapshot>,
     last_at: Option<Instant>,
 }
@@ -205,13 +205,7 @@ pub struct HealthEvaluator {
 impl HealthEvaluator {
     pub fn new(rules: Vec<Rule>) -> HealthEvaluator {
         let n = rules.len();
-        HealthEvaluator {
-            rules,
-            streaks: vec![0; n],
-            firing: vec![false; n],
-            last: None,
-            last_at: None,
-        }
+        HealthEvaluator { rules, streaks: vec![0; n], last: None, last_at: None }
     }
 
     /// Evaluator over [`default_rules`].
@@ -227,9 +221,7 @@ impl HealthEvaluator {
     }
 
     /// Evaluates one snapshot; `secs` is the wall time since the previous
-    /// evaluation (for rate signals). Rule transitions are pushed to the
-    /// event log as `health.fire.<rule>` / `health.clear.<rule>`, carrying
-    /// the signal value (rounded) in the event's value slot.
+    /// evaluation (for rate signals).
     pub fn evaluate(&mut self, snap: &Snapshot, secs: f64) -> HealthReport {
         let delta = match &self.last {
             Some(prev) => snap.delta(prev),
@@ -245,11 +237,6 @@ impl HealthEvaluator {
             let breached = value >= rule.threshold;
             self.streaks[i] = if breached { self.streaks[i] + 1 } else { 0 };
             let firing = self.streaks[i] >= rule.sustain;
-            if firing != self.firing[i] {
-                let kind = if firing { "fire" } else { "clear" };
-                crate::events().push(format!("health.{kind}.{}", rule.name), None, value as u64);
-            }
-            self.firing[i] = firing;
             if firing {
                 firing_names.push(rule.name.clone());
             }
@@ -326,19 +313,6 @@ mod tests {
         // max 300 / mean 200 = 1.5
         assert!((r.signals.shard_skew - 1.5).abs() < 1e-12);
         assert_eq!(r.verdict, "degraded");
-    }
-
-    #[test]
-    fn transitions_log_alert_events() {
-        crate::events().set_capacity(64);
-        let mut ev =
-            HealthEvaluator::new(vec![Rule::new("evtest_sat", Signal::QueueDepthMax, 4.0, 1)]);
-        ev.evaluate(&snap_with(5, 0, 0), 1.0);
-        ev.evaluate(&snap_with(0, 0, 0), 1.0);
-        let events = crate::events().drain();
-        assert!(events.iter().any(|e| e.name == "health.fire.evtest_sat" && e.ns == 5));
-        assert!(events.iter().any(|e| e.name == "health.clear.evtest_sat"));
-        crate::events().set_capacity(0);
     }
 
     #[test]

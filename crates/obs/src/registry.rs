@@ -90,12 +90,6 @@ impl Histogram {
         c.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// RAII timer recording elapsed nanoseconds into this histogram on
-    /// drop — the zero-lookup path for hot spans.
-    pub fn timer(&self) -> HistTimer {
-        HistTimer { hist: self.clone(), start: std::time::Instant::now() }
-    }
-
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
@@ -111,18 +105,6 @@ impl Histogram {
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
         let buckets: Vec<u64> = self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         HistogramSnapshot::from_buckets(name.to_string(), buckets, self.sum(), self.max())
-    }
-}
-
-/// Times a region and records it into a [`Histogram`] when dropped.
-pub struct HistTimer {
-    hist: Histogram,
-    start: std::time::Instant,
-}
-
-impl Drop for HistTimer {
-    fn drop(&mut self) {
-        self.hist.record(self.start.elapsed().as_nanos() as u64);
     }
 }
 

@@ -441,8 +441,8 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("runtime.tuples_in").set(7);
         reg.counter(&crate::labeled("runtime.tuples_in", &[("shard", "3")])).set(4);
-        reg.histogram("runtime.solve_ns").record(100);
-        reg.histogram("runtime.solve_ns").record(5000);
+        reg.histogram("runtime.violation_path_ns").record(100);
+        reg.histogram("runtime.violation_path_ns").record(5000);
         reg.keyed_counter("runtime.violations_by_key").inc(9);
         let text = reg.snapshot().to_prometheus();
         assert!(text.contains("# TYPE pulse_runtime_tuples_in counter"), "{text}");
@@ -450,11 +450,11 @@ mod tests {
         assert_eq!(text.matches("# TYPE pulse_runtime_tuples_in ").count(), 1, "{text}");
         assert!(text.contains("pulse_runtime_tuples_in 7"), "{text}");
         assert!(text.contains("pulse_runtime_tuples_in{shard=\"3\"} 4"), "{text}");
-        assert!(text.contains("# TYPE pulse_runtime_solve_ns histogram"), "{text}");
-        assert!(text.contains("pulse_runtime_solve_ns_bucket{le=\"127\"} 1"), "{text}");
-        assert!(text.contains("pulse_runtime_solve_ns_bucket{le=\"+Inf\"} 2"), "{text}");
-        assert!(text.contains("pulse_runtime_solve_ns_sum 5100"), "{text}");
-        assert!(text.contains("pulse_runtime_solve_ns_count 2"), "{text}");
+        assert!(text.contains("# TYPE pulse_runtime_violation_path_ns histogram"), "{text}");
+        assert!(text.contains("pulse_runtime_violation_path_ns_bucket{le=\"127\"} 1"), "{text}");
+        assert!(text.contains("pulse_runtime_violation_path_ns_bucket{le=\"+Inf\"} 2"), "{text}");
+        assert!(text.contains("pulse_runtime_violation_path_ns_sum 5100"), "{text}");
+        assert!(text.contains("pulse_runtime_violation_path_ns_count 2"), "{text}");
         assert!(text.contains("pulse_runtime_violations_by_key{key=\"9\"} 1"), "{text}");
         // Every line is either a comment or `name[{labels}] value`.
         for line in text.lines() {

@@ -13,19 +13,19 @@
 //! Concurrency model: each ring is **single-writer by ownership** — a
 //! `Tracer` belongs to exactly one runtime (one shard) and is only ever
 //! touched from that runtime's driving thread, so recording is plain memory
-//! writes with no locks or atomics beyond the global enable flag and id
-//! counter. Cross-thread queries (the `/explain` endpoint against a sharded
+//! writes with no locks or atomics beyond the id counter. Cross-thread queries (the `/explain` endpoint against a sharded
 //! runtime) are routed *to* the owning thread over its work channel rather
 //! than reading the ring remotely.
 //!
-//! Cost model: recording is gated on [`Tracer::on`] — one relaxed load of
-//! the global flag plus a capacity check. With tracing off the per-tuple
-//! cost is that single branch; the existing `obs_overhead` suppressed-path
-//! gate covers it.
+//! Cost model: recording is gated on [`Tracer::on`], a capacity check on
+//! the tracer itself. The ring's capacity is the only switch (a runtime
+//! takes it from `RuntimeConfig::trace_capacity`, 0 by default), so with
+//! tracing off the per-tuple cost is that single branch; the existing
+//! `obs_overhead` suppressed-path gate covers it.
 
 use serde::{Serialize, Value};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// JSON object from borrowed field pairs (hand-written `Serialize` impls —
 /// the vendored derive cannot handle data-carrying enums).
@@ -33,22 +33,8 @@ fn value_of_pairs(pairs: &[(&str, Value)]) -> Value {
     Value::Object(pairs.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect())
 }
 
-static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
 /// Process-wide monotonic event ids; 0 is reserved for "no parent".
 static NEXT_EVENT_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Turns the flight recorder on/off process-wide. Independent from
-/// [`crate::set_enabled`]: metrics can run with tracing off (the common
-/// production posture), and instrumented sites check both.
-pub fn set_trace_enabled(on: bool) {
-    TRACE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether event recording is currently on (one relaxed load).
-#[inline]
-pub fn trace_enabled() -> bool {
-    TRACE_ENABLED.load(Ordering::Relaxed)
-}
 
 fn next_event_id() -> u64 {
     NEXT_EVENT_ID.fetch_add(1, Ordering::Relaxed)
@@ -200,12 +186,11 @@ impl Tracer {
         Tracer::ring(0)
     }
 
-    /// Whether emits currently record (capacity present *and* the global
-    /// flag is on). Callers gate event construction on this so the off
-    /// path never builds a `TraceKind`.
+    /// Whether emits record (the ring has capacity). Callers gate event
+    /// construction on this so the off path never builds a `TraceKind`.
     #[inline]
     pub fn on(&self) -> bool {
-        self.cap != 0 && trace_enabled()
+        self.cap != 0
     }
 
     /// Records an event caused by `parent`, returning its id (0 when off).
@@ -428,44 +413,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The enable flag is process-global; tests that flip it hold this so
-    /// parallel test threads don't see each other's toggles.
-    fn flag_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn off_tracer_records_nothing() {
-        let _g = flag_lock();
         let mut tr = Tracer::off();
-        set_trace_enabled(true);
+        assert!(!tr.on());
         let id = tr.emit(0, 1, 0.0, TraceKind::SegmentArrival { source: 0 });
         assert_eq!(id, 0);
         assert!(tr.is_empty());
     }
 
     #[test]
-    fn disabled_flag_gates_recording() {
-        let _g = flag_lock();
-        let mut tr = Tracer::ring(8);
-        set_trace_enabled(false);
-        assert!(!tr.on());
-        assert_eq!(tr.emit(0, 1, 0.0, TraceKind::SegmentArrival { source: 0 }), 0);
-        assert!(tr.is_empty());
-    }
-
-    #[test]
     fn ring_evicts_oldest_and_ids_are_monotonic() {
-        let _g = flag_lock();
-        set_trace_enabled(true);
         let mut tr = Tracer::ring(3);
         let ids: Vec<u64> = (0..5)
             .map(|i| tr.emit(0, i, i as f64, TraceKind::SegmentArrival { source: 0 }))
             .collect();
-        set_trace_enabled(false);
         assert!(ids.windows(2).all(|w| w[1] > w[0]), "{ids:?}");
         assert_eq!(tr.len(), 3);
         // Survivors are the newest three, oldest first.
@@ -496,13 +459,10 @@ mod tests {
 
     #[test]
     fn explain_reconstructs_full_chain() {
-        let _g = flag_lock();
-        set_trace_enabled(true);
         let mut tr = Tracer::ring(64);
         chain(7, 1.0, 1.0, 4.0, &mut tr);
         chain(9, 2.0, 2.0, 5.0, &mut tr); // other key: must not surface
         chain(7, 50.0, 50.0, 60.0, &mut tr); // out of range
-        set_trace_enabled(false);
 
         let rep = tr.explain(7, 0.0, 10.0);
         assert_eq!(rep.solves.len(), 1);
@@ -526,11 +486,8 @@ mod tests {
 
     #[test]
     fn explain_serializes_to_tagged_json() {
-        let _g = flag_lock();
-        set_trace_enabled(true);
         let mut tr = Tracer::ring(64);
         chain(3, 1.0, 1.0, 2.0, &mut tr);
-        set_trace_enabled(false);
         let json = tr.explain(3, 0.0, 10.0).to_json();
         for ty in ["SolveEnd", "ValidationOutcome", "OutputEmit", "\"sources\""] {
             assert!(json.contains(ty), "missing {ty} in {json}");

@@ -14,7 +14,6 @@ fn main() {
             horizon: case.stream.horizon,
             bound: case.stream.bound,
             heuristic: Heuristic::Equi,
-            trace_capacity: 0,
             ..Default::default()
         };
         let Ok(mut rt) = PulseRuntime::with_predictors(

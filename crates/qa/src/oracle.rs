@@ -230,13 +230,7 @@ pub fn run_case_with(
     let max_slope = case.stream.tracks.max_slope;
     let breaks = tr.breakpoints();
 
-    let cfg = RuntimeConfig {
-        horizon,
-        bound,
-        heuristic: Heuristic::Equi,
-        trace_capacity: 0,
-        ..Default::default()
-    };
+    let cfg = RuntimeConfig { horizon, bound, heuristic: Heuristic::Equi, ..Default::default() };
     let predictors = || vec![Predictor::Clause(tracks::stream_model())];
     let mut rt = PulseRuntime::with_predictors(predictors(), &lp, cfg.clone())
         .map_err(|e| fail("compile", format!("continuous transform failed: {e}\n{lp}")))?;

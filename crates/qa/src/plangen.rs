@@ -76,7 +76,7 @@ pub struct AggSpec {
 }
 
 /// Sliding-window join spec. `lslot`/`rslot` index the *model slots* of the
-/// branch outputs (slot order; see [`GenPlan::branch_slots`]).
+/// branch outputs (slot order; see [`branch_slots`]).
 #[derive(Debug, Clone)]
 pub struct JoinSpec {
     pub left: Vec<Step>,

@@ -34,7 +34,6 @@ fn corpus_seeds_audit_clean() {
             horizon: case.stream.horizon,
             bound: case.stream.bound,
             heuristic: Heuristic::Equi,
-            trace_capacity: 0,
             audit_rate: 1,
             calibration: Calibration {
                 noise,

@@ -1,9 +1,11 @@
-//! Equivalence pins for the two violation-path rewrites:
+//! Equivalence pins for the violation path:
 //!
-//! 1. **Bytecode VM substitution** — `SystemTemplate::substitute_into`
-//!    compiles coefficient expressions to a stack VM; the retained AST-walk
-//!    interpreter is kept behind `set_legacy_subst(true)`. Both must produce
-//!    bit-identical outputs over the full generated plan grammar.
+//! 1. **Bytecode VM substitution** — `SystemTemplate::substitute` runs each
+//!    predicate row as a compiled stack-VM program, and `CMap` projects
+//!    through the same VM. The tree walk (`System::build` over
+//!    `Expr::to_poly`) is the reference: for every predicate and
+//!    projection the qa grammar generates, under seeded random models of
+//!    degree 0–3, both must give the same bits and the same errors.
 //! 2. **Batched per-key solving** — `on_batch`/`on_pairs` defer violation
 //!    solves into a per-key queue and drain at batch end. On partitionable
 //!    plans this must be output-, order- and counter-identical to per-tuple
@@ -11,39 +13,20 @@
 //!    processing (`batchable() == false`). The sharded engine feeds its
 //!    workers through `on_pairs`, so 1- and 4-shard runs pin the same
 //!    contract under partitioning.
-//!
-//! The legacy-substitution toggle is a process-global atomic, so every test
-//! that drives a runtime serializes on one mutex.
 
-use std::sync::Mutex;
+use std::collections::HashMap;
 
 use pulse_core::{
-    set_legacy_subst, Heuristic, HybridRuntime, Predictor, PulseRuntime, RuntimeConfig,
-    RuntimeStats,
+    Heuristic, HybridRuntime, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats, System,
+    SystemTemplate,
 };
-use pulse_model::{Segment, Tuple};
+use pulse_math::{CmpOp, Poly};
+use pulse_model::{Expr, ExprError, ExprVm, Pred, Segment, SlotMap, Tuple, VmProgram};
 use pulse_qa::Case;
-use pulse_stream::LogicalPlan;
+use pulse_stream::{LogicalOp, LogicalPlan};
 use pulse_workload::{tracks, TrackSet};
-
-/// Serializes tests in this binary: `set_legacy_subst` is process-global.
-static SUBST_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores VM substitution even if a comparison panics mid-test.
-struct LegacyGuard;
-
-impl LegacyGuard {
-    fn on() -> LegacyGuard {
-        set_legacy_subst(true);
-        LegacyGuard
-    }
-}
-
-impl Drop for LegacyGuard {
-    fn drop(&mut self) {
-        set_legacy_subst(false);
-    }
-}
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn inputs(seed: u64) -> (LogicalPlan, Vec<Tuple>, RuntimeConfig) {
     let case = Case::from_seed(seed);
@@ -53,7 +36,6 @@ fn inputs(seed: u64) -> (LogicalPlan, Vec<Tuple>, RuntimeConfig) {
         horizon: case.stream.horizon,
         bound: case.stream.bound,
         heuristic: Heuristic::Equi,
-        trace_capacity: 0,
         ..Default::default()
     };
     (lp, tr.tuples(), cfg)
@@ -120,29 +102,128 @@ fn drive_batched(
     (outs, rt.stats(), batchable)
 }
 
-/// VM vs retained AST interpreter, bit-exact across two full cycles of the
-/// generated plan grammar (seeds 0..10 force every operator kind twice,
-/// spanning both noise regimes and both ε regimes).
-#[test]
-fn vm_substitution_matches_legacy_ast_walk() {
-    let _lock = SUBST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut total_violations = 0u64;
-    for seed in 0..10u64 {
-        let (lp, tuples, cfg) = inputs(seed);
-        let (vm_outs, vm_stats) = drive_per_tuple(&lp, &tuples, &cfg);
-        let (legacy_outs, legacy_stats) = {
-            let _legacy = LegacyGuard::on();
-            drive_per_tuple(&lp, &tuples, &cfg)
-        };
-        assert_eq!(vm_stats, legacy_stats, "seed {seed}: counters diverge");
-        assert_eq!(
-            prints(&vm_outs),
-            prints(&legacy_outs),
-            "seed {seed}: VM substitution is not bit-identical to the AST walk"
-        );
-        total_violations += vm_stats.violations;
+/// Coefficient bits of a polynomial.
+fn bits(p: &Poly) -> Vec<u64> {
+    p.coeffs().iter().map(|c| c.to_bits()).collect()
+}
+
+/// A system's rows, in `System::rows` order, as comparable bits.
+fn row_bits(sys: &System) -> Vec<(CmpOp, Vec<u64>)> {
+    sys.rows().iter().map(|r| (r.op, bits(&r.poly))).collect()
+}
+
+/// Every predicate, normalized as `CPlan` compiles filters and joins, and
+/// every map's projection list.
+fn plan_exprs(lp: &LogicalPlan) -> (Vec<Pred>, Vec<Vec<Expr>>) {
+    let (mut preds, mut maps) = (Vec::new(), Vec::new());
+    for node in &lp.nodes {
+        match &node.op {
+            LogicalOp::Filter { pred } | LogicalOp::Join { pred, .. } => {
+                preds.push(pred.normalize())
+            }
+            LogicalOp::Map { exprs, .. } => maps.push(exprs.clone()),
+            LogicalOp::Aggregate { .. } | LogicalOp::Union => {}
+        }
     }
-    assert!(total_violations > 0, "no seed exercised the solve path");
+    (preds, maps)
+}
+
+/// A random model of degree 0–3 for every reference in `refs`, except
+/// that with probability 1/4 one reference has none and its lookup fails.
+fn random_models(rng: &mut StdRng, refs: &[(usize, usize)]) -> HashMap<(usize, usize), Poly> {
+    let mut models: HashMap<_, _> = refs
+        .iter()
+        .map(|&r| {
+            let degree = rng.gen_range(0usize..=3);
+            (r, Poly::new((0..=degree).map(|_| rng.gen_range(-10.0..10.0)).collect()))
+        })
+        .collect();
+    if !refs.is_empty() && rng.gen_bool(0.25) {
+        models.remove(&refs[rng.gen_range(0..refs.len())]);
+    }
+    models
+}
+
+/// A model lookup over `models`; a missing reference fails as unknown.
+fn lookup_in(
+    models: &HashMap<(usize, usize), Poly>,
+) -> impl Fn(usize, usize) -> Result<Poly, ExprError> + '_ {
+    |input, attr| models.get(&(input, attr)).cloned().ok_or(ExprError::UnknownAttr { input, attr })
+}
+
+/// `CMap`'s projection: every expression compiled against one slot map,
+/// each slot bound once, then every program run.
+fn vm_project(
+    programs: &[VmProgram],
+    slots: &SlotMap,
+    vm: &mut ExprVm,
+    lookup: &impl Fn(usize, usize) -> Result<Poly, ExprError>,
+) -> Result<Vec<Vec<u64>>, ExprError> {
+    vm.ensure_slots(slots.len());
+    for (i, &(input, attr)) in slots.attrs().iter().enumerate() {
+        vm.bind(i, &lookup(input, attr)?);
+    }
+    programs
+        .iter()
+        .map(|prog| {
+            let mut p = Poly::zero();
+            vm.run(prog, &mut p).map(|_| bits(&p))
+        })
+        .collect()
+}
+
+/// The VM against the tree walk, bit for bit and error for error, over
+/// every filter and join predicate and every map expression of the qa
+/// grammar's plans (seeds 0..32 cover every operator kind several times).
+/// Each compiled template and program set is reused across trials, so a
+/// substitution must also fully overwrite the one before it.
+#[test]
+fn vm_substitution_matches_tree_walk() {
+    const TRIALS: usize = 24;
+    let (mut rows, mut projections, mut errors) = (0usize, 0usize, 0usize);
+    for seed in 0..32u64 {
+        let (lp, _, _) = inputs(seed);
+        let (preds, maps) = plan_exprs(&lp);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for pred in &preds {
+            let mut tpl = SystemTemplate::compile(pred);
+            let refs = pred.referenced_attrs();
+            for trial in 0..TRIALS {
+                let models = random_models(&mut rng, &refs);
+                let lookup = lookup_in(&models);
+                let want = System::build(pred, &lookup).map(|s| row_bits(&s));
+                let got = tpl.substitute(&lookup).map(row_bits);
+                assert_eq!(got, want, "seed {seed} trial {trial}: {pred:?}");
+                match want {
+                    Ok(r) => rows += r.len(),
+                    Err(_) => errors += 1,
+                }
+            }
+        }
+        for exprs in &maps {
+            let mut slots = SlotMap::new();
+            let programs: Vec<_> =
+                exprs.iter().map(|e| VmProgram::compile(e, &mut slots)).collect();
+            let mut vm = ExprVm::new();
+            let mut refs = Vec::new();
+            exprs.iter().for_each(|e| e.collect_attrs(&mut refs));
+            for trial in 0..TRIALS {
+                let models = random_models(&mut rng, &refs);
+                let lookup = lookup_in(&models);
+                let want: Result<Vec<_>, _> =
+                    exprs.iter().map(|e| e.to_poly(&lookup).map(|p| bits(&p))).collect();
+                let got = vm_project(&programs, &slots, &mut vm, &lookup);
+                assert_eq!(got, want, "seed {seed} trial {trial}: {exprs:?}");
+                match want {
+                    Ok(p) => projections += p.len(),
+                    Err(_) => errors += 1,
+                }
+            }
+        }
+    }
+    assert!(rows > 250, "too few predicate rows compared ({rows})");
+    assert!(projections > 200, "too few projections compared ({projections})");
+    assert!(errors > 100, "too few failing substitutions compared ({errors})");
 }
 
 /// Batched solving vs per-tuple, at batch sizes that split keys across
@@ -150,7 +231,6 @@ fn vm_substitution_matches_legacy_ast_walk() {
 /// Order-exact, not just multiset-equal: the drain preserves arrival order.
 #[test]
 fn batched_solving_matches_per_tuple() {
-    let _lock = SUBST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (mut saw_batchable, mut saw_fallback) = (false, false);
     // Seeds 0..10 happen to all be partitionable; 47 is a non-partitionable
     // join (also in corpus/violation-storm.seed) that pins the fallback.
@@ -179,7 +259,6 @@ fn batched_solving_matches_per_tuple() {
 /// single-threaded per-tuple run on every partitionable plan.
 #[test]
 fn sharded_batching_bit_identical_at_1_and_4_shards() {
-    let _lock = SUBST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut covered = 0usize;
     for seed in 0..10u64 {
         let (lp, tuples, cfg) = inputs(seed);

@@ -17,7 +17,8 @@
 //!   `sum`/`avg` is recognized but conservatively left alone: a cross-key
 //!   sum is not an envelope, and the continuous engine has no partial-sum
 //!   combiner to merge with (the unrewritten plan cannot run continuously
-//!   either — [`TransformError::NonGroupedSumAvg`] — so nothing regresses).
+//!   either — `pulse_core::TransformError::NonGroupedSumAvg` — so nothing
+//!   regresses).
 //! * **`Any`/`Ne` join.** Each input subtree is per-key, so both branches
 //!   run sharded; the join itself becomes the merge stage. The pairing is
 //!   unchanged — the merge stage sees exactly the branch sink streams the

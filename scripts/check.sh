@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repo health gate: formatting, lints, the full test suite, the replay
-# benchmark's own tests (benchmark/ is a separate cargo package) and its
-# output fingerprints against scripts/baselines/fingerprints.txt, the
-# bounded differential-fuzz stage, the optimizer-equivalence fuzz stage
+# Repo health gate: formatting, lints, rustdoc links, the full test
+# suite, the replay benchmark's own tests (benchmark/ is a separate cargo
+# package) and its output fingerprints against
+# scripts/baselines/fingerprints.txt, the bounded differential-fuzz
+# stage, the optimizer-equivalence fuzz stage
 # (every case runs the oracle with and without the standard pass pipeline
 # and the discrete traces must match bit-for-bit, with per-pass fire
 # coverage asserted), a live scrape of a 4-shard scaling run
@@ -33,6 +34,13 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# The vendored stand-ins under vendor/ are excluded: they mirror upstream
+# APIs and are not this project's documentation.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+  --exclude bytes --exclude criterion --exclude parking_lot --exclude proptest \
+  --exclude rand --exclude serde --exclude serde_derive --exclude serde_json
 
 echo "== cargo test --workspace -q (differential suite at its default budget)"
 cargo test --workspace -q
