@@ -22,7 +22,7 @@ use crate::index::{start_order_pos, SegmentIndex};
 use crate::keymap::KeyMap;
 use crate::lineage::SharedLineage;
 use pulse_math::{Span, EPS};
-use pulse_model::{Pred, Segment};
+use pulse_model::{Models, Pred, Segment};
 use pulse_obs::{prof, Phase, TraceKind, Tracer};
 use pulse_stream::{KeyJoin, OpMetrics};
 use std::any::Any;
@@ -370,7 +370,7 @@ impl COperator for CJoin {
                 self.nulls.record(sys, overlap);
                 continue;
             }
-            let mut models = Vec::with_capacity(l.models.len() + r.models.len());
+            let mut models = Models::with_capacity(l.models.len() + r.models.len());
             models.extend_from_slice(&l.models);
             models.extend_from_slice(&r.models);
             let mut unmodeled = Vec::with_capacity(l.unmodeled.len() + r.unmodeled.len());
@@ -640,7 +640,7 @@ mod tests {
                     let mut values = |n: usize| -> Vec<f64> {
                         (0..rng.gen_range(0..n)).map(|_| rng.gen_range(-1.0..1.0)).collect()
                     };
-                    let models = (0..n_models).map(|_| Poly::new(values(4))).collect();
+                    let models: Models = (0..n_models).map(|_| Poly::new(values(4))).collect();
                     let s = Segment::new(key, span, models, values(3));
                     let horizon = if rng.gen_bool(0.003) { f64::NAN } else { span.lo - window };
                     max_horizon = max_horizon.max(horizon);

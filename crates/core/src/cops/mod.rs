@@ -21,7 +21,7 @@ use crate::binding::Binding;
 use crate::eqsys::{PendingSlack, SolveScratch, SystemTemplate};
 use crate::lineage::SharedLineage;
 use pulse_math::{Poly, EPS};
-use pulse_model::{ExprError, ExprVm, Pred, Segment, SlotMap, VmProgram};
+use pulse_model::{ExprError, ExprVm, Models, Pred, Segment, SlotMap, VmProgram};
 use pulse_obs::{prof, Phase, TraceKind, Tracer};
 use pulse_stream::OpMetrics;
 use std::any::Any;
@@ -208,7 +208,7 @@ impl CMap {
     }
 
     /// Projects `seg` through every program.
-    fn project(&mut self, seg: &Segment) -> Result<Vec<Poly>, ExprError> {
+    fn project(&mut self, seg: &Segment) -> Result<Models, ExprError> {
         let CMap { programs, slots, vm, binding, .. } = self;
         vm.ensure_slots(slots.len());
         for (i, &(_, attr)) in slots.attrs().iter().enumerate() {

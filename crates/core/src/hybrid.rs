@@ -41,7 +41,7 @@ use crate::plan::{CPlan, TransformError};
 use crate::runtime::{Predictor, PulseRuntime, RuntimeConfig, RuntimeStats};
 use crate::validate::ValidatorStats;
 use pulse_model::{Segment, Tuple};
-use pulse_obs::{AuditLedger, ExplainReport, PhaseTable, TraceEvent};
+use pulse_obs::{AuditLedger, ExplainReport, PhaseTable, TraceEvent, Tracer};
 use pulse_stream::{HybridPlan, LogicalPlan, OpMetrics, PartitionViolation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -551,7 +551,7 @@ impl HybridRuntime {
             // own fan-out would.
             for (src, &b) in m.wiring.iter().enumerate() {
                 if b == branch {
-                    m.outputs.extend(m.suffix.push(src, &seg));
+                    m.suffix.push_traced(src, &seg, &mut Tracer::off(), &mut m.outputs);
                 }
             }
         }

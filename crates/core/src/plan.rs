@@ -68,8 +68,8 @@ pub struct CPlan {
     sinks: Vec<bool>,
     lineage: SharedLineage,
     bufs: PushBuffers,
-    /// [`Self::last_slack`]: resolved at the end of a push that returned
-    /// nothing, `None` after one that returned results.
+    /// [`Self::last_slack`]: resolved at the end of a push that appended
+    /// nothing, `None` after one that appended results.
     slack: Option<f64>,
 }
 
@@ -188,22 +188,32 @@ impl CPlan {
     /// produced-buffer queue.
     const SRC: usize = usize::MAX;
 
-    /// Pushes one segment from source `source`, returning query outputs.
-    /// [`Self::push_traced`] with recording off.
+    /// Pushes one segment from source `source`, returning query outputs:
+    /// [`Self::push_traced`] with recording off, into a fresh `Vec`.
     pub fn push(&mut self, source: usize, seg: &Segment) -> Vec<Segment> {
-        self.push_traced(source, seg, &mut Tracer::off())
+        let mut results = Vec::new();
+        self.push_traced(source, seg, &mut Tracer::off(), &mut results);
+        results
     }
 
-    /// Pushes one segment from source `source`, returning query outputs;
-    /// operators stamp their equation-system work into `tr` as they go.
+    /// Pushes one segment from source `source` and appends the query
+    /// outputs to `results`, after whatever it already holds, so a caller
+    /// that keeps its buffer allocates nothing per push; operators stamp
+    /// their equation-system work into `tr` as they go.
     ///
     /// The pushed segment is snapshotted into lineage here, once; each
     /// operator snapshots only the outputs it emits.
     ///
-    /// Operators only record their null results; when the push returns
+    /// Operators only record their null results; when the push appends
     /// nothing, their slack is resolved here, before returning, for
     /// [`Self::last_slack`].
-    pub fn push_traced(&mut self, source: usize, seg: &Segment, tr: &mut Tracer) -> Vec<Segment> {
+    pub fn push_traced(
+        &mut self,
+        source: usize,
+        seg: &Segment,
+        tr: &mut Tracer,
+        results: &mut Vec<Segment>,
+    ) {
         for n in self.nodes.iter_mut().flatten() {
             n.reset_slack();
         }
@@ -211,17 +221,16 @@ impl CPlan {
         let queue = &mut self.bufs.queue;
         queue.clear();
         queue.extend(self.source_edges[source].iter().map(|&(n, p)| (n, p, Self::SRC)));
-        let mut results = Vec::new();
-        self.drain(seg, tr, &mut results);
+        let start = results.len();
+        self.drain(seg, tr, results);
         self.slack = None;
-        if results.is_empty() {
+        if results.len() == start {
             for n in self.nodes.iter_mut().flatten() {
                 if let Some(s) = n.resolve_slack() {
                     self.slack = Some(self.slack.map_or(s, |a: f64| a.min(s)));
                 }
             }
         }
-        results
     }
 
     /// Runs the work queue to empty, `SRC` entries reading `seg`, and
@@ -263,7 +272,7 @@ impl CPlan {
     pub fn push_all(&mut self, source: usize, segs: &[Segment]) -> Vec<Segment> {
         let mut out = Vec::new();
         for s in segs {
-            out.extend(self.push(source, s));
+            self.push_traced(source, s, &mut Tracer::off(), &mut out);
         }
         out
     }
@@ -382,8 +391,8 @@ impl CPlan {
     /// Slack of the last push's null results: the smallest over the
     /// selective operators that recorded any in their last call of the
     /// push (drives the accuracy↔slack mode alternation of §IV). Defined
-    /// only after a push that returned nothing; `None` after one that
-    /// returned results, or when no operator recorded a null result.
+    /// only after a push that appended nothing; `None` after one that
+    /// appended results, or when no operator recorded a null result.
     pub fn last_slack(&self) -> Option<f64> {
         self.slack
     }
@@ -549,6 +558,30 @@ mod tests {
         assert!(out.is_empty());
         let slack = plan.last_slack().unwrap();
         assert!((slack - 40.0).abs() < 1e-3, "slack {slack}");
+    }
+
+    #[test]
+    fn push_traced_appends_after_the_buffer_and_resolves_slack_only_on_none() {
+        let mut lp = LogicalPlan::new(vec![src()]);
+        lp.add(
+            LogicalOp::Filter { pred: Pred::cmp(Expr::attr(0), CmpOp::Gt, Expr::c(50.0)) },
+            vec![PortRef::Source(0)],
+        );
+        let mut plan = CPlan::compile(&lp).unwrap();
+        let held = seg(9, 0.0, 1.0, 7.0, 0.0);
+        let mut results = vec![held.clone()];
+        // A null result appends nothing; what the buffer already held is
+        // not this push's, so the slack resolves.
+        plan.push_traced(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut Tracer::off(), &mut results);
+        assert_eq!(results, std::slice::from_ref(&held));
+        let slack = plan.last_slack().unwrap();
+        assert!((slack - 40.0).abs() < 1e-3, "slack {slack}");
+        // A hit lands after the held segment and clears the slack.
+        plan.push_traced(0, &seg(1, 10.0, 100.0, 0.0, 1.0), &mut Tracer::off(), &mut results);
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0], held);
+        assert_eq!((results[1].key, results[1].span), (1, Span::new(50.0, 100.0)));
+        assert_eq!(plan.last_slack(), None);
     }
 
     fn pass() -> LogicalOp {

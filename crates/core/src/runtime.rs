@@ -15,7 +15,7 @@ use crate::validate::{
     VKey, Validator,
 };
 use pulse_math::{Poly, Span};
-use pulse_model::{Schema, Segment, SegmentId, StreamModel, Tuple};
+use pulse_model::{Models, Schema, Segment, SegmentId, StreamModel, Tuple};
 use pulse_obs::{ExplainReport, Histogram, KeyedCounter, TraceKind, Tracer};
 use pulse_stream::LogicalPlan;
 use serde::Serialize;
@@ -316,7 +316,7 @@ impl PulseRuntime {
                         id: SegmentId(0),
                         key: tuple.key,
                         span,
-                        models: Vec::with_capacity(modeled.len()),
+                        models: Models::with_capacity(modeled.len()),
                         unmodeled: Vec::with_capacity(unmodeled.len()),
                     };
                     let anchor = modeled.iter().map(|&a| tuple.values[a]).collect();
@@ -619,9 +619,10 @@ impl PulseRuntime {
     }
 
     /// The solve half of the violation path: pushes `(source, key)`'s
-    /// current predictive segment through the plan, attributes the `Solve`
-    /// phase net of everything the operators record inside the push, and
-    /// installs the inverted bounds (or slack mode) from the results.
+    /// current predictive segment through the plan, appending the results
+    /// to `outs`, attributes the `Solve` phase net of everything the
+    /// operators record inside the push, and installs the inverted bounds
+    /// (or slack mode) from the results.
     /// `slow_t0` feeds the `runtime.violation_path_ns` histogram.
     fn run_solve(
         &mut self,
@@ -654,7 +655,9 @@ impl PulseRuntime {
         // scans, lineage, segment construction) as the Solve cell.
         let push_t0 = pulse_obs::prof::start();
         let nested0 = push_t0.map(|_| pulse_obs::Phase::push_nested_ns(self.tracer.phases()));
-        let new_outs = self.plan.push_traced(source, seg, &mut self.tracer);
+        let start = outs.len();
+        self.plan.push_traced(source, seg, &mut self.tracer, outs);
+        let new_outs = &outs[start..];
         if let (Some(t0), Some(n0)) = (push_t0, nested0) {
             let total = t0.elapsed().as_nanos() as u64;
             let nested = pulse_obs::Phase::push_nested_ns(self.tracer.phases()) - n0;
@@ -674,7 +677,7 @@ impl PulseRuntime {
             // Each OutputEmit walks lineage to its sources: emit work.
             let emit_t0 = pulse_obs::prof::start();
             let store = self.plan.lineage().lock();
-            for out in &new_outs {
+            for out in new_outs {
                 let sources = store.sources_of(out.id).iter().map(|s| s.0).collect();
                 let kind = TraceKind::OutputEmit {
                     seg: out.id.0,
@@ -698,7 +701,7 @@ impl PulseRuntime {
             // Where each emitted range stands relative to the watermark:
             // lag = how far it starts behind arrivals, lead = how far the
             // prediction answers into the future (both stream-time µs).
-            for out in &new_outs {
+            for out in new_outs {
                 let lag = (self.watermark - out.span.lo).max(0.0);
                 let lead = (out.span.hi - self.watermark).max(0.0);
                 if lag.is_finite() {
@@ -717,13 +720,12 @@ impl PulseRuntime {
                 self.validator.set_accuracy(vkey, Bound::symmetric(self.cfg.bound));
             }
         } else {
-            self.install_bounds(&new_outs, vkey);
+            self.install_bounds(new_outs, vkey);
         }
         self.tracer.prof(emit_t0, pulse_obs::Phase::Emit);
         if let Some(t0) = slow_t0 {
             self.obs.violation_path_ns.record(t0.elapsed().as_nanos() as u64);
         }
-        outs.extend(new_outs);
     }
 
     /// Inverts the output bound through lineage and installs each source

@@ -22,7 +22,7 @@ proptest! {
         mut roots in prop::collection::vec(-9.0..9.0_f64, 1..5)
     ) {
         // Separate the roots: below ~1e-3 both finders merge them.
-        roots.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        roots.sort_by(f64::total_cmp);
         roots.dedup_by(|a, b| (*a - *b).abs() < 0.05);
         let p = poly_from_roots(&roots);
         let fast = poly_roots_in(&p, -10.0, 10.0, 1e-12);

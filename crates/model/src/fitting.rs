@@ -8,7 +8,7 @@
 //! error budget, emit and restart when it breaks), and [`bottom_up`] the
 //! offline variant (merge adjacent segments cheapest-first).
 
-use crate::segment::Segment;
+use crate::segment::{Models, Segment};
 use crate::tuple::Tuple;
 use pulse_math::{fit_poly, IncrementalLinFit, Poly, Span};
 use std::collections::HashMap;
@@ -191,7 +191,7 @@ impl OnlineSegmenter {
             return None;
         }
         let t0 = self.fast_t0;
-        let models: Vec<Poly> =
+        let models: Models =
             self.fast_fits.iter().map(|f| f.line().compose_linear(1.0, -t0)).collect();
         self.segments_out += 1;
         Some(Segment::new(self.key, Span::new(t0, hi.max(t0 + 1e-9)), models, Vec::new()))

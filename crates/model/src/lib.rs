@@ -25,6 +25,6 @@ pub use fitting::{bottom_up, CheckMode, FitConfig, OnlineSegmenter, StreamFitter
 pub use modelspec::{ModelSpec, StreamModel};
 pub use piecewise::Piecewise;
 pub use schema::{Attr, AttrKind, Schema};
-pub use segment::{Segment, SegmentId};
+pub use segment::{Models, Segment, SegmentId};
 pub use tuple::Tuple;
 pub use vm::{ExprVm, Op, SlotMap, VmProgram};

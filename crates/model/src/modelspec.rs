@@ -9,7 +9,7 @@
 
 use crate::expr::{Expr, ExprError};
 use crate::schema::Schema;
-use crate::segment::Segment;
+use crate::segment::{Models, Segment};
 use crate::tuple::Tuple;
 use pulse_math::{Poly, Span};
 
@@ -70,7 +70,7 @@ impl StreamModel {
     /// (until superseded by the next tuple's segment — update semantics).
     pub fn segment_for(&self, tuple: &Tuple, horizon: f64) -> Result<Segment, ExprError> {
         let models =
-            self.specs.iter().map(|s| s.instantiate(tuple)).collect::<Result<Vec<_>, _>>()?;
+            self.specs.iter().map(|s| s.instantiate(tuple)).collect::<Result<Models, _>>()?;
         let unmodeled =
             self.schema.unmodeled_indices().into_iter().map(|i| tuple.values[i]).collect();
         Ok(Segment {

@@ -44,29 +44,52 @@ impl Piecewise {
     }
 
     /// Inserts a segment, applying update semantics: any existing piece
-    /// overlapping the newcomer's span is truncated (or removed) in the
-    /// overlap — the newcomer wins, since pieces appear sequentially online.
+    /// overlapping the newcomer's span (by more than `EPS`) is truncated
+    /// to its head before the newcomer, split around it, or removed — the
+    /// newcomer wins, since pieces appear sequentially online.
+    ///
+    /// Edits the pieces in place, so the envelope allocates only when it
+    /// grows. A head keeps its piece's slot, id and start; a tail (a fresh
+    /// id) goes before the first piece starting at or after the
+    /// newcomer's end, and the newcomer after the last piece starting at
+    /// or before its own start. That is the order a stable sort by start
+    /// gives the list of kept pieces with each overlapped piece's head and
+    /// tail in its place and the newcomer last.
     pub fn insert(&mut self, seg: Segment) {
-        let mut out: Vec<Segment> = Vec::with_capacity(self.segments.len() + 1);
-        for old in self.segments.drain(..) {
-            if old.span.hi <= seg.span.lo + EPS || old.span.lo >= seg.span.hi - EPS {
-                out.push(old);
+        let Span { lo, hi } = seg.span;
+        let segs = &mut self.segments;
+        let (mut i, mut tails) = (0, 0);
+        while i < segs.len() {
+            let old = &mut segs[i];
+            if old.span.hi <= lo + EPS || old.span.lo >= hi - EPS {
+                i += 1;
                 continue;
             }
+            // The non-overlapped tail of the old piece, if any, cut before
+            // the head shortens it.
+            let tail = (old.span.hi > hi + EPS).then(|| old.restricted(Span::new(hi, old.span.hi)));
             // Keep the non-overlapped head of the old piece, if any.
-            if let Some(head) = old.truncated_at(seg.span.lo) {
-                if head.span.len() > EPS {
-                    out.push(head);
+            let head = (lo > old.span.lo).then(|| Span::new(old.span.lo, lo));
+            match head.filter(|h| h.len() > EPS) {
+                Some(head) => {
+                    old.span = head;
+                    i += 1;
+                }
+                None => {
+                    segs.remove(i);
                 }
             }
-            // Keep the non-overlapped tail of the old piece, if any.
-            if old.span.hi > seg.span.hi + EPS {
-                out.push(old.restricted(Span::new(seg.span.hi, old.span.hi)));
+            if let Some(tail) = tail {
+                // After any earlier tail. Every piece before `i` starts
+                // before `hi`, so the tail lands at or after `i`, and the
+                // scan passes over it (it starts at `hi`: no overlap).
+                let at = segs.partition_point(|s| s.span.lo.total_cmp(&hi).is_lt());
+                segs.insert(at + tails, tail);
+                tails += 1;
             }
         }
-        out.push(seg);
-        out.sort_by(|a, b| a.span.lo.total_cmp(&b.span.lo));
-        self.segments = out;
+        let at = segs.partition_point(|s| s.span.lo.total_cmp(&lo).is_le());
+        segs.insert(at, seg);
     }
 
     /// The piece valid at time `t`, if any.
@@ -99,6 +122,8 @@ impl Piecewise {
 mod tests {
     use super::*;
     use pulse_math::Poly;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn seg(lo: f64, hi: f64, level: f64) -> Segment {
         Segment::single(1, Span::new(lo, hi), Poly::constant(level))
@@ -169,5 +194,76 @@ mod tests {
         assert_eq!(hits.len(), 2);
         let hits: Vec<_> = pw.overlapping(Span::new(1.2, 1.8)).collect();
         assert!(hits.is_empty());
+    }
+
+    /// The rebuild-and-sort insert: every piece moved into a fresh list,
+    /// each overlapped one replaced by its head and tail, the newcomer
+    /// appended, then a stable sort by start.
+    fn reference_insert(pieces: &mut Vec<Segment>, seg: Segment) {
+        let mut out: Vec<Segment> = Vec::with_capacity(pieces.len() + 1);
+        for old in pieces.drain(..) {
+            if old.span.hi <= seg.span.lo + EPS || old.span.lo >= seg.span.hi - EPS {
+                out.push(old);
+                continue;
+            }
+            if let Some(head) = old.truncated_at(seg.span.lo) {
+                if head.span.len() > EPS {
+                    out.push(head);
+                }
+            }
+            if old.span.hi > seg.span.hi + EPS {
+                out.push(old.restricted(Span::new(seg.span.hi, old.span.hi)));
+            }
+        }
+        out.push(seg);
+        out.sort_by(|a, b| a.span.lo.total_cmp(&b.span.lo));
+        *pieces = out;
+    }
+
+    /// Starts on a coarse grid, some nudged by a fraction of `EPS`, and
+    /// lengths that include zero and sub-`EPS` ones: pieces tie on
+    /// starts, touch within `EPS` and nest.
+    fn random_span(rng: &mut StdRng) -> Span {
+        let nudge = [0.0, 0.0, 0.3 * EPS, -0.3 * EPS, 2.0 * EPS];
+        let lo = rng.gen_range(0..40) as f64 * 0.5 + nudge[rng.gen_range(0..nudge.len())];
+        let len = match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => 0.5 * EPS,
+            2 => EPS,
+            3 => 1.5 * EPS,
+            _ => rng.gen_range(1..12) as f64 * 0.5 + nudge[rng.gen_range(0..nudge.len())],
+        };
+        Span::new(lo, lo + len)
+    }
+
+    /// Spans, model bits and the relative order of ids: ids are drawn
+    /// from a process-wide counter, so two runs match by rank.
+    fn assert_same(got: &[Segment], want: &[Segment]) {
+        let ranks = |segs: &[Segment]| {
+            let mut ids: Vec<_> = segs.iter().map(|s| s.id).collect();
+            ids.sort();
+            segs.iter().map(|s| ids.binary_search(&s.id).unwrap()).collect::<Vec<_>>()
+        };
+        let bits = |segs: &[Segment]| {
+            let bits = |p: &Poly| p.coeffs().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            let span = |s: &Span| [s.lo.to_bits(), s.hi.to_bits()];
+            segs.iter().map(|s| (span(&s.span), bits(&s.models[0]))).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(got), bits(want));
+        assert_eq!(ranks(got), ranks(want));
+    }
+
+    #[test]
+    fn in_place_insert_matches_rebuild_and_sort() {
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut pw, mut want) = (Piecewise::new(), Vec::new());
+            for step in 0..40 {
+                let piece = Segment::single(1, random_span(&mut rng), Poly::constant(step as f64));
+                pw.insert(piece.clone());
+                reference_insert(&mut want, piece);
+                assert_same(pw.segments(), &want);
+            }
+        }
     }
 }

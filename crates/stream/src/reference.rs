@@ -259,7 +259,7 @@ mod tests {
             id: SegmentId(id),
             key,
             span: Span { lo: 0.0, hi: 1.0 },
-            models: vec![],
+            models: Default::default(),
             unmodeled: vec![1.5],
         };
         let a = vec![seg(1, 7), seg(2, 3)];

@@ -14,7 +14,7 @@
 //! `x (modeled), vx (coefficient), y (modeled), vy (coefficient)`.
 
 use pulse_math::{Poly, Span};
-use pulse_model::{Schema, Segment, StreamModel, Tuple};
+use pulse_model::{Models, Schema, Segment, StreamModel, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -204,7 +204,7 @@ impl TrackSet {
                 if hi <= lo {
                     continue;
                 }
-                let models = (0..AXES)
+                let models: Models = (0..AXES)
                     .map(|axis| {
                         let l = &self.legs[key as usize][axis][i];
                         // v0 + slope·(t − t0) as a polynomial in absolute t.

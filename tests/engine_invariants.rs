@@ -136,7 +136,7 @@ proptest! {
         let mut op = CMinMax::new(true, 0, 1e6, lineage::shared());
         let mut all = Vec::new();
         let mut sorted = segs.clone();
-        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
         for (key, (lo, len, icpt, slope)) in sorted.iter().enumerate() {
             let s = Segment::single(key as u64, Span::new(*lo, lo + len), Poly::linear(*icpt, *slope));
             all.push(s.clone());
