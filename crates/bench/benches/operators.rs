@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_bench::{queries, run_discrete, run_predictive};
 use pulse_core::validate::{Bound, BoundInverter, EquiSplit};
-use pulse_core::{lineage, Binding, CJoin, COperator, LineageStore};
+use pulse_core::{Binding, CJoin, COperator, LineageStore};
 use pulse_math::{poly_roots_in, Poly, Span};
 use pulse_model::{AttrKind, CheckMode, FitConfig, Pred, Schema, Segment, SegmentId, StreamFitter};
+use pulse_obs::Tracer;
 use pulse_stream::KeyJoin;
 use pulse_workload::{moving, MovingConfig, MovingObjectGen};
 
@@ -103,7 +104,13 @@ fn bench_join(c: &mut Criterion) {
 fn keyed_arrival(join: &mut CJoin, i: u64, keys: u64, out: &mut Vec<Segment>) {
     let t = i as f64 * 3.0 / keys as f64;
     let seg = Segment::single(i % keys, Span::new(t, t + 1.0), Poly::constant(0.0));
-    join.process(((i / keys) % 2) as usize, &seg, out);
+    join.process(
+        ((i / keys) % 2) as usize,
+        &seg,
+        &mut LineageStore::default(),
+        &mut Tracer::off(),
+        out,
+    );
 }
 
 /// One push of the keyed stream behind `join/keyed_newest_first`: the
@@ -116,7 +123,13 @@ fn keyed_push_newest_first(join: &mut CJoin, i: u64, keys: u64, out: &mut Vec<Se
     for piece in (0..3).rev() {
         let lo = t + piece as f64 / 3.0;
         let seg = Segment::single(i % keys, Span::new(lo, lo + 1.0 / 3.0), Poly::constant(0.0));
-        join.process(((i / keys) % 2) as usize, &seg, out);
+        join.process(
+            ((i / keys) % 2) as usize,
+            &seg,
+            &mut LineageStore::default(),
+            &mut Tracer::off(),
+            out,
+        );
     }
 }
 
@@ -136,7 +149,7 @@ fn bench_join_keyed_expiry(c: &mut Criterion) {
         for keys in [100u64, 10_000] {
             let schema = Schema::of(&[("x", AttrKind::Modeled)]);
             let bindings = [Binding::new(schema.clone()), Binding::new(schema)];
-            let mut join = CJoin::new(2.0, Pred::True, KeyJoin::Eq, bindings, lineage::shared());
+            let mut join = CJoin::new(2.0, Pred::True, KeyJoin::Eq, bindings);
             let mut out = Vec::new();
             let mut i = 0;
             while i < 2 * keys {

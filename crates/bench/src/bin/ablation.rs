@@ -12,11 +12,12 @@
 use pulse_bench::{report, Params};
 use pulse_core::cops::{CJoin, COperator, JoinState};
 use pulse_core::runtime::Heuristic;
-use pulse_core::{lineage, Binding, PulseRuntime, RuntimeConfig, System};
+use pulse_core::{Binding, LineageStore, PulseRuntime, RuntimeConfig, System};
 use pulse_math::{CmpOp, Poly, Span};
 use pulse_model::{
     AttrKind, CheckMode, Expr, FitConfig, Pred, Schema, Segment, StreamFitter, Tuple,
 };
+use pulse_obs::Tracer;
 use pulse_stream::KeyJoin;
 use pulse_workload::{moving, MovingConfig, MovingObjectGen};
 use std::time::Instant;
@@ -51,14 +52,14 @@ fn join_state_ablation() {
                 pred,
                 KeyJoin::Any,
                 [Binding::new(xschema()), Binding::new(xschema())],
-                lineage::shared(),
                 state,
             );
+            let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
             let start = Instant::now();
             let mut out = Vec::new();
             for i in 0..n_segments {
-                j.process(0, &left[i], &mut out);
-                j.process(1, &right[i], &mut out);
+                j.process(0, &left[i], &mut store, &mut tr, &mut out);
+                j.process(1, &right[i], &mut store, &mut tr, &mut out);
                 out.clear();
             }
             let secs = start.elapsed().as_secs_f64();

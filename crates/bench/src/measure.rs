@@ -130,7 +130,7 @@ pub fn run_predictive(
     });
     let stats = rt.stats();
     if pulse_obs::enabled() {
-        rt.export_metrics(pulse_obs::global());
+        rt.export_metrics(pulse_obs::global(), &[]);
     }
     (
         RunResult {
@@ -167,10 +167,10 @@ pub fn run_historical(
                 outputs += plan.push(src, &seg).len() as u64;
             }
         }
-        outputs + plan.finish().len() as u64
+        outputs
     });
     if pulse_obs::enabled() {
-        plan.export_metrics(pulse_obs::global());
+        plan.export_metrics(pulse_obs::global(), &[]);
     }
     RunResult { items: merged.len() as u64, secs, outputs, work: plan.metrics().work() }
 }
@@ -207,10 +207,10 @@ pub fn run_segments(lp: &LogicalPlan, feeds: &[(usize, &[Segment])]) -> RunResul
         for (src, s) in &merged {
             outputs += plan.push(*src, s).len() as u64;
         }
-        outputs + plan.finish().len() as u64
+        outputs
     });
     if pulse_obs::enabled() {
-        plan.export_metrics(pulse_obs::global());
+        plan.export_metrics(pulse_obs::global(), &[]);
     }
     RunResult { items: merged.len() as u64, secs, outputs, work: plan.metrics().work() }
 }

@@ -3,6 +3,7 @@
 
 use super::COperator;
 use crate::keymap::KeyMap;
+use crate::lineage::LineageStore;
 use pulse_model::Segment;
 use pulse_obs::Tracer;
 use pulse_stream::OpMetrics;
@@ -10,13 +11,13 @@ use std::any::Any;
 
 /// Routes segments to a per-key instance of an inner continuous operator.
 pub struct CGroupBy {
-    factory: Box<dyn Fn(u64) -> Box<dyn COperator> + Send>,
+    factory: Box<dyn Fn(u64) -> Box<dyn COperator>>,
     groups: KeyMap<u64, Box<dyn COperator>>,
 }
 
 impl CGroupBy {
     /// `factory` builds the per-group operator (e.g. a [`super::CSumAvg`]).
-    pub fn new(factory: Box<dyn Fn(u64) -> Box<dyn COperator> + Send>) -> Self {
+    pub fn new(factory: Box<dyn Fn(u64) -> Box<dyn COperator>>) -> Self {
         CGroupBy { factory, groups: KeyMap::default() }
     }
 
@@ -43,15 +44,16 @@ impl COperator for CGroupBy {
         self.groups.values().next().map_or("groupby", |g| g.name())
     }
 
-    fn process_traced(
+    fn process(
         &mut self,
         input: usize,
         seg: &Segment,
+        lineage: &mut LineageStore,
         tr: &mut Tracer,
         out: &mut Vec<Segment>,
     ) {
         let op = self.groups.entry(seg.key).or_insert_with(|| (self.factory)(seg.key));
-        op.process_traced(input, seg, tr, out);
+        op.process(input, seg, lineage, tr, out);
     }
 
     fn metrics(&self) -> OpMetrics {
@@ -60,12 +62,6 @@ impl COperator for CGroupBy {
             m.absorb(&g.metrics());
         }
         m
-    }
-
-    fn flush(&mut self, out: &mut Vec<Segment>) {
-        for g in self.groups.values_mut() {
-            g.flush(out);
-        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -77,25 +73,27 @@ impl COperator for CGroupBy {
 mod tests {
     use super::*;
     use crate::cops::CSumAvg;
-    use crate::lineage;
     use pulse_math::{Poly, Span};
 
     #[test]
     fn groups_are_independent() {
-        let store = lineage::shared();
-        let mut g = CGroupBy::new(Box::new(move |_| {
-            Box::new(CSumAvg::new(true, 0, 2.0, lineage::shared()))
-        }));
-        let _ = store;
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut g = CGroupBy::new(Box::new(|_| Box::new(CSumAvg::new(true, 0, 2.0))));
+        let a = Segment::single(1, Span::new(0.0, 10.0), Poly::constant(4.0));
+        let b = Segment::single(2, Span::new(0.0, 10.0), Poly::constant(8.0));
         let mut out = Vec::new();
-        g.process(0, &Segment::single(1, Span::new(0.0, 10.0), Poly::constant(4.0)), &mut out);
-        g.process(0, &Segment::single(2, Span::new(0.0, 10.0), Poly::constant(8.0)), &mut out);
+        for s in [&a, &b] {
+            g.process(0, s, &mut store, &mut tr, &mut out);
+        }
         assert_eq!(g.group_count(), 2);
         assert_eq!(out.len(), 2);
         let k1 = out.iter().find(|s| s.key == 1).unwrap();
         let k2 = out.iter().find(|s| s.key == 2).unwrap();
         assert!((k1.models[0].eval(5.0) - 4.0).abs() < 1e-9);
         assert!((k2.models[0].eval(5.0) - 8.0).abs() < 1e-9);
+        // Both groups record into the one store, each from its own input.
+        assert_eq!(store.parents_of(k1.id), &[a.id]);
+        assert_eq!(store.parents_of(k2.id), &[b.id]);
         assert_eq!(g.metrics().items_in, 2);
     }
 }

@@ -20,7 +20,7 @@ use crate::binding::Binding;
 use crate::eqsys::{PendingSlack, SolveScratch, SystemTemplate};
 use crate::index::{start_order_pos, SegmentIndex};
 use crate::keymap::KeyMap;
-use crate::lineage::SharedLineage;
+use crate::lineage::LineageStore;
 use pulse_math::{Span, EPS};
 use pulse_model::{Models, Pred, Segment};
 use pulse_obs::{prof, Phase, TraceKind, Tracer};
@@ -232,8 +232,6 @@ pub struct CJoin {
     on_keys: KeyJoin,
     bindings: [Binding; 2],
     sides: Sides,
-    lineage: SharedLineage,
-    dep_count: usize,
     /// The last arrival's null pairs, in probe order.
     nulls: PendingSlack,
     /// Solver scratch shared by every candidate pair of every arrival.
@@ -242,14 +240,8 @@ pub struct CJoin {
 }
 
 impl CJoin {
-    pub fn new(
-        window: f64,
-        pred: Pred,
-        on_keys: KeyJoin,
-        bindings: [Binding; 2],
-        lineage: SharedLineage,
-    ) -> Self {
-        Self::with_state(window, pred, on_keys, bindings, lineage, JoinState::default())
+    pub fn new(window: f64, pred: Pred, on_keys: KeyJoin, bindings: [Binding; 2]) -> Self {
+        Self::with_state(window, pred, on_keys, bindings, JoinState::default())
     }
 
     /// Chooses the state layout explicitly (the ablation harness compares
@@ -259,20 +251,15 @@ impl CJoin {
         pred: Pred,
         on_keys: KeyJoin,
         bindings: [Binding; 2],
-        lineage: SharedLineage,
         state: JoinState,
     ) -> Self {
-        let pred = pred.normalize();
-        let dep_count = pred.referenced_attrs().len().max(1);
-        let template = SystemTemplate::compile(&pred);
+        let template = SystemTemplate::compile(&pred.normalize());
         CJoin {
             window,
             template,
             on_keys,
             bindings,
             sides: Sides::new(state, on_keys),
-            lineage,
-            dep_count,
             nulls: PendingSlack::default(),
             scratch: SolveScratch::default(),
             m: OpMetrics::default(),
@@ -295,10 +282,11 @@ impl COperator for CJoin {
         "join"
     }
 
-    fn process_traced(
+    fn process(
         &mut self,
         input: usize,
         seg: &Segment,
+        lineage: &mut LineageStore,
         tr: &mut Tracer,
         out: &mut Vec<Segment>,
     ) {
@@ -377,7 +365,6 @@ impl COperator for CJoin {
             unmodeled.extend_from_slice(&l.unmodeled);
             unmodeled.extend_from_slice(&r.unmodeled);
             let key = self.on_keys.output_key(l.key, r.key);
-            let mut lineage = self.lineage.lock();
             let mut spans = meaningful_spans(&sol).peekable();
             while let Some(span) = spans.next() {
                 // The last span takes the vectors; earlier ones copy them.
@@ -404,10 +391,6 @@ impl COperator for CJoin {
         self.m
     }
 
-    fn dep_count(&self) -> usize {
-        self.dep_count
-    }
-
     fn reset_slack(&mut self) {
         self.nulls.clear();
     }
@@ -424,7 +407,6 @@ impl COperator for CJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineage;
     use pulse_math::{CmpOp, Poly, Span};
     use pulse_model::{AttrKind, Expr, Schema, SegmentId};
     use std::collections::HashMap;
@@ -447,12 +429,13 @@ mod tests {
 
     #[test]
     fn crossing_models_join_on_subrange() {
-        let mut j = CJoin::new(100.0, lt_pred(), KeyJoin::Any, bindings(), lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut j = CJoin::new(100.0, lt_pred(), KeyJoin::Any, bindings());
         let mut out = Vec::new();
         // Left: x = t on [0, 10); Right: y = 5 on [0, 10). x < y ⇔ t < 5.
-        j.process(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut out);
+        j.process(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty(), "nothing buffered on the other side yet");
-        j.process(1, &seg(2, 0.0, 10.0, 5.0, 0.0), &mut out);
+        j.process(1, &seg(2, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert!((out[0].span.hi - 5.0).abs() < 1e-8);
         // Joined segment carries both models.
@@ -462,11 +445,12 @@ mod tests {
 
     #[test]
     fn equality_join_yields_point() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let pred = Pred::cmp(Expr::attr_of(0, 0), CmpOp::Eq, Expr::attr_of(1, 0));
-        let mut j = CJoin::new(100.0, pred, KeyJoin::Any, bindings(), lineage::shared());
+        let mut j = CJoin::new(100.0, pred, KeyJoin::Any, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut out); // x = t
-        j.process(1, &seg(2, 0.0, 10.0, 8.0, -1.0), &mut out); // y = 8 − t; equal at t=4
+        j.process(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out); // x = t
+        j.process(1, &seg(2, 0.0, 10.0, 8.0, -1.0), &mut store, &mut tr, &mut out); // y = 8 − t; equal at t=4
         assert_eq!(out.len(), 1);
         assert!(out[0].span.is_point());
         assert!((out[0].span.lo - 4.0).abs() < 1e-8);
@@ -474,45 +458,49 @@ mod tests {
 
     #[test]
     fn solutions_clipped_to_overlap() {
-        let mut j = CJoin::new(100.0, lt_pred(), KeyJoin::Any, bindings(), lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut j = CJoin::new(100.0, lt_pred(), KeyJoin::Any, bindings());
         let mut out = Vec::new();
         // Left valid [0, 4); right valid [2, 10): overlap [2, 4). x<y always.
-        j.process(0, &seg(1, 0.0, 4.0, 0.0, 0.0), &mut out);
-        j.process(1, &seg(2, 2.0, 10.0, 1.0, 0.0), &mut out);
+        j.process(0, &seg(1, 0.0, 4.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.process(1, &seg(2, 2.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].span, Span::new(2.0, 4.0));
     }
 
     #[test]
     fn key_ne_excludes_same_key() {
-        let mut j = CJoin::new(100.0, Pred::True, KeyJoin::Ne, bindings(), lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut j = CJoin::new(100.0, Pred::True, KeyJoin::Ne, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(7, 0.0, 10.0, 0.0, 0.0), &mut out);
-        j.process(1, &seg(7, 0.0, 10.0, 1.0, 0.0), &mut out);
+        j.process(0, &seg(7, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.process(1, &seg(7, 0.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty(), "same key must not self-join under Ne");
-        j.process(1, &seg(8, 0.0, 10.0, 1.0, 0.0), &mut out);
+        j.process(1, &seg(8, 0.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn key_eq_joins_matching_keys_only() {
-        let mut j = CJoin::new(100.0, Pred::True, KeyJoin::Eq, bindings(), lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut j = CJoin::new(100.0, Pred::True, KeyJoin::Eq, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(5, 0.0, 10.0, 0.0, 0.0), &mut out);
-        j.process(1, &seg(6, 0.0, 10.0, 0.0, 0.0), &mut out);
+        j.process(0, &seg(5, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.process(1, &seg(6, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty());
-        j.process(1, &seg(5, 0.0, 10.0, 0.0, 0.0), &mut out);
+        j.process(1, &seg(5, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].key, 5);
     }
 
     #[test]
     fn state_expiry_drops_old_segments() {
-        let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Any, bindings(), lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Any, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(1, 0.0, 0.5, 0.0, 0.0), &mut out);
+        j.process(0, &seg(1, 0.0, 0.5, 0.0, 0.0), &mut store, &mut tr, &mut out);
         // Arrives at t=5: the old left segment (ended 0.5) is beyond the 1s window.
-        j.process(1, &seg(2, 5.0, 6.0, 0.0, 0.0), &mut out);
+        j.process(1, &seg(2, 5.0, 6.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty());
     }
 
@@ -743,16 +731,17 @@ mod tests {
 
     #[test]
     fn state_sizes_track_stored_segments() {
-        let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Eq, bindings(), lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Eq, bindings());
         let mut out = Vec::new();
         for key in 0..8 {
-            j.process(0, &seg(key, 0.0, 0.5, 0.0, 0.0), &mut out);
+            j.process(0, &seg(key, 0.0, 0.5, 0.0, 0.0), &mut store, &mut tr, &mut out);
         }
         assert_eq!(j.state_sizes().0, 8);
         // Key 9 arrives past every stored end. The dead segments count
         // until the next sweep frees them and empties the horizon log.
         for n in 1..=8 {
-            j.process(1, &seg(9, 1.6, 2.0, 0.0, 0.0), &mut out);
+            j.process(1, &seg(9, 1.6, 2.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
             match j.state_sizes() {
                 (segments, 0) => return assert_eq!(segments, n, "key 9's segments alone"),
                 (segments, _) => assert_eq!(segments, 8 + n, "dead segments wait for the sweep"),
@@ -763,47 +752,41 @@ mod tests {
 
     #[test]
     fn non_finite_times_drop_state_without_panicking() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let nan_hi = Segment::single(1, Span { lo: 0.0, hi: f64::NAN }, Poly::constant(0.0));
         let nan_lo = Segment::single(1, Span { lo: f64::NAN, hi: 1.0 }, Poly::constant(0.0));
         for state in [JoinState::Scan, JoinState::Indexed] {
-            let join = |window| {
-                CJoin::with_state(
-                    window,
-                    Pred::True,
-                    KeyJoin::Eq,
-                    bindings(),
-                    lineage::shared(),
-                    state,
-                )
-            };
+            let join =
+                |window| CJoin::with_state(window, Pred::True, KeyJoin::Eq, bindings(), state);
             let mut out = Vec::new();
             // A NaN horizon (here from a NaN window) drops everything stored.
             let mut j = join(f64::NAN);
-            j.process(0, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
-            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
+            j.process(0, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
             assert!(out.is_empty(), "{state:?}");
             assert_eq!(j.state_sizes().0, 1, "{state:?}");
             // A NaN end is dropped at its first check.
             let mut j = join(100.0);
-            j.process(0, &nan_hi, &mut out);
-            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
+            j.process(0, &nan_hi, &mut store, &mut tr, &mut out);
+            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
             assert!(out.is_empty(), "{state:?}");
             assert_eq!(j.state_sizes().0, 1, "{state:?}");
             // A NaN start's horizon drops everything too.
-            j.process(0, &nan_lo, &mut out);
+            j.process(0, &nan_lo, &mut store, &mut tr, &mut out);
             assert_eq!(j.state_sizes().0, 1, "{state:?}");
-            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
+            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
         }
     }
 
     #[test]
     fn null_join_records_slack() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         // Overlapping segments, predicate never satisfied: slack is the gap.
         let pred = Pred::cmp(Expr::attr_of(0, 0), CmpOp::Eq, Expr::attr_of(1, 0));
-        let mut j = CJoin::new(100.0, pred, KeyJoin::Any, bindings(), lineage::shared());
+        let mut j = CJoin::new(100.0, pred, KeyJoin::Any, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(1, 0.0, 10.0, 0.0, 0.0), &mut out); // x = 0
-        j.process(1, &seg(2, 0.0, 10.0, 3.0, 0.0), &mut out); // y = 3
+        j.process(0, &seg(1, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out); // x = 0
+        j.process(1, &seg(2, 0.0, 10.0, 3.0, 0.0), &mut store, &mut tr, &mut out); // y = 3
         assert!(out.is_empty());
         let slack = j.resolve_slack().unwrap();
         assert!((slack - 3.0).abs() < 1e-6, "slack {slack}");
@@ -827,6 +810,7 @@ mod tests {
     /// when no piece reached the join.
     #[test]
     fn deferred_slack_matches_eager_slack_bit_for_bit() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         use crate::cops::CFilter;
         use crate::plan::CPlan;
         use pulse_stream::{LogicalOp, LogicalPlan, PortRef};
@@ -852,8 +836,7 @@ mod tests {
                 vec![filter, PortRef::Source(1)],
             );
             let mut plan = CPlan::compile(&lp).unwrap();
-            let mut filter_ref =
-                CFilter::new(filter_pred.clone(), Binding::new(schema()), lineage::shared());
+            let mut filter_ref = CFilter::new(filter_pred.clone(), Binding::new(schema()));
             let mut filter_template = SystemTemplate::compile(&filter_pred.normalize());
             let mut join_template = SystemTemplate::compile(&join_pred.normalize());
             let [lb, rb] = bindings();
@@ -892,7 +875,7 @@ mod tests {
                 let mut pieces = Vec::new();
                 let mut want = None;
                 if source == 0 {
-                    filter_ref.process(0, &s, &mut pieces);
+                    filter_ref.process(0, &s, &mut store, &mut tr, &mut pieces);
                     if pieces.is_empty() {
                         want = eager_null_slack(
                             &mut filter_template,
@@ -954,14 +937,14 @@ mod tests {
 
     #[test]
     fn lineage_links_both_parents() {
-        let store = lineage::shared();
-        let mut j = CJoin::new(100.0, lt_pred(), KeyJoin::Any, bindings(), store.clone());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut j = CJoin::new(100.0, lt_pred(), KeyJoin::Any, bindings());
         let mut out = Vec::new();
         let l = seg(1, 0.0, 10.0, 0.0, 1.0);
         let r = seg(2, 0.0, 10.0, 5.0, 0.0);
-        j.process(0, &l, &mut out);
-        j.process(1, &r, &mut out);
-        let parents = store.lock().parents_of(out[0].id).to_vec();
+        j.process(0, &l, &mut store, &mut tr, &mut out);
+        j.process(1, &r, &mut store, &mut tr, &mut out);
+        let parents = store.parents_of(out[0].id).to_vec();
         assert_eq!(parents, vec![l.id, r.id]);
     }
 }

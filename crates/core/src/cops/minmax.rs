@@ -9,7 +9,7 @@
 
 use super::COperator;
 use crate::eqsys::SOLVE_TOL;
-use crate::lineage::SharedLineage;
+use crate::lineage::LineageStore;
 use pulse_math::{
     poly_roots_in, solve_poly_cmp_append, CmpOp, CmpScratch, Poly, RangeSet, Span, EPS,
 };
@@ -48,20 +48,12 @@ pub struct CMinMax {
     /// `S = {([tl,tu), s) | tl > tx − w}`).
     width: f64,
     envelope: Piecewise,
-    lineage: SharedLineage,
     m: OpMetrics,
 }
 
 impl CMinMax {
-    pub fn new(is_min: bool, slot: usize, width: f64, lineage: SharedLineage) -> Self {
-        CMinMax {
-            is_min,
-            slot,
-            width,
-            envelope: Piecewise::new(),
-            lineage,
-            m: OpMetrics::default(),
-        }
+    pub fn new(is_min: bool, slot: usize, width: f64) -> Self {
+        CMinMax { is_min, slot, width, envelope: Piecewise::new(), m: OpMetrics::default() }
     }
 
     /// The current envelope (exposed for result sampling and tests).
@@ -98,10 +90,17 @@ impl CMinMax {
 
     /// Compares `seg` with the envelope, rebuilds the envelope where `seg`
     /// wins and emits the rebuilt pieces. Out of line on purpose: inlined
-    /// into `process_traced`, it measured 4% slower on plans without
+    /// into `process`, it measured 4% slower on plans without
     /// min/max (a code-layout effect on `pulse-core`).
     #[inline(never)]
-    fn update(&mut self, seg: &Segment, st: &mut Staging, tr: &mut Tracer, out: &mut Vec<Segment>) {
+    fn update(
+        &mut self,
+        seg: &Segment,
+        st: &mut Staging,
+        lineage: &mut LineageStore,
+        tr: &mut Tracer,
+        out: &mut Vec<Segment>,
+    ) {
         let x = &seg.models[self.slot];
         let domain = seg.span;
         let better_op = if self.is_min { CmpOp::Lt } else { CmpOp::Gt };
@@ -133,7 +132,6 @@ impl CMinMax {
         RangeSet::complement_into(&st.covered, domain, &mut st.win);
         RangeSet::normalize_in_place(&mut st.win);
 
-        let mut lineage = self.lineage.lock();
         let mut emitted = 0u32;
         for span in st.win.iter().filter(|s| s.len() > EPS) {
             let piece = Segment::single(seg.key, *span, x.clone());
@@ -143,7 +141,6 @@ impl CMinMax {
             emitted += 1;
             out.push(piece);
         }
-        drop(lineage);
         if tr.on() {
             // `rows` = difference equations solved against the envelope.
             let kind = TraceKind::OpSolve { op: "minmax", rows: solved, outputs: emitted };
@@ -157,16 +154,17 @@ impl COperator for CMinMax {
         "minmax"
     }
 
-    fn process_traced(
+    fn process(
         &mut self,
         _input: usize,
         seg: &Segment,
+        lineage: &mut LineageStore,
         tr: &mut Tracer,
         out: &mut Vec<Segment>,
     ) {
         self.m.items_in += 1;
         self.envelope.expire_before(seg.span.lo - self.width);
-        STAGING.with_borrow_mut(|st| self.update(seg, st, tr, out));
+        STAGING.with_borrow_mut(|st| self.update(seg, st, lineage, tr, out));
     }
 
     fn metrics(&self) -> OpMetrics {
@@ -181,7 +179,6 @@ impl COperator for CMinMax {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineage;
     use pulse_math::solve_poly_cmp;
     use std::collections::HashMap;
 
@@ -190,14 +187,15 @@ mod tests {
     }
 
     fn min_op(width: f64) -> CMinMax {
-        CMinMax::new(true, 0, width, lineage::shared())
+        CMinMax::new(true, 0, width)
     }
 
     #[test]
     fn first_segment_becomes_envelope() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(100.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut out);
+        op.process(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(op.envelope().len(), 1);
         assert_eq!(op.envelope().eval(0, 3.0), Some(5.0));
@@ -205,12 +203,13 @@ mod tests {
 
     #[test]
     fn crossing_models_split_envelope() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(100.0);
         let mut out = Vec::new();
         // Key 1: constant 5. Key 2: x = t (crosses 5 at t=5).
-        op.process(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut out);
+        op.process(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
         out.clear();
-        op.process(0, &seg(2, 0.0, 10.0, 0.0, 1.0), &mut out);
+        op.process(0, &seg(2, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
         // The line wins on [0, 5), the constant on [5, 10).
         assert_eq!(out.len(), 1);
         assert!((out[0].span.hi - 5.0).abs() < 1e-8);
@@ -220,21 +219,23 @@ mod tests {
 
     #[test]
     fn worse_model_changes_nothing() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(100.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, 1.0, 0.0), &mut out);
+        op.process(0, &seg(1, 0.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         out.clear();
-        op.process(0, &seg(2, 0.0, 10.0, 9.0, 0.0), &mut out);
+        op.process(0, &seg(2, 0.0, 10.0, 9.0, 0.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty(), "a dominated model must not update the envelope");
         assert_eq!(op.envelope().eval(0, 5.0), Some(1.0));
     }
 
     #[test]
     fn max_keeps_upper_envelope() {
-        let mut op = CMinMax::new(false, 0, 100.0, lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut op = CMinMax::new(false, 0, 100.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut out);
-        op.process(0, &seg(2, 0.0, 10.0, 0.0, 1.0), &mut out);
+        op.process(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
+        op.process(0, &seg(2, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
         // Upper envelope: constant 5 until t=5, then the line.
         assert_eq!(op.envelope().eval(0, 2.0), Some(5.0));
         assert_eq!(op.envelope().eval(0, 8.0), Some(8.0));
@@ -242,13 +243,14 @@ mod tests {
 
     #[test]
     fn envelope_matches_brute_force_pointwise_min() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(100.0);
         let mut out = Vec::new();
         let models = [(0.0, 10.0, 8.0, -0.5), (0.0, 10.0, 1.0, 0.7), (2.0, 9.0, 4.0, 0.0)];
         let segs: Vec<Segment> =
             models.iter().map(|&(lo, hi, b, a)| seg(0, lo, hi, b, a)).collect();
         for s in &segs {
-            op.process(0, s, &mut out);
+            op.process(0, s, &mut store, &mut tr, &mut out);
         }
         for i in 0..100 {
             let t = 0.05 + i as f64 * 0.0999;
@@ -266,11 +268,12 @@ mod tests {
 
     #[test]
     fn window_value_extracts_minimum() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(10.0);
         let mut out = Vec::new();
         // V-shape: down then up; min at the kink (t=5, value 0).
-        op.process(0, &seg(1, 0.0, 5.0, 5.0, -1.0), &mut out);
-        op.process(0, &seg(1, 5.0, 10.0, -5.0, 1.0), &mut out);
+        op.process(0, &seg(1, 0.0, 5.0, 5.0, -1.0), &mut store, &mut tr, &mut out);
+        op.process(0, &seg(1, 5.0, 10.0, -5.0, 1.0), &mut store, &mut tr, &mut out);
         let v = op.window_value(10.0).unwrap();
         assert!(v.abs() < 1e-6, "window min {v}");
         // Window covering only the rising tail.
@@ -281,11 +284,12 @@ mod tests {
 
     #[test]
     fn state_expires_beyond_window() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(2.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 1.0, 1.0, 0.0), &mut out);
+        op.process(0, &seg(1, 0.0, 1.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         // Next segment at t=10: old state far outside the 2s window.
-        op.process(0, &seg(2, 10.0, 11.0, 3.0, 0.0), &mut out);
+        op.process(0, &seg(2, 10.0, 11.0, 3.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(op.envelope().len(), 1);
         assert_eq!(op.envelope().eval(0, 10.5), Some(3.0));
         assert_eq!(op.envelope().eval(0, 0.5), None);
@@ -293,13 +297,14 @@ mod tests {
 
     #[test]
     fn quadratic_vs_linear_envelope() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(100.0);
         let mut out = Vec::new();
         // Parabola (t−5)² and constant 4: parabola below on (3, 7).
         let para = Segment::single(1, Span::new(0.0, 10.0), Poly::new(vec![25.0, -10.0, 1.0]));
-        op.process(0, &para, &mut out);
+        op.process(0, &para, &mut store, &mut tr, &mut out);
         out.clear();
-        op.process(0, &seg(2, 0.0, 10.0, 4.0, 0.0), &mut out);
+        op.process(0, &seg(2, 0.0, 10.0, 4.0, 0.0), &mut store, &mut tr, &mut out);
         // Constant wins outside (3, 7): two emitted pieces.
         assert_eq!(out.len(), 2, "{out:?}");
         assert!((out[0].span.hi - 3.0).abs() < 1e-6);
@@ -348,14 +353,15 @@ mod tests {
 
     #[test]
     fn envelope_is_bit_identical_to_allocating_composition() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
         let (mut split, mut displacing, mut dominated) = (0, 0, 0);
         for run in 0..40 {
             let is_min = run % 2 == 0;
             let width = if run % 4 < 2 { 3.0 } else { 50.0 };
-            let mut op = CMinMax::new(is_min, 0, width, lineage::shared());
-            let mut reference = CMinMax::new(is_min, 0, width, lineage::shared());
+            let mut op = CMinMax::new(is_min, 0, width);
+            let mut reference = CMinMax::new(is_min, 0, width);
             // The two operators mint different ids for the same pieces.
             let mut ids: HashMap<SegmentId, SegmentId> = HashMap::new();
             let (mut lo, mut hi) = (0.0, 1.0);
@@ -378,16 +384,15 @@ mod tests {
                 }
                 let seg = Segment::single(rng.gen_range(0..4), Span::new(lo, hi), model.clone());
                 out.clear();
-                op.process(0, &seg, &mut out);
+                op.process(0, &seg, &mut store, &mut tr, &mut out);
                 let (want, want_parents) = reference_process(&mut reference, &seg);
                 assert_eq!(out.len(), want.len(), "run {run} at [{lo}, {hi})");
                 for (got, want) in out.iter().zip(&want) {
                     assert_eq!(bits(got), bits(want), "run {run} at [{lo}, {hi})");
                     ids.insert(got.id, want.id);
                 }
-                let lineage = op.lineage.lock();
                 for got in &out {
-                    let parents: Vec<SegmentId> = lineage
+                    let parents: Vec<SegmentId> = store
                         .parents_of(got.id)
                         .iter()
                         .map(|id| ids.get(id).unwrap_or(id))
@@ -395,7 +400,6 @@ mod tests {
                         .collect();
                     assert_eq!(parents, want_parents, "run {run} at [{lo}, {hi})");
                 }
-                drop(lineage);
                 let (got_env, want_env) =
                     (op.envelope().segments(), reference.envelope().segments());
                 assert_eq!(got_env.len(), want_env.len(), "run {run} at [{lo}, {hi})");

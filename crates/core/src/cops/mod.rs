@@ -19,7 +19,7 @@ pub use sumavg::CSumAvg;
 
 use crate::binding::Binding;
 use crate::eqsys::{PendingSlack, SolveScratch, SystemTemplate};
-use crate::lineage::SharedLineage;
+use crate::lineage::LineageStore;
 use pulse_math::{Poly, EPS};
 use pulse_model::{ExprError, ExprVm, Models, Pred, Segment, SlotMap, VmProgram};
 use pulse_obs::{prof, Phase, TraceKind, Tracer};
@@ -31,32 +31,23 @@ pub trait COperator: Any {
     /// Stable lower-case operator name — the middle component of the
     /// operator's metric names (`cops.<name>.<metric>`).
     fn name(&self) -> &'static str;
-    /// Processes a segment arriving on `input`, appending output segments.
-    /// Convenience over [`Self::process_traced`] with recording off.
-    fn process(&mut self, input: usize, seg: &Segment, out: &mut Vec<Segment>) {
-        self.process_traced(input, seg, &mut Tracer::off(), out);
-    }
-    /// [`Self::process`] with a flight recorder: operators that grind
-    /// equation systems stamp an [`TraceKind::OpSolve`] event (scoped onto
-    /// the runtime's enclosing `SolveStart`) describing the rows solved and
-    /// segments emitted for this arrival.
-    fn process_traced(
+    /// Processes a segment arriving on `input`, appending output segments
+    /// to `out` and snapshotting each, with its parents, into `lineage`
+    /// (the plan's store; the arriving segment is already in it).
+    /// Operators that grind equation systems stamp an
+    /// [`TraceKind::OpSolve`] event into `tr` (scoped onto the runtime's
+    /// enclosing `SolveStart`) describing the rows solved and segments
+    /// emitted for this arrival; pass [`Tracer::off`] to record nothing.
+    fn process(
         &mut self,
         input: usize,
         seg: &Segment,
+        lineage: &mut LineageStore,
         tr: &mut Tracer,
         out: &mut Vec<Segment>,
     );
     /// Cost counters (systems solved, segments in/out).
     fn metrics(&self) -> OpMetrics;
-    /// End-of-stream.
-    fn flush(&mut self, _out: &mut Vec<Segment>) {}
-    /// `|D(o)| = |translations(o) ∪ inferences(o)|`: how many attribute
-    /// dependencies the operator's bound inversion must apportion across
-    /// (equi-split denominator, §IV-C).
-    fn dep_count(&self) -> usize {
-        1
-    }
     /// Forgets the null results a selective operator recorded. The plan
     /// calls this at the start of every push so [`Self::resolve_slack`]
     /// only ever reflects the push in progress — stale slack from an
@@ -85,8 +76,6 @@ pub struct CFilter {
     /// predicate; per-segment work is coefficient substitution.
     template: SystemTemplate,
     binding: Binding,
-    lineage: SharedLineage,
-    dep_count: usize,
     /// The last arrival's null result, if it had one.
     null: PendingSlack,
     /// Solver scratch shared by every arrival.
@@ -96,15 +85,11 @@ pub struct CFilter {
 
 impl CFilter {
     /// `pred` is normalized on construction (sqrt/abs elimination).
-    pub fn new(pred: Pred, binding: Binding, lineage: SharedLineage) -> Self {
-        let pred = pred.normalize();
-        let dep_count = pred.referenced_attrs().len().max(1);
-        let template = SystemTemplate::compile(&pred);
+    pub fn new(pred: Pred, binding: Binding) -> Self {
+        let template = SystemTemplate::compile(&pred.normalize());
         CFilter {
             template,
             binding,
-            lineage,
-            dep_count,
             null: PendingSlack::default(),
             scratch: SolveScratch::default(),
             m: OpMetrics::default(),
@@ -117,10 +102,11 @@ impl COperator for CFilter {
         "filter"
     }
 
-    fn process_traced(
+    fn process(
         &mut self,
         _input: usize,
         seg: &Segment,
+        lineage: &mut LineageStore,
         tr: &mut Tracer,
         out: &mut Vec<Segment>,
     ) {
@@ -154,7 +140,6 @@ impl COperator for CFilter {
             self.null.record(sys, seg.span);
             return;
         }
-        let mut lineage = self.lineage.lock();
         for span in sol.spans() {
             let piece = seg.restricted(*span);
             lineage.emit(&piece, &[seg.id]);
@@ -165,10 +150,6 @@ impl COperator for CFilter {
 
     fn metrics(&self) -> OpMetrics {
         self.m
-    }
-
-    fn dep_count(&self) -> usize {
-        self.dep_count
     }
 
     fn reset_slack(&mut self) {
@@ -194,17 +175,16 @@ pub struct CMap {
     slots: SlotMap,
     vm: ExprVm,
     binding: Binding,
-    lineage: SharedLineage,
     m: OpMetrics,
 }
 
 impl CMap {
-    pub fn new(exprs: Vec<pulse_model::Expr>, binding: Binding, lineage: SharedLineage) -> Self {
+    pub fn new(exprs: Vec<pulse_model::Expr>, binding: Binding) -> Self {
         let mut slots = SlotMap::new();
         let programs = exprs.iter().map(|e| VmProgram::compile(e, &mut slots)).collect();
         let mut vm = ExprVm::new();
         vm.ensure_slots(slots.len());
-        CMap { programs, slots, vm, binding, lineage, m: OpMetrics::default() }
+        CMap { programs, slots, vm, binding, m: OpMetrics::default() }
     }
 
     /// Projects `seg` through every program.
@@ -229,10 +209,11 @@ impl COperator for CMap {
         "map"
     }
 
-    fn process_traced(
+    fn process(
         &mut self,
         _input: usize,
         seg: &Segment,
+        lineage: &mut LineageStore,
         tr: &mut Tracer,
         out: &mut Vec<Segment>,
     ) {
@@ -242,7 +223,7 @@ impl COperator for CMap {
         tr.prof(t0, Phase::TemplateSubstitute);
         let Ok(models) = models else { return };
         let mapped = Segment::new(seg.key, seg.span, models, Vec::new());
-        self.lineage.lock().emit(&mapped, &[seg.id]);
+        lineage.emit(&mapped, &[seg.id]);
         self.m.items_out += 1;
         out.push(mapped);
     }
@@ -273,10 +254,11 @@ impl COperator for CUnion {
         "union"
     }
 
-    fn process_traced(
+    fn process(
         &mut self,
         _input: usize,
         seg: &Segment,
+        _lineage: &mut LineageStore,
         _tr: &mut Tracer,
         out: &mut Vec<Segment>,
     ) {
@@ -305,7 +287,6 @@ pub(crate) fn meaningful_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineage;
     use pulse_math::{CmpOp, Poly, Span};
     use pulse_model::{AttrKind, Expr, Schema};
 
@@ -319,30 +300,30 @@ mod tests {
 
     #[test]
     fn filter_emits_satisfying_subranges() {
-        let store = lineage::shared();
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let pred = Pred::cmp(Expr::attr(0), CmpOp::Lt, Expr::c(5.0));
-        let mut f = CFilter::new(pred, Binding::new(xv_schema()), store.clone());
+        let mut f = CFilter::new(pred, Binding::new(xv_schema()));
         // x = t on [0, 10): x < 5 holds on [0, 5).
         let s = seg(1, 0.0, 10.0, 0.0, 1.0);
         let mut out = Vec::new();
-        f.process(0, &s, &mut out);
+        f.process(0, &s, &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert!((out[0].span.hi - 5.0).abs() < 1e-8);
         assert_eq!(out[0].key, 1);
         // Lineage recorded.
-        assert_eq!(store.lock().parents_of(out[0].id), &[s.id]);
+        assert_eq!(store.parents_of(out[0].id), &[s.id]);
         assert_eq!(f.metrics().items_out, 1);
         assert!(f.resolve_slack().is_none());
     }
 
     #[test]
     fn filter_null_result_sets_slack() {
-        let store = lineage::shared();
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let pred = Pred::cmp(Expr::attr(0), CmpOp::Eq, Expr::c(100.0));
-        let mut f = CFilter::new(pred, Binding::new(xv_schema()), store);
+        let mut f = CFilter::new(pred, Binding::new(xv_schema()));
         // x = t on [0, 10): x never reaches 100; closest at t→10 → slack ≈ 90.
         let mut out = Vec::new();
-        f.process(0, &seg(0, 0.0, 10.0, 0.0, 1.0), &mut out);
+        f.process(0, &seg(0, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty());
         let slack = f.resolve_slack().unwrap();
         assert!((slack - 90.0).abs() < 1e-3, "slack {slack}");
@@ -350,11 +331,11 @@ mod tests {
 
     #[test]
     fn filter_point_result_from_equality() {
-        let store = lineage::shared();
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let pred = Pred::cmp(Expr::attr(0), CmpOp::Eq, Expr::c(5.0));
-        let mut f = CFilter::new(pred, Binding::new(xv_schema()), store);
+        let mut f = CFilter::new(pred, Binding::new(xv_schema()));
         let mut out = Vec::new();
-        f.process(0, &seg(0, 0.0, 10.0, 0.0, 1.0), &mut out);
+        f.process(0, &seg(0, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].span.is_point());
         assert!((out[0].span.lo - 5.0).abs() < 1e-8);
@@ -362,12 +343,12 @@ mod tests {
 
     #[test]
     fn filter_normalizes_abs() {
-        let store = lineage::shared();
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         // |x| < 3 with x = t − 5 on [0, 10): holds on (2, 8).
         let pred = Pred::cmp(Expr::Abs(Box::new(Expr::attr(0))), CmpOp::Lt, Expr::c(3.0));
-        let mut f = CFilter::new(pred, Binding::new(xv_schema()), store);
+        let mut f = CFilter::new(pred, Binding::new(xv_schema()));
         let mut out = Vec::new();
-        f.process(0, &seg(0, 0.0, 10.0, -5.0, 1.0), &mut out);
+        f.process(0, &seg(0, 0.0, 10.0, -5.0, 1.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert!((out[0].span.lo - 2.0).abs() < 1e-8);
         assert!((out[0].span.hi - 8.0).abs() < 1e-8);
@@ -375,15 +356,12 @@ mod tests {
 
     #[test]
     fn map_projects_models() {
-        let store = lineage::shared();
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         // diff = 2x − 1
-        let mut m = CMap::new(
-            vec![Expr::attr(0) * Expr::c(2.0) - Expr::c(1.0)],
-            Binding::new(xv_schema()),
-            store,
-        );
+        let mut m =
+            CMap::new(vec![Expr::attr(0) * Expr::c(2.0) - Expr::c(1.0)], Binding::new(xv_schema()));
         let mut out = Vec::new();
-        m.process(0, &seg(3, 0.0, 4.0, 1.0, 1.0), &mut out);
+        m.process(0, &seg(3, 0.0, 4.0, 1.0, 1.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].models[0], Poly::linear(1.0, 2.0));
         assert_eq!(out[0].key, 3);

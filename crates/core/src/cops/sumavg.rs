@@ -17,7 +17,7 @@
 //! segments flow into further operators like any model segment.
 
 use super::COperator;
-use crate::lineage::SharedLineage;
+use crate::lineage::LineageStore;
 use pulse_math::{Poly, Span, EPS};
 use pulse_model::{Segment, SegmentId};
 use pulse_obs::{TraceKind, Tracer};
@@ -68,12 +68,11 @@ pub struct CSumAvg {
     group: Vec<usize>,
     start: Option<f64>,
     emitted_until: f64,
-    lineage: SharedLineage,
     m: OpMetrics,
 }
 
 impl CSumAvg {
-    pub fn new(avg: bool, slot: usize, width: f64, lineage: SharedLineage) -> Self {
+    pub fn new(avg: bool, slot: usize, width: f64) -> Self {
         CSumAvg {
             avg,
             slot,
@@ -83,7 +82,6 @@ impl CSumAvg {
             group: Vec::new(),
             start: None,
             emitted_until: f64::NEG_INFINITY,
-            lineage,
             m: OpMetrics::default(),
         }
     }
@@ -153,10 +151,11 @@ impl COperator for CSumAvg {
         "sumavg"
     }
 
-    fn process_traced(
+    fn process(
         &mut self,
         _input: usize,
         seg: &Segment,
+        lineage: &mut LineageStore,
         tr: &mut Tracer,
         out: &mut Vec<Segment>,
     ) {
@@ -204,7 +203,6 @@ impl COperator for CSumAvg {
             }
             st.cuts.sort_by(f64::total_cmp);
             st.cuts.dedup_by(|a, b| (*a - *b).abs() < EPS);
-            let mut lineage = self.lineage.lock();
             for i in 1..st.cuts.len() {
                 let (a, b) = (st.cuts[i - 1], st.cuts[i]);
                 if b - a <= EPS || !self.window_fn(a, b, st) {
@@ -289,7 +287,6 @@ impl CSumAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineage;
 
     fn seg(key: u64, lo: f64, hi: f64, poly: Poly) -> Segment {
         Segment::single(key, Span::new(lo, hi), poly)
@@ -348,13 +345,14 @@ mod tests {
 
     #[test]
     fn window_fn_is_bit_identical_to_allocating_formula() {
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(13);
         let mut st = Staging::default();
         let (mut single, mut multi, mut gaps) = (0, 0, 0);
         for layout in 0..40 {
             let width = rng.gen_range(0.5..6.0);
-            let mut op = CSumAvg::new(layout % 2 == 1, 0, width, lineage::shared());
+            let mut op = CSumAvg::new(layout % 2 == 1, 0, width);
             let mut out = Vec::new();
             let mut t = 0.0;
             for _ in 0..30 {
@@ -370,7 +368,7 @@ mod tests {
                     .map(|_| if rng.gen_bool(0.1) { 1e-13 } else { rng.gen_range(-5.0..5.0) })
                     .collect();
                 c[0] += 100.0;
-                op.process(0, &seg(1, lo, hi, Poly::new(c)), &mut out);
+                op.process(0, &seg(1, lo, hi, Poly::new(c)), &mut store, &mut tr, &mut out);
                 t = hi;
                 let earliest = (op.history[0].span.lo + width - 0.5).min(t);
                 for _ in 0..10 {
@@ -402,10 +400,11 @@ mod tests {
 
     #[test]
     fn single_segment_window_matches_eq2() {
-        let mut op = CSumAvg::new(false, 0, 2.0, lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut op = CSumAvg::new(false, 0, 2.0);
         let mut out = Vec::new();
         // x = 3t on [0, 10): wf(t) = ∫_{t−2}^{t} 3u du = 3/2 (t² − (t−2)²) = 6t − 6.
-        op.process(0, &seg(1, 0.0, 10.0, Poly::linear(0.0, 3.0)), &mut out);
+        op.process(0, &seg(1, 0.0, 10.0, Poly::linear(0.0, 3.0)), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         let wf = &out[0].models[0];
         assert_eq!(out[0].span, Span::new(2.0, 10.0)); // first full window closes at 2
@@ -416,7 +415,8 @@ mod tests {
 
     #[test]
     fn multi_segment_window_uses_tail_and_constant() {
-        let mut op = CSumAvg::new(false, 0, 3.0, lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut op = CSumAvg::new(false, 0, 3.0);
         let mut out = Vec::new();
         let pieces = vec![
             (0.0, 2.0, Poly::linear(1.0, 0.5)),
@@ -424,7 +424,7 @@ mod tests {
             (4.0, 8.0, Poly::constant(2.0)),
         ];
         for (lo, hi, p) in &pieces {
-            op.process(0, &seg(1, *lo, *hi, p.clone()), &mut out);
+            op.process(0, &seg(1, *lo, *hi, p.clone()), &mut store, &mut tr, &mut out);
         }
         assert!(!out.is_empty());
         // Every emitted window function must match numeric integration.
@@ -450,9 +450,10 @@ mod tests {
 
     #[test]
     fn avg_divides_by_width() {
-        let mut op = CSumAvg::new(true, 0, 4.0, lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut op = CSumAvg::new(true, 0, 4.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, Poly::constant(6.0)), &mut out);
+        op.process(0, &seg(1, 0.0, 10.0, Poly::constant(6.0)), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         // avg of a constant is the constant.
         let wf = &out[0].models[0];
@@ -463,11 +464,12 @@ mod tests {
 
     #[test]
     fn no_emission_before_first_full_window() {
-        let mut op = CSumAvg::new(false, 0, 5.0, lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut op = CSumAvg::new(false, 0, 5.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 3.0, Poly::constant(1.0)), &mut out);
+        op.process(0, &seg(1, 0.0, 3.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
         assert!(out.is_empty(), "window not yet full");
-        op.process(0, &seg(1, 3.0, 6.0, Poly::constant(1.0)), &mut out);
+        op.process(0, &seg(1, 3.0, 6.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
         // Full windows close in [5, 6).
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].span, Span::new(5.0, 6.0));
@@ -476,11 +478,12 @@ mod tests {
 
     #[test]
     fn gap_in_coverage_suppresses_output() {
-        let mut op = CSumAvg::new(false, 0, 2.0, lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut op = CSumAvg::new(false, 0, 2.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 1.0, Poly::constant(1.0)), &mut out);
+        op.process(0, &seg(1, 0.0, 1.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
         // Gap [1, 5).
-        op.process(0, &seg(1, 5.0, 6.0, Poly::constant(1.0)), &mut out);
+        op.process(0, &seg(1, 5.0, 6.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
         // No close time in [5,6) has full coverage of [t−2, t]: tail would
         // sit in the gap.
         assert!(out.is_empty(), "{out:?}");
@@ -488,10 +491,11 @@ mod tests {
 
     #[test]
     fn quadratic_window_functions() {
-        let mut op = CSumAvg::new(false, 0, 1.0, lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut op = CSumAvg::new(false, 0, 1.0);
         let mut out = Vec::new();
         let p = Poly::new(vec![0.0, 0.0, 1.0]); // t²
-        op.process(0, &seg(1, 0.0, 4.0, p.clone()), &mut out);
+        op.process(0, &seg(1, 0.0, 4.0, p.clone()), &mut store, &mut tr, &mut out);
         let pieces = vec![(0.0, 4.0, p)];
         for piece in &out {
             let wf = &piece.models[0];
@@ -505,28 +509,29 @@ mod tests {
 
     #[test]
     fn window_value_reference() {
-        let mut op = CSumAvg::new(false, 0, 2.0, lineage::shared());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut op = CSumAvg::new(false, 0, 2.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, Poly::constant(3.0)), &mut out);
+        op.process(0, &seg(1, 0.0, 10.0, Poly::constant(3.0)), &mut store, &mut tr, &mut out);
         assert!((op.window_value(5.0).unwrap() - 6.0).abs() < 1e-9);
         assert!(op.window_value(1.0).is_none(), "incomplete window");
     }
 
     #[test]
     fn lineage_parents_cover_window() {
-        let store = lineage::shared();
-        let mut op = CSumAvg::new(false, 0, 3.0, store.clone());
+        let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+        let mut op = CSumAvg::new(false, 0, 3.0);
         let mut out = Vec::new();
         let s1 = seg(1, 0.0, 2.0, Poly::constant(1.0));
         let s2 = seg(1, 2.0, 4.0, Poly::constant(2.0));
         let s3 = seg(1, 4.0, 6.0, Poly::constant(3.0));
-        op.process(0, &s1, &mut out);
-        op.process(0, &s2, &mut out);
-        op.process(0, &s3, &mut out);
+        op.process(0, &s1, &mut store, &mut tr, &mut out);
+        op.process(0, &s2, &mut store, &mut tr, &mut out);
+        op.process(0, &s3, &mut store, &mut tr, &mut out);
         // A window closing in (4, 5) spans s1 (tail), s2 (covered), s3 (head).
         let multi =
             out.iter().find(|o| o.span.contains(4.5)).expect("window function covering close 4.5");
-        let parents = store.lock().parents_of(multi.id).to_vec();
+        let parents = store.parents_of(multi.id).to_vec();
         assert!(parents.contains(&s1.id) && parents.contains(&s2.id) && parents.contains(&s3.id));
     }
 }

@@ -61,7 +61,6 @@ impl HistoricalStore {
         for s in &self.segments {
             out.extend(plan.push(0, s));
         }
-        out.extend(plan.finish());
         Ok(out)
     }
 

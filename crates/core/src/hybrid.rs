@@ -269,9 +269,9 @@ impl HybridRuntime {
             // Compile once here so the per-worker compiles cannot fail.
             CPlan::compile(&b.plan)?;
         }
-        let suffix = CPlan::compile(&hp.suffix)?;
+        let mut suffix = CPlan::compile(&hp.suffix)?;
         // The merge stage inverts no bounds: its lineage needs no models.
-        suffix.lineage().lock().set_gradients(false);
+        suffix.lineage_mut().set_gradients(false);
         let n_sources = hp.branches.iter().flat_map(|b| &b.sources).max().map_or(0, |&s| s + 1);
         assert_eq!(predictors.len(), n_sources, "one predictor per original source");
         let branches: Vec<_> = hp.branches.iter().map(|b| (&b.sources[..], &b.plan)).collect();
@@ -398,8 +398,8 @@ impl HybridRuntime {
             self.send(s, Msg::Gc(t));
         }
         self.settle();
-        if let Some(m) = &self.merge {
-            m.suffix.lineage().lock().gc_before(t);
+        if let Some(m) = &mut self.merge {
+            m.suffix.lineage_mut().gc_before(t);
         }
     }
 
@@ -422,7 +422,7 @@ impl HybridRuntime {
         self.settle();
         if pulse_obs::enabled() {
             if let Some(m) = &self.merge {
-                m.suffix.export_metrics_labeled(pulse_obs::global(), &[("stage", "merge")]);
+                m.suffix.export_metrics(pulse_obs::global(), &[("stage", "merge")]);
             }
             pulse_obs::timeseries::store().sample(&pulse_obs::global().snapshot());
         }
@@ -578,10 +578,9 @@ impl HybridRuntime {
         for h in self.handles.drain(..) {
             run.absorb(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
         }
-        if let Some(mut m) = self.merge.take() {
+        if let Some(m) = self.merge.take() {
             // Every worker's buffer went to the final drain: the workers
             // returned no outputs.
-            m.outputs.extend(m.suffix.finish());
             run.metrics.absorb(&m.suffix.metrics());
             run.outputs = m.outputs;
         }
@@ -681,7 +680,7 @@ fn export_worker(rts: &[PulseRuntime], shard: usize) {
     for (b, rt) in rts.iter().enumerate() {
         let branch = b.to_string();
         let labels = [("shard", shard.as_str()), ("branch", branch.as_str())];
-        rt.export_metrics_labeled(pulse_obs::global(), &labels[..1 + several as usize]);
+        rt.export_metrics(pulse_obs::global(), &labels[..1 + several as usize]);
     }
 }
 
@@ -878,7 +877,7 @@ mod tests {
             }
         }
         // About 10 s of 2 segments/s survive, not 200 s.
-        let held = rt.merge.as_ref().unwrap().suffix.lineage().lock().len();
+        let held = rt.merge.as_ref().unwrap().suffix.lineage().len();
         assert!((1..100).contains(&held), "merge-stage lineage holds {held} snapshots");
         rt.finish();
     }
@@ -949,7 +948,7 @@ mod tests {
             })
             .collect();
         let mut suffix = CPlan::compile(&hp.suffix).unwrap();
-        suffix.lineage().lock().set_gradients(false);
+        suffix.lineage_mut().set_gradients(false);
         let mut window: Vec<(usize, Segment)> = Vec::new();
         let mut outputs = Vec::new();
         let mut merge = |window: &mut Vec<(usize, Segment)>, suffix: &mut CPlan| {
@@ -979,11 +978,10 @@ mod tests {
                 for rt in &mut rts {
                     rt.gc_before(cut);
                 }
-                suffix.lineage().lock().gc_before(cut);
+                suffix.lineage_mut().gc_before(cut);
             }
         }
         merge(&mut window, &mut suffix);
-        outputs.extend(suffix.finish());
         (outputs, rts)
     }
 

@@ -63,7 +63,7 @@ pub use eqsys::{DiffEq, SolveScratch, System, SystemTemplate, SOLVE_TOL};
 pub use historical::HistoricalStore;
 pub use hybrid::{ExplainHandle, HybridRun, HybridRuntime, ShardError, DEFAULT_BATCH};
 pub use index::SegmentIndex;
-pub use lineage::{LineageStore, SharedLineage};
+pub use lineage::LineageStore;
 pub use plan::{CPlan, TransformError};
 pub use runtime::{Heuristic, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats};
 pub use sampler::{SampleStaleness, Sampler};

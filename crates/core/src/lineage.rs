@@ -9,6 +9,10 @@
 //! segments. The paper notes lineage is cheap "due to a segment's
 //! compactness", and the layout below keeps it that way:
 //!
+//! * **One owner, no lock.** Each [`crate::CPlan`] owns its store and lends
+//!   it to an operator for the length of one `process` call; a plan runs
+//!   on one thread, so nothing is shared. A hybrid runtime's workers and
+//!   its merge stage each have a plan, and so a store, of their own.
 //! * **One snapshot per segment.** A segment is snapshotted when it enters
 //!   the plan (a pushed source segment) or leaves an operator (an output),
 //!   never again by the operators that consume it.
@@ -28,19 +32,9 @@
 //!   from them end within one prediction horizon of being registered, so
 //!   memory trails the horizon by at most that much.
 
-use parking_lot::Mutex;
 use pulse_math::{Poly, Span};
 use pulse_model::{Segment, SegmentId};
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
-
-/// Shared handle operators use to record lineage.
-pub type SharedLineage = Arc<Mutex<LineageStore>>;
-
-/// Creates a fresh shared store.
-pub fn shared() -> SharedLineage {
-    Arc::new(Mutex::new(LineageStore::default()))
-}
 
 /// Snapshots per chunk — the unit of allocation and of reclamation.
 const CHUNK: u64 = 1024;
@@ -183,6 +177,15 @@ impl std::fmt::Debug for LineageStore {
 }
 
 impl LineageStore {
+    /// Returns the store itself. A compatibility shim that keeps callers
+    /// written for the old mutex-guarded store (`lineage().lock().len()`)
+    /// compiling; the replay benchmark is the last one. Delete it once
+    /// ROADMAP item 2(b) moves the benchmark to [`crate::CPlan::lineage`].
+    #[doc(hidden)]
+    pub fn lock(&self) -> &Self {
+        self
+    }
+
     /// Whether snapshots registered from now on keep their models'
     /// derivatives. Only [`crate::validate::GradientSplit`] reads them, so
     /// a runtime inverting with the equi-split turns this off. On by
@@ -472,14 +475,6 @@ mod tests {
         // The parent list outlives the parent: inversion skips it.
         assert_eq!(store.parents_of(new.id), &[old.id]);
         assert!(store.parents_of(old.id).is_empty());
-    }
-
-    #[test]
-    fn shared_handle_is_cloneable() {
-        let s = shared();
-        let s2 = s.clone();
-        s.lock().register(&seg(0.0, 1.0));
-        assert_eq!(s2.lock().len(), 1);
     }
 
     #[test]

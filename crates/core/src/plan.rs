@@ -9,7 +9,7 @@
 
 use crate::binding::Binding;
 use crate::cops::{CFilter, CGroupBy, CJoin, CMap, CMinMax, COperator, CSumAvg, CUnion};
-use crate::lineage::{self, SharedLineage};
+use crate::lineage::LineageStore;
 use pulse_model::{Pred, Segment};
 use pulse_obs::Tracer;
 use pulse_stream::{AggFunc, LogicalOp, LogicalPlan, OpMetrics, PortRef};
@@ -66,7 +66,10 @@ pub struct CPlan {
     node_edges: Vec<Vec<Consumer>>,
     source_edges: Vec<Vec<Consumer>>,
     sinks: Vec<bool>,
-    lineage: SharedLineage,
+    /// Every segment the plan has seen or made, with its parents: what
+    /// bound inversion walks (§IV-B). Operators write to it through
+    /// [`COperator::process`].
+    lineage: LineageStore,
     bufs: PushBuffers,
     /// [`Self::last_slack`]: resolved at the end of a push that appended
     /// nothing, `None` after one that appended results.
@@ -85,7 +88,6 @@ impl CPlan {
     /// position its output had, so a sink over a source returns the pushed
     /// segment itself.
     pub fn compile(logical: &LogicalPlan) -> Result<CPlan, TransformError> {
-        let store = lineage::shared();
         let mut nodes = Vec::with_capacity(logical.nodes.len());
         let mut node_edges = vec![Vec::new(); logical.nodes.len()];
         let mut source_edges = vec![Vec::new(); logical.sources.len()];
@@ -97,18 +99,17 @@ impl CPlan {
                     if pred == Pred::True {
                         None
                     } else {
-                        Some(Box::new(CFilter::new(pred, in_schema(0), store.clone())))
+                        Some(Box::new(CFilter::new(pred, in_schema(0))))
                     }
                 }
                 LogicalOp::Map { exprs, .. } => {
-                    Some(Box::new(CMap::new(exprs.clone(), in_schema(0), store.clone())))
+                    Some(Box::new(CMap::new(exprs.clone(), in_schema(0))))
                 }
                 LogicalOp::Join { window, pred, on_keys } => Some(Box::new(CJoin::new(
                     *window,
                     pred.clone(),
                     *on_keys,
                     [in_schema(0), in_schema(1)],
-                    store.clone(),
                 ))),
                 LogicalOp::Union => Some(Box::new(CUnion::new())),
                 LogicalOp::Aggregate { func, attr, width, slide: _, group_by_key } => {
@@ -122,12 +123,11 @@ impl CPlan {
                         AggFunc::Min | AggFunc::Max => {
                             let is_min = matches!(func, AggFunc::Min);
                             if *group_by_key {
-                                let st = store.clone();
                                 Some(Box::new(CGroupBy::new(Box::new(move |_| {
-                                    Box::new(CMinMax::new(is_min, slot, width, st.clone()))
+                                    Box::new(CMinMax::new(is_min, slot, width))
                                 }))))
                             } else {
-                                Some(Box::new(CMinMax::new(is_min, slot, width, store.clone())))
+                                Some(Box::new(CMinMax::new(is_min, slot, width)))
                             }
                         }
                         AggFunc::Sum | AggFunc::Avg => {
@@ -135,9 +135,8 @@ impl CPlan {
                                 return Err(TransformError::NonGroupedSumAvg { node: i });
                             }
                             let avg = matches!(func, AggFunc::Avg);
-                            let st = store.clone();
                             Some(Box::new(CGroupBy::new(Box::new(move |_| {
-                                Box::new(CSumAvg::new(avg, slot, width, st.clone()))
+                                Box::new(CSumAvg::new(avg, slot, width))
                             }))))
                         }
                     }
@@ -178,7 +177,7 @@ impl CPlan {
             node_edges,
             source_edges,
             sinks,
-            lineage: store,
+            lineage: LineageStore::default(),
             bufs: PushBuffers::default(),
             slack: None,
         })
@@ -217,7 +216,7 @@ impl CPlan {
         for n in self.nodes.iter_mut().flatten() {
             n.reset_slack();
         }
-        self.lineage.lock().register(seg);
+        self.lineage.register(seg);
         let queue = &mut self.bufs.queue;
         queue.clear();
         queue.extend(self.source_edges[source].iter().map(|&(n, p)| (n, p, Self::SRC)));
@@ -242,7 +241,7 @@ impl CPlan {
     /// cloned. An entry for a pass-through sink, which has no operator,
     /// copies its input into the arena as a result.
     fn drain(&mut self, seg: &Segment, tr: &mut Tracer, results: &mut Vec<Segment>) {
-        let CPlan { nodes, node_edges, sinks, bufs, .. } = self;
+        let CPlan { nodes, node_edges, sinks, lineage, bufs, .. } = self;
         let PushBuffers { produced, is_result, queue, scratch } = bufs;
         while let Some((node, port, idx)) = queue.pop() {
             let input = if idx == Self::SRC { seg } else { &produced[idx] };
@@ -253,7 +252,7 @@ impl CPlan {
                 continue;
             };
             scratch.clear();
-            op.process_traced(port, input, tr, scratch);
+            op.process(port, input, lineage, tr, scratch);
             for out in scratch.drain(..) {
                 let oi = produced.len();
                 is_result.push(sinks[node]);
@@ -277,27 +276,6 @@ impl CPlan {
         out
     }
 
-    /// End-of-stream flush through the DAG: each flushed segment runs
-    /// through its node's consumers as a pushed segment would.
-    pub fn finish(&mut self) -> Vec<Segment> {
-        let mut results = Vec::new();
-        let mut pending = Vec::new();
-        for node in 0..self.nodes.len() {
-            let Some(op) = &mut self.nodes[node] else { continue };
-            op.flush(&mut pending);
-            for out in pending.drain(..) {
-                if self.sinks[node] {
-                    results.push(out);
-                    continue;
-                }
-                let queue = &mut self.bufs.queue;
-                queue.extend(self.node_edges[node].iter().map(|&(n, p)| (n, p, Self::SRC)));
-                self.drain(&out, &mut Tracer::off(), &mut results);
-            }
-        }
-        results
-    }
-
     /// Sum of all operator metrics.
     pub fn metrics(&self) -> OpMetrics {
         let mut m = OpMetrics::default();
@@ -319,29 +297,13 @@ impl CPlan {
     /// and the joins' state as `state.join_segments` (stored segments, both
     /// sides, including dead ones a keyed join's next sweep frees) /
     /// `state.join_horizons` (keyed joins' horizon log entries).
-    pub fn export_metrics(&self, reg: &pulse_obs::MetricsRegistry) {
-        self.export_metrics_with(reg, &|name| name.to_string());
-    }
-
-    /// [`Self::export_metrics`] with Prometheus-style labels attached to
-    /// every metric name (`cops.filter.items_in{shard="3"}`), so the
-    /// sharded runtime can publish every worker's operator counters into the
-    /// same registry without them clobbering each other.
-    pub fn export_metrics_labeled(
-        &self,
-        reg: &pulse_obs::MetricsRegistry,
-        labels: &[(&str, &str)],
-    ) {
-        self.export_metrics_with(reg, &|name| pulse_obs::labeled(name, labels));
-    }
-
-    /// Shared export core: publishes every operator's counters under the
-    /// name produced by `decorate` (identity or label block).
-    fn export_metrics_with(
-        &self,
-        reg: &pulse_obs::MetricsRegistry,
-        decorate: &dyn Fn(&str) -> String,
-    ) {
+    ///
+    /// `labels` are attached Prometheus-style to every name
+    /// (`cops.filter.items_in{shard="3"}`), so the hybrid runtime's
+    /// workers and merge stage publish into one registry without
+    /// clobbering each other; with none, the names are bare.
+    pub fn export_metrics(&self, reg: &pulse_obs::MetricsRegistry, labels: &[(&str, &str)]) {
+        let set = |name: &str, v: u64| reg.counter(&pulse_obs::labeled(name, labels)).set(v);
         let mut per: std::collections::BTreeMap<&'static str, OpMetrics> =
             std::collections::BTreeMap::new();
         for n in self.nodes.iter().flatten() {
@@ -349,12 +311,11 @@ impl CPlan {
         }
         for (name, m) in per {
             for (field, v) in m.fields() {
-                reg.counter(&decorate(&format!("cops.{name}.{field}"))).set(v);
+                set(&format!("cops.{name}.{field}"), v);
             }
         }
-        let lineage = self.lineage.lock();
-        reg.counter(&decorate("state.lineage_snapshots")).set(lineage.len() as u64);
-        reg.counter(&decorate("state.lineage_bytes")).set(lineage.heap_bytes() as u64);
+        set("state.lineage_snapshots", self.lineage.len() as u64);
+        set("state.lineage_bytes", self.lineage.heap_bytes() as u64);
         let (segments, horizons) =
             self.nodes.iter().flatten().filter_map(|n| n.as_any().downcast_ref::<CJoin>()).fold(
                 (0, 0),
@@ -363,13 +324,20 @@ impl CPlan {
                     (s + js, h + jh)
                 },
             );
-        reg.counter(&decorate("state.join_segments")).set(segments as u64);
-        reg.counter(&decorate("state.join_horizons")).set(horizons as u64);
+        set("state.join_segments", segments as u64);
+        set("state.join_horizons", horizons as u64);
     }
 
-    /// The shared lineage store (for bound inversion and validation).
-    pub fn lineage(&self) -> &SharedLineage {
+    /// The plan's lineage store (for bound inversion and validation).
+    pub fn lineage(&self) -> &LineageStore {
         &self.lineage
+    }
+
+    /// Mutable access to the lineage store, for its settings
+    /// ([`LineageStore::set_gradients`]) and garbage collection
+    /// ([`LineageStore::gc_before`]).
+    pub fn lineage_mut(&mut self) -> &mut LineageStore {
+        &mut self.lineage
     }
 
     /// Operator access for state inspection (e.g. sampling an envelope);
@@ -502,8 +470,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!((out[0].span.hi - 5.0).abs() < 1e-8);
         // Lineage chains back to both source segments.
-        let store = plan.lineage().lock();
-        let sources = store.sources_of(out[0].id);
+        let sources = plan.lineage().sources_of(out[0].id);
         assert_eq!(sources.len(), 2);
     }
 
@@ -646,15 +613,14 @@ mod tests {
                 assert_eq!(content(&passed.push(0, a)), content(&want));
                 assert_eq!(content(&solved.push(0, a)), content(&want));
                 // The solved filter snapshots each arrival once more.
-                let snaps = |p: &CPlan| p.lineage().lock().len();
+                let snaps = |p: &CPlan| p.lineage().len();
                 assert_eq!(snaps(&passed), snaps(&bare));
                 assert_eq!(snaps(&solved), snaps(&bare) + i + 1);
             }
-            assert_eq!(content(&passed.finish()), content(&bare.finish()));
             assert_eq!(passed.node_metrics(0), OpMetrics::default());
             assert_eq!(passed.metrics(), bare.metrics());
             let reg = pulse_obs::MetricsRegistry::new();
-            passed.export_metrics(&reg);
+            passed.export_metrics(&reg, &[]);
             let names = reg.snapshot().counters;
             assert!(names.iter().any(|(n, _)| n.starts_with("cops.minmax.")));
             assert!(!names.iter().any(|(n, _)| n.starts_with("cops.filter.")), "{names:?}");
@@ -670,9 +636,8 @@ mod tests {
                 assert_eq!(out.len(), 1);
                 assert_eq!(out[0].id, a.id);
                 assert_eq!(content(&out), content(std::slice::from_ref(a)));
-                assert_eq!(plan.lineage().lock().sources_of(out[0].id), vec![a.id]);
+                assert_eq!(plan.lineage().sources_of(out[0].id), vec![a.id]);
             }
-            assert!(plan.finish().is_empty());
         }
     }
 

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 /// How predictive segments are built for a source stream.
 ///
-/// `Clone` lets the sharded runtime hand each worker its own copy (the
+/// `Clone` lets the hybrid runtime hand each worker its own copy (the
 /// adaptive predictor's anchors live in the runtime's per-key
 /// `KeySlot`s, not here, so clones share nothing).
 #[derive(Debug, Clone)]
@@ -215,7 +215,7 @@ pub struct PulseRuntime {
     watermark: f64,
     obs: RuntimeObs,
     /// Flight recorder: single-writer ring owned by this runtime's thread
-    /// (the sharded runtime routes cross-thread explain queries here over
+    /// (a hybrid worker routes cross-thread explain queries here over
     /// the worker channel instead of reading the ring remotely).
     tracer: Tracer,
     /// Deferred violation solves (batched mode), in violation order.
@@ -255,9 +255,9 @@ impl PulseRuntime {
         cfg: RuntimeConfig,
     ) -> Result<Self, TransformError> {
         assert_eq!(predictors.len(), logical.sources.len(), "one predictor per source");
-        let plan = CPlan::compile(logical)?;
+        let mut plan = CPlan::compile(logical)?;
         // Only the gradient split reads the models' derivatives.
-        plan.lineage().lock().set_gradients(cfg.heuristic == Heuristic::Gradient);
+        plan.lineage_mut().set_gradients(cfg.heuristic == Heuristic::Gradient);
         let modeled = predictors.iter().map(|m| m.schema().modeled_indices()).collect();
         let unmodeled = predictors.iter().map(|m| m.schema().unmodeled_indices()).collect();
         let tracer = Tracer::ring(cfg.trace_capacity);
@@ -676,7 +676,7 @@ impl PulseRuntime {
             let solve_end = self.tracer.emit(solve_start, key, ts, kind);
             // Each OutputEmit walks lineage to its sources: emit work.
             let emit_t0 = pulse_obs::prof::start();
-            let store = self.plan.lineage().lock();
+            let store = self.plan.lineage();
             for out in new_outs {
                 let sources = store.sources_of(out.id).iter().map(|s| s.0).collect();
                 let kind = TraceKind::OutputEmit {
@@ -692,7 +692,6 @@ impl PulseRuntime {
                     aud.record_emit(out.key, out.span.lo, emit_id);
                 }
             }
-            drop(store);
             self.tracer.prof(emit_t0, pulse_obs::Phase::Emit);
         }
         self.stats.outputs += new_outs.len() as u64;
@@ -732,14 +731,14 @@ impl PulseRuntime {
     /// segment's allocation on the stream key that owns it (the split
     /// heuristics exist exactly to differentiate these shares, §IV-C).
     fn install_bounds(&mut self, outs: &[Segment], trigger_vkey: VKey) {
-        let store = self.plan.lineage().lock();
+        let store = self.plan.lineage();
         let equi = EquiSplit;
         let grad = GradientSplit;
         let heuristic: &dyn SplitHeuristic = match self.cfg.heuristic {
             Heuristic::Equi => &equi,
             Heuristic::Gradient => &grad,
         };
-        let inverter = BoundInverter::new(&store, heuristic, 1);
+        let inverter = BoundInverter::new(store, heuristic, 1);
         let output_bound = Bound::symmetric(self.cfg.bound);
         let alloc = &mut self.allocations;
         alloc.clear();
@@ -752,7 +751,6 @@ impl PulseRuntime {
                     .filter_map(|(sid, b)| self.seg_owner.get(sid).map(|&vk| (vk, *b))),
             );
         }
-        drop(store);
         // The triggering key always leaves with a fresh accuracy bound,
         // even if lineage didn't surface its segment (capped fan-in).
         if !alloc.iter().any(|(vk, _)| *vk == trigger_vkey) {
@@ -786,7 +784,7 @@ impl PulseRuntime {
 
     /// Garbage-collects lineage older than `t`.
     pub fn gc_before(&mut self, t: f64) {
-        self.plan.lineage().lock().gc_before(t);
+        self.plan.lineage_mut().gc_before(t);
     }
 
     /// Walks the flight recorder backwards for `key` over stream-time
@@ -818,7 +816,7 @@ impl PulseRuntime {
         if !pulse_obs::enabled() {
             return;
         }
-        self.export_metrics(pulse_obs::global());
+        self.export_metrics(pulse_obs::global(), &[]);
         pulse_obs::timeseries::store().sample(&pulse_obs::global().snapshot());
     }
 
@@ -837,37 +835,19 @@ impl PulseRuntime {
     }
 
     /// Publishes end-of-run totals into `reg`: the runtime counters (under
-    /// `runtime.*`), the validator's (`validate.*`), and every plan
-    /// operator's (`cops.*`). Live span histograms accumulate during the
-    /// run when observability is enabled; this fills in the totals that are
-    /// kept in plain fields for the hot path.
-    pub fn export_metrics(&self, reg: &pulse_obs::MetricsRegistry) {
-        self.export_metrics_with(reg, &|name| name.to_string());
-        self.plan.export_metrics(reg);
-    }
-
-    /// [`Self::export_metrics`] with Prometheus-style labels on every name
-    /// (`runtime.tuples_in{shard="3"}`) — shard workers export this way so
-    /// per-shard series share one metric family in the exposition.
-    pub fn export_metrics_labeled(
-        &self,
-        reg: &pulse_obs::MetricsRegistry,
-        labels: &[(&str, &str)],
-    ) {
-        self.export_metrics_with(reg, &|name| pulse_obs::labeled(name, labels));
-        self.plan.export_metrics_labeled(reg, labels);
-    }
-
-    /// Shared export core: runtime counters (under `runtime.*`), the
-    /// validator's (`validate.*`), the accuracy-telemetry gauges, and the
-    /// profiler's phase cells (`prof.*`), each published under the name
-    /// produced by `decorate` (identity or label block). Everything here
-    /// uses gauge semantics (`set`), so repeated exports are idempotent.
-    fn export_metrics_with(
-        &self,
-        reg: &pulse_obs::MetricsRegistry,
-        decorate: &dyn Fn(&str) -> String,
-    ) {
+    /// `runtime.*`), the validator's (`validate.*`), the accuracy-telemetry
+    /// gauges, the auditor's (`audit.*`), the profiler's phase cells
+    /// (`prof.*`) and every plan operator's (`cops.*`, see
+    /// [`CPlan::export_metrics`]). Live span histograms accumulate during
+    /// the run when observability is enabled; this fills in the totals
+    /// that are kept in plain fields for the hot path. Everything here uses
+    /// gauge semantics (`set`), so repeated exports are idempotent.
+    ///
+    /// `labels` are attached Prometheus-style to every name
+    /// (`runtime.tuples_in{shard="3"}`), so hybrid workers' series share
+    /// one metric family in the exposition; with none, the names are bare.
+    pub fn export_metrics(&self, reg: &pulse_obs::MetricsRegistry, labels: &[(&str, &str)]) {
+        let decorate = |name: &str| pulse_obs::labeled(name, labels);
         let s = &self.stats;
         for (name, v) in [
             ("runtime.tuples_in", s.tuples_in),
@@ -916,7 +896,8 @@ impl PulseRuntime {
                 reg.counter(&decorate(name)).set(v);
             }
         }
-        self.tracer.phases().export(reg, decorate);
+        self.tracer.phases().export(reg, labels);
+        self.plan.export_metrics(reg, labels);
     }
 }
 
@@ -1102,7 +1083,7 @@ mod tests {
         rt.on_tuple(0, &tup(9, 1.0, 1.0, 1.0)); // suppressed
         rt.on_tuple(0, &tup(9, 2.0, 50.0, 1.0)); // violation → re-solve
         pulse_obs::set_enabled(false);
-        rt.export_metrics(pulse_obs::global());
+        rt.export_metrics(pulse_obs::global(), &[]);
         let d = pulse_obs::global().snapshot().delta(&before);
         // ≥ because other tests in this binary may run concurrently.
         assert!(d.counter("runtime.tuples_in").unwrap() >= 3);

@@ -39,16 +39,18 @@ impl Sampler {
             return vec![eval(seg.span.lo)];
         }
         let step = 1.0 / self.rate;
-        let mut t = (seg.span.lo / step).ceil() * step;
-        if t < seg.span.lo {
-            t = seg.span.lo;
-        }
-        let mut out = Vec::new();
-        while t < seg.span.hi - EPS {
-            out.push(eval(t));
-            t += step;
-        }
-        out
+        let k0 = (seg.span.lo / step).ceil();
+        // `ceil` can land the first point an ulp short of the span.
+        let first = (k0 * step).max(seg.span.lo);
+        // Later points are their grid index times `step`, not a running
+        // sum: a sum drifts off the grid, and stops advancing once `step`
+        // is under half an ulp of `t`.
+        let later = ((k0 as i64).saturating_add(1)..=i64::MAX).map(|k| k as f64 * step);
+        std::iter::once(first)
+            .chain(later)
+            .take_while(|&t| t < seg.span.hi - EPS)
+            .map(eval)
+            .collect()
     }
 
     /// Tuples for a batch of segments, time-ordered.
@@ -110,6 +112,43 @@ mod tests {
         assert!((tuples[0].ts - 0.3).abs() < 1e-9);
         assert!((tuples[0].values[0] - 0.6).abs() < 1e-9);
         assert!((tuples.last().unwrap().ts - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn grid_points_do_not_drift() {
+        // A running sum of 0.1 drifts off `k · 0.1` within a few steps.
+        let s = Segment::single(1, Span::new(0.25, 1000.05), Poly::constant(0.0));
+        let tuples = Sampler::new(10.0).sample_segment(&s);
+        assert_eq!(tuples.len(), 9998);
+        for (k, tuple) in (3..).zip(&tuples) {
+            assert_eq!(tuple.ts.to_bits(), (k as f64 * 0.1).to_bits(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn steps_below_the_ulp_of_t_terminate() {
+        // Unix-epoch seconds at 100 MHz: the 1e-8 step is under half the
+        // ulp of 1.7e9 (2.4e-7), so `t += step` would never advance.
+        let (lo, hi, rate) = (1.7e9, 1.7e9 + 1e-5, 1e8);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sampler = std::thread::spawn(move || {
+            let s = Segment::single(1, Span::new(lo, hi), Poly::constant(0.0));
+            tx.send(Sampler::new(rate).sample_segment(&s)).expect("the test awaits the samples");
+        });
+        // A regression would loop, so bound the wait instead of hanging.
+        let tuples = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("sampling a sub-ulp grid must terminate");
+        sampler.join().expect("the sampling thread ran to its end");
+        // One sample per grid step of the span, up to the ulp the end
+        // rounds within.
+        let steps = (hi - lo) * rate;
+        let ulp_steps = (hi.next_up() - hi) * rate;
+        let n = tuples.len() as f64;
+        assert!(n >= steps - ulp_steps - 1.0 && n <= steps + 1.0, "{n} samples for {steps} steps");
+        assert_eq!(tuples[0].ts, lo);
+        assert!(tuples.windows(2).all(|w| w[0].ts <= w[1].ts));
+        assert!(tuples.iter().all(|t| t.ts >= lo && t.ts < hi));
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn injected_fault_is_detected_reported_and_flips_health() {
     assert_eq!(parent.key, 7);
 
     // 3. Exported breach counters drive the guarantee_breach health rule.
-    rt.export_metrics(pulse_obs::global());
+    rt.export_metrics(pulse_obs::global(), &[]);
     let rules =
         vec![health::Rule::new("guarantee_breach_t", health::Signal::GuaranteeBreaches, 1.0, 1)];
     let audit: AuditFn = Arc::new(move || Some(ledger.summary_json(8)));

@@ -142,7 +142,7 @@ impl Rule {
 /// doesn't install its own.
 pub fn default_rules() -> Vec<Rule> {
     vec![
-        // The sharded runtime's bounded channels hold 4 batches; a shard
+        // The hybrid runtime's bounded channels hold 4 batches; a worker
         // pinned at that depth across two polls means the router is
         // blocked on backpressure, not just momentarily busy.
         Rule::new("queue_saturated", Signal::QueueDepthMax, 4.0, 2),

@@ -248,12 +248,13 @@ impl PhaseTable {
     }
 
     /// Publishes the table as registry counters `prof.<phase>.ns` and
-    /// `prof.<phase>.count`, each name passed through `decorate` (identity
-    /// or label block — same scheme as the runtime's metric export).
-    pub fn export(&self, reg: &crate::MetricsRegistry, decorate: &dyn Fn(&str) -> String) {
+    /// `prof.<phase>.count`, with `labels` attached to each name (bare
+    /// when empty — same scheme as the runtime's metric export).
+    pub fn export(&self, reg: &crate::MetricsRegistry, labels: &[(&str, &str)]) {
         for &p in &Phase::ALL {
-            reg.counter(&decorate(&format!("prof.{}.ns", p.name()))).set(self.ns(p));
-            reg.counter(&decorate(&format!("prof.{}.count", p.name()))).set(self.count(p));
+            let name = |field: &str| crate::labeled(&format!("prof.{}.{field}", p.name()), labels);
+            reg.counter(&name("ns")).set(self.ns(p));
+            reg.counter(&name("count")).set(self.count(p));
         }
     }
 }
@@ -366,11 +367,11 @@ mod tests {
         let mut t = PhaseTable::default();
         t.record(Phase::TemplateSubstitute, 1234);
         t.record(Phase::RootIsolate, 4321);
-        t.export(&reg, &|n| n.to_string());
+        t.export(&reg, &[]);
         // A second labeled export merges into the family sum.
         let mut shard = PhaseTable::default();
         shard.record(Phase::RootIsolate, 1000);
-        shard.export(&reg, &|n| crate::labeled(n, &[("shard", "1")]));
+        shard.export(&reg, &[("shard", "1")]);
         let back = table_from_snapshot(&reg.snapshot());
         assert_eq!(back.ns(Phase::TemplateSubstitute), 1234);
         assert_eq!(back.ns(Phase::RootIsolate), 5321);

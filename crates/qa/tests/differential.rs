@@ -47,16 +47,16 @@ fn differential_three_way_oracle() {
     // all five operator kinds, both partitioning regimes, and a nonzero
     // number of checks in every comparator family.
     assert!(kinds.iter().all(|&k| k > 0), "operator kinds uncovered: {kinds:?}");
-    assert!(partitionable > 0, "no partitionable case ran the sharded runtime");
+    assert!(partitionable > 0, "no partitionable case ran the hybrid runtime");
     assert!(fallback > 0, "no non-partitionable case exercised the fallback path");
     assert!(totals.value_points > 0, "no passthrough values compared");
     assert!(totals.coverage_points > 0, "no coverage instants compared");
     assert!(totals.join_points > 0, "no join matches compared");
     assert!(totals.minmax_points > 0, "no min/max windows compared");
     assert!(totals.sumavg_points > 0, "no sum/avg windows compared");
-    assert!(totals.shard_outputs > 0, "no sharded outputs compared");
+    assert!(totals.shard_outputs > 0, "no hybrid worker outputs compared");
     eprintln!(
-        "differential oracle: {cases} cases, kinds {kinds:?}, {partitionable} sharded / {fallback} fallback, \
+        "differential oracle: {cases} cases, kinds {kinds:?}, {partitionable} hybrid / {fallback} fallback, \
          checks: {} values, {} coverage, {} join, {} minmax, {} sumavg, {} shard segments ({} skipped)",
         totals.value_points,
         totals.coverage_points,
@@ -69,7 +69,7 @@ fn differential_three_way_oracle() {
 }
 
 /// Satellite: a generated *non-partitionable* plan must be rejected by the
-/// sharded builder with the exact violation the logical plan reports, and
+/// hybrid runtime's builder with the exact violation the logical plan reports, and
 /// the single-threaded fallback must be deterministic. `run_case` asserts
 /// all of that internally; this test pins one such case explicitly so the
 /// property has a named, always-on regression test even if the randomized

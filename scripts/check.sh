@@ -39,7 +39,7 @@ echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 # The vendored stand-ins under vendor/ are excluded: they mirror upstream
 # APIs and are not this project's documentation.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
-  --exclude bytes --exclude criterion --exclude parking_lot --exclude proptest \
+  --exclude bytes --exclude criterion --exclude proptest \
   --exclude rand --exclude serde --exclude serde_derive --exclude serde_json
 
 echo "== cargo test --workspace -q (differential suite at its default budget)"

@@ -2,9 +2,10 @@
 //! operators, on randomized inputs.
 
 use proptest::prelude::*;
-use pulse::core::{lineage, Binding, CFilter, CMinMax, COperator, CSumAvg, Sampler};
+use pulse::core::{Binding, CFilter, CMinMax, COperator, CSumAvg, LineageStore, Sampler};
 use pulse::math::{CmpOp, Poly, Span};
 use pulse::model::{AttrKind, Expr, Piecewise, Pred, Schema, Segment};
+use pulse::obs::Tracer;
 
 fn xschema() -> Schema {
     Schema::of(&[("x", AttrKind::Modeled)])
@@ -102,10 +103,10 @@ proptest! {
         thr in -15.0..15.0_f64,
     ) {
         let pred = Pred::cmp(Expr::attr(0), CmpOp::Lt, Expr::c(thr));
-        let mut f = CFilter::new(pred, Binding::new(xschema()), lineage::shared());
+        let mut f = CFilter::new(pred, Binding::new(xschema()));
         let seg = Segment::single(0, Span::new(0.0, 10.0), Poly::linear(icpt, slope));
         let mut out = Vec::new();
-        f.process(0, &seg, &mut out);
+        f.process(0, &seg, &mut LineageStore::default(), &mut Tracer::off(), &mut out);
         let model = |t: f64| icpt + slope * t;
         for o in &out {
             prop_assert!(seg.span.contains_span(&o.span));
@@ -133,7 +134,7 @@ proptest! {
             1..8,
         )
     ) {
-        let mut op = CMinMax::new(true, 0, 1e6, lineage::shared());
+        let mut op = CMinMax::new(true, 0, 1e6);
         let mut all = Vec::new();
         let mut sorted = segs.clone();
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -141,7 +142,7 @@ proptest! {
             let s = Segment::single(key as u64, Span::new(*lo, lo + len), Poly::linear(*icpt, *slope));
             all.push(s.clone());
             let mut out = Vec::new();
-            op.process(0, &s, &mut out);
+            op.process(0, &s, &mut LineageStore::default(), &mut Tracer::off(), &mut out);
         }
         for i in 0..60 {
             let t = 0.25 + i as f64 * 0.5;
@@ -162,10 +163,10 @@ proptest! {
     /// contiguous piecewise-linear chains.
     #[test]
     fn window_functions_match_integration(chain in seg_chain(6), width in 0.5..4.0_f64) {
-        let mut op = CSumAvg::new(false, 0, width, lineage::shared());
+        let mut op = CSumAvg::new(false, 0, width);
         let mut outs = Vec::new();
         for s in &chain {
-            op.process(0, s, &mut outs);
+            op.process(0, s, &mut LineageStore::default(), &mut Tracer::off(), &mut outs);
         }
         let numeric = |t: f64| -> f64 {
             let mut acc = 0.0;

@@ -4,9 +4,10 @@
 //! continuous join against pointwise predicate evaluation.
 
 use proptest::prelude::*;
-use pulse::core::{lineage, Binding, CJoin, COperator};
+use pulse::core::{Binding, CJoin, COperator, LineageStore};
 use pulse::math::{CmpOp, Poly, RangeSet, Span};
 use pulse::model::{AttrKind, Expr, Pred, Schema, Segment};
+use pulse::obs::Tracer;
 use pulse::stream::KeyJoin;
 
 fn arb_rangeset() -> impl Strategy<Value = RangeSet> {
@@ -75,13 +76,12 @@ proptest! {
             pred,
             KeyJoin::Any,
             [Binding::new(schema.clone()), Binding::new(schema)],
-            lineage::shared(),
         );
         let l = Segment::single(1, Span::new(0.0, 10.0), Poly::linear(li, ls));
         let r = Segment::single(2, Span::new(0.0, 10.0), Poly::linear(ri, rs));
-        let mut out = Vec::new();
-        join.process(0, &l, &mut out);
-        join.process(1, &r, &mut out);
+        let (mut store, mut out) = (LineageStore::default(), Vec::new());
+        join.process(0, &l, &mut store, &mut Tracer::off(), &mut out);
+        join.process(1, &r, &mut store, &mut Tracer::off(), &mut out);
         let lv = |t: f64| li + ls * t;
         let rv = |t: f64| ri + rs * t;
         for o in &out {
