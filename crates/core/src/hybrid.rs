@@ -20,7 +20,12 @@
 //!   no validator; the accuracy contract is enforced at the branch sinks.
 //!
 //! Tuples travel in batches over bounded channels (backpressure), and a
-//! worker handles its channel in FIFO order. Merge inputs are
+//! worker handles its channel in FIFO order. A batch is a set of reused
+//! columns (`Rows`): routing a tuple appends its fields to the columns
+//! instead of cloning it, and the worker reads each row back through one
+//! scratch [`Tuple`]. An emptied batch returns to the router over a
+//! free-list channel, so once warm the route allocates nothing per tuple
+//! and the buffers cycle between router and workers. Merge inputs are
 //! synchronized every [`HybridRuntime::SYNC_EVERY`] routed tuples and at
 //! finish. Sync point *k* asks every worker for the result segments of
 //! the tuples routed since sync point *k − 1* (drain *k*), then merges
@@ -48,10 +53,11 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Tuples per channel message. Large enough that the per-message
-/// synchronization and allocation cost vanishes against per-tuple work,
-/// small enough that batches stay cache-resident and backpressure stays
-/// responsive.
+/// Rows per channel message. Large enough that the per-message
+/// synchronization cost vanishes against per-tuple work, small enough that
+/// batches stay cache-resident and backpressure stays responsive. Batch
+/// buffers are recycled through a free list, so the size costs no
+/// allocation once the buffers have grown to it.
 pub const DEFAULT_BATCH: usize = 256;
 
 /// Batches in flight per worker before `send` blocks (bounded
@@ -103,12 +109,59 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// previous drain, in emission order.
 type Drained = Vec<(usize, Segment)>;
 
+/// One batch of routed `(slot, tuple)` rows, stored by column. A slot
+/// names a `(branch, local_source)` pair; with one branch it is the plan's
+/// own source index. Row `i`'s values are `values[ends[i - 1]..ends[i]]`
+/// (from 0 for the first row). Clearing keeps every column's capacity, so
+/// a recycled batch takes rows without allocating.
+#[derive(Debug, Default)]
+struct Rows {
+    slots: Vec<usize>,
+    keys: Vec<u64>,
+    ts: Vec<f64>,
+    values: Vec<f64>,
+    ends: Vec<usize>,
+}
+
+impl Rows {
+    fn push(&mut self, slot: usize, tuple: &Tuple) {
+        self.slots.push(slot);
+        self.keys.push(tuple.key);
+        self.ts.push(tuple.ts);
+        self.values.extend_from_slice(&tuple.values);
+        self.ends.push(self.values.len());
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Copies row `i` into `into`, reusing its values buffer.
+    fn read(&self, i: usize, into: &mut Tuple) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        into.key = self.keys[i];
+        into.ts = self.ts[i];
+        into.values.clear();
+        into.values.extend_from_slice(&self.values[start..self.ends[i]]);
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.keys.clear();
+        self.ts.clear();
+        self.values.clear();
+        self.ends.clear();
+    }
+}
+
 /// Work sent to a worker.
 enum Msg {
-    /// `(slot, tuple)` pairs, all keys owned by this worker. A slot names
-    /// a `(branch, local_source)` pair; with one branch it is the plan's
-    /// own source index.
-    Batch(Vec<(usize, Tuple)>),
+    /// Rows for keys this worker owns, in routing order.
+    Batch(Rows),
     /// Hand back every result segment produced since the last drain,
     /// tagged with its branch, in emission order.
     Drain(SyncSender<Drained>),
@@ -195,7 +248,9 @@ pub struct HybridRuntime {
     txs: Vec<SyncSender<Msg>>,
     handles: Vec<JoinHandle<HybridRun>>,
     /// Per-worker batch under construction.
-    pending: Vec<Vec<(usize, Tuple)>>,
+    pending: Vec<Rows>,
+    /// Emptied batches the workers handed back, for the next flush.
+    free: Receiver<Rows>,
     batch: usize,
     /// `feeds[original_source]` = every slot that consumes it (a source
     /// shared by two branches fans out).
@@ -296,6 +351,11 @@ impl HybridRuntime {
             feeds[orig].push(slot);
         }
         let obs_on = pulse_obs::enabled();
+        // Room for every batch that can exist at once (one pending per
+        // worker, a full channel, one in hand on each side of it), so a
+        // worker's return never blocks; a batch that finds the list full
+        // is simply freed.
+        let (free_tx, free) = sync_channel(shards * (CHANNEL_DEPTH + 3));
         let mut txs = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut depths = Vec::with_capacity(shards);
@@ -314,6 +374,7 @@ impl HybridRuntime {
             });
             let depth = Arc::new(Depth { batches: AtomicU64::new(0), gauge });
             depths.push(Arc::clone(&depth));
+            let free = free_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("pulse-shard-{i}"))
                 .spawn(move || {
@@ -327,7 +388,7 @@ impl HybridRuntime {
                                 .expect("plan compiled before spawn")
                         })
                         .collect();
-                    work(rx, rts, &slots, &depth, i)
+                    work(rx, free, rts, &slots, &depth, i)
                 })
                 .expect("spawn shard worker");
             txs.push(tx);
@@ -336,7 +397,8 @@ impl HybridRuntime {
         HybridRuntime {
             txs,
             handles,
-            pending: vec![Vec::new(); shards],
+            pending: (0..shards).map(|_| Rows::default()).collect(),
+            free,
             batch: DEFAULT_BATCH,
             feeds,
             merge,
@@ -372,15 +434,20 @@ impl HybridRuntime {
     /// that consumes `source`. Batches internally; the send blocks
     /// (backpressure) when the worker is `CHANNEL_DEPTH` batches behind.
     /// Result segments surface at [`Self::finish`].
+    ///
+    /// A tuple with a NaN or infinite timestamp still goes to its worker,
+    /// which counts and drops it, but does not advance the merge stage's
+    /// sync clock: the windows, and so the merge outputs, are those of the
+    /// stream without it.
     pub fn on_tuple(&mut self, source: usize, tuple: &Tuple) {
         let s = self.shard_of(tuple.key);
         for &slot in &self.feeds[source] {
-            self.pending[s].push((slot, tuple.clone()));
+            self.pending[s].push(slot, tuple);
         }
         if self.pending[s].len() >= self.batch {
             self.flush(s);
         }
-        if self.merge.is_some() {
+        if self.merge.is_some() && tuple.ts.is_finite() {
             self.since_sync += 1;
             if self.since_sync >= self.sync_every {
                 self.sync();
@@ -478,7 +545,8 @@ impl HybridRuntime {
         if self.pending[shard].is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.pending[shard]);
+        let spare = self.free.try_recv().unwrap_or_default();
+        let batch = std::mem::replace(&mut self.pending[shard], spare);
         // Count the batch before the (possibly blocking) send so a stalled
         // router reads as a full queue, not an idle one.
         let depth = &self.depths[shard];
@@ -592,6 +660,7 @@ impl HybridRuntime {
 /// until every sender is gone), then rolls its branch runtimes up.
 fn work(
     rx: Receiver<Msg>,
+    free: SyncSender<Rows>,
     mut rts: Vec<PulseRuntime>,
     slots: &[(usize, usize)],
     depth: &Depth,
@@ -600,25 +669,31 @@ fn work(
     // Branch-tagged result segments since the last drain (with no merge
     // stage, since the start: they go back at the end).
     let mut buffer: Drained = Vec::new();
+    // The row being fed, and one batch's outputs of one branch.
+    let mut tuple = Tuple::new(0, 0.0, Vec::new());
+    let mut outs = Vec::new();
     while let Ok(msg) = rx.recv() {
         match msg {
-            Msg::Batch(batch) => {
+            Msg::Batch(mut rows) => {
                 depth.show(depth.batches.fetch_sub(1, Ordering::Relaxed) - 1);
-                if let [rt] = rts.as_mut_slice() {
-                    // One branch: its slots are its own source indices.
-                    buffer.extend(rt.on_pairs(&batch).into_iter().map(|s| (0, s)));
-                } else {
-                    let mut per: Vec<Vec<(usize, Tuple)>> = vec![Vec::new(); rts.len()];
-                    for (slot, t) in batch {
-                        let (b, local) = slots[slot];
-                        per[b].push((local, t));
-                    }
-                    for (b, pairs) in per.into_iter().enumerate() {
-                        if !pairs.is_empty() {
-                            buffer.extend(rts[b].on_pairs(&pairs).into_iter().map(|s| (b, s)));
+                // Each branch takes its rows in routing order, then drains
+                // its deferred solves: `PulseRuntime::on_pairs` over the
+                // branch's share of the batch. With one branch a slot is
+                // the plan's own source index.
+                for (b, rt) in rts.iter_mut().enumerate() {
+                    for (i, &slot) in rows.slots.iter().enumerate() {
+                        let (branch, local) = slots[slot];
+                        if branch == b {
+                            rows.read(i, &mut tuple);
+                            rt.batched_one(local, &tuple, &mut outs);
                         }
                     }
+                    rt.drain_pending(&mut outs);
+                    buffer.extend(outs.drain(..).map(|s| (b, s)));
                 }
+                rows.clear();
+                // A full list or a finished router: the batch is freed.
+                let _ = free.try_send(rows);
             }
             // A dead reply slot (a querier that gave up, an unwinding
             // router) is ignored.
@@ -930,10 +1005,12 @@ mod tests {
     /// thread (returned with its branch runtimes): a runtime per branch
     /// fed tuple by tuple, and every `sync_every` tuples (and at the end)
     /// the outputs since the last sync sorted by `(span.lo, branch, key)`
-    /// and pushed through the wiring into the merge stage. `gc_at(i)` collects lineage older than the
-    /// returned time everywhere after tuple `i`.
+    /// and pushed through the wiring into the merge stage. `preds` holds
+    /// one predictor per original source. `gc_at(i)` collects lineage
+    /// older than the returned time everywhere after tuple `i`.
     fn barrier_model(
         hp: &HybridPlan,
+        preds: &[Predictor],
         cfg: &RuntimeConfig,
         feed: &[(usize, Tuple)],
         sync_every: usize,
@@ -943,7 +1020,7 @@ mod tests {
             .branches
             .iter()
             .map(|b| {
-                let preds = b.sources.iter().map(|_| Predictor::AdaptiveLinear(price())).collect();
+                let preds = b.sources.iter().map(|&o| preds[o].clone()).collect();
                 PulseRuntime::with_predictors(preds, &b.plan, cfg.clone()).unwrap()
             })
             .collect();
@@ -986,7 +1063,8 @@ mod tests {
     }
 
     /// Ordered, id-blind bit pattern of a run's outputs.
-    fn ordered_bits(outs: &[Segment]) -> Vec<(u64, [u64; 2], Vec<Vec<u64>>)> {
+    #[allow(clippy::type_complexity)]
+    fn ordered_bits(outs: &[Segment]) -> Vec<(u64, [u64; 2], Vec<Vec<u64>>, Vec<u64>)> {
         outs.iter()
             .map(|s| {
                 (
@@ -996,6 +1074,7 @@ mod tests {
                         .iter()
                         .map(|p| p.coeffs().iter().map(|c| c.to_bits()).collect())
                         .collect(),
+                    s.unmodeled.iter().map(|u| u.to_bits()).collect(),
                 )
             })
             .collect()
@@ -1015,12 +1094,13 @@ mod tests {
             let hp = partition_rewrite(&lp).expect("must split");
             let feed = noisy_feed(sources, 7, 87);
             let gc_at = |i: usize| (i % 150 == 149).then(|| feed[i].1.ts - 2.0);
+            let preds = vec![Predictor::AdaptiveLinear(price()); sources];
             for sync_every in [1, 5, 64] {
-                let (want, _) = barrier_model(&hp, &cfg, &feed, sync_every, &gc_at);
+                let (want, _) = barrier_model(&hp, &preds, &cfg, &feed, sync_every, &gc_at);
                 assert!(want.len() > 20, "{} merge outputs", want.len());
                 for shards in 1..=3 {
-                    let preds = vec![Predictor::AdaptiveLinear(price()); sources];
-                    let mut rt = HybridRuntime::new(preds, &hp, cfg.clone(), shards).unwrap();
+                    let mut rt =
+                        HybridRuntime::new(preds.clone(), &hp, cfg.clone(), shards).unwrap();
                     rt.set_batch(3);
                     rt.set_sync_every(sync_every);
                     for (i, (source, t)) in feed.iter().enumerate() {
@@ -1037,6 +1117,75 @@ mod tests {
                         ordered_bits(&got) == ordered_bits(&want),
                         "{sources} source(s), {shards} shards, sync every {sync_every}: \
                          {} outputs, barrier model {}",
+                        got.len(),
+                        want.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Column batches carry each row's own values, fan a source out to
+    /// every branch that reads it, and keep every key's rows in routing
+    /// order, whatever the batch size: on two sources of different arity,
+    /// on one source read by two branches, and on one branch wired to both
+    /// sides of the merge join, the merge outputs equal the barrier model's
+    /// in order.
+    #[test]
+    fn column_batches_keep_per_key_order() {
+        let cfg = RuntimeConfig { horizon: 5.0, bound: 0.05, ..Default::default() };
+        let wide = Schema::of(&[("price", AttrKind::Modeled), ("volume", AttrKind::Unmodeled)]);
+        let below = LogicalOp::Filter { pred: Pred::cmp(Expr::attr(0), CmpOp::Lt, Expr::c(53.0)) };
+        let join = LogicalOp::Join {
+            window: 0.5,
+            pred: Pred::cmp(Expr::attr_of(0, 0), CmpOp::Lt, Expr::attr_of(1, 0)),
+            on_keys: KeyJoin::Ne,
+        };
+        // Source 0 carries one value, source 1 two: one branch each.
+        let mut arity = LogicalPlan::new(vec![price(), wide.clone()]);
+        let f = arity.add(below.clone(), vec![PortRef::Source(0)]);
+        arity.add(join.clone(), vec![f, PortRef::Source(1)]);
+        // One source, read by a filtered branch and a bare one.
+        let mut fan = LogicalPlan::new(vec![wide.clone()]);
+        let f = fan.add(below.clone(), vec![PortRef::Source(0)]);
+        fan.add(join.clone(), vec![f, PortRef::Source(0)]);
+        // One branch wired to both sides of the merge join.
+        let mut both = LogicalPlan::new(vec![wide.clone()]);
+        let f = both.add(below, vec![PortRef::Source(0)]);
+        both.add(join, vec![f, f]);
+        // Each plan with its sources' schemas, and the original sources of
+        // each branch and the branch of each merge input that the rewrite
+        // must produce for it.
+        for (name, lp, schemas, sources, wiring) in [
+            ("arity", arity, vec![price(), wide.clone()], vec![vec![0], vec![1]], vec![0, 1]),
+            ("fan-out", fan, vec![wide.clone()], vec![vec![0], vec![0]], vec![0, 1]),
+            ("self-join", both, vec![wide], vec![vec![0]], vec![0, 0]),
+        ] {
+            let hp = partition_rewrite(&lp).expect("must split");
+            let branch_sources: Vec<_> = hp.branches.iter().map(|b| b.sources.clone()).collect();
+            assert_eq!((branch_sources, &hp.wiring), (sources, &wiring), "{name}");
+            let mut feed = noisy_feed(schemas.len(), 7, 87);
+            for (source, t) in &mut feed {
+                if schemas[*source].len() == 2 {
+                    t.values.push(1000.0 + t.key as f64 + t.ts);
+                }
+            }
+            let preds: Vec<_> = schemas.into_iter().map(Predictor::AdaptiveLinear).collect();
+            let (want, _) = barrier_model(&hp, &preds, &cfg, &feed, 64, &|_| None);
+            assert!(want.len() > 20, "{name}: {} merge outputs", want.len());
+            for shards in 1..=3 {
+                for batch in [1, 7, DEFAULT_BATCH] {
+                    let mut rt =
+                        HybridRuntime::new(preds.clone(), &hp, cfg.clone(), shards).unwrap();
+                    rt.set_batch(batch);
+                    rt.set_sync_every(64);
+                    for (source, t) in &feed {
+                        rt.on_tuple(*source, t);
+                    }
+                    let got = rt.finish().outputs;
+                    assert!(
+                        ordered_bits(&got) == ordered_bits(&want),
+                        "{name}, {shards} shards, batch {batch}: {} outputs, barrier model {}",
                         got.len(),
                         want.len()
                     );
@@ -1063,7 +1212,8 @@ mod tests {
         for (lp, sources) in [(min, 1), (join_plan(), 2)] {
             let hp = partition_rewrite(&lp).expect("must split");
             let feed = noisy_feed(sources, 7, 87);
-            let (_, model) = barrier_model(&hp, &cfg, &feed, 64, &|_| None);
+            let preds = vec![Predictor::AdaptiveLinear(price()); sources];
+            let (_, model) = barrier_model(&hp, &preds, &cfg, &feed, 64, &|_| None);
             let mut want = AuditLedger::default();
             for ledger in model.iter().filter_map(PulseRuntime::audit_ledger) {
                 want.absorb(ledger);
@@ -1074,8 +1224,7 @@ mod tests {
             };
             assert!((0..7).all(|key| solves(key) > 0), "{sources} source(s): no solves traced");
             for shards in 1..=3 {
-                let preds = vec![Predictor::AdaptiveLinear(price()); sources];
-                let mut rt = HybridRuntime::new(preds, &hp, cfg.clone(), shards).unwrap();
+                let mut rt = HybridRuntime::new(preds.clone(), &hp, cfg.clone(), shards).unwrap();
                 rt.set_sync_every(64);
                 for (source, t) in &feed {
                     rt.on_tuple(*source, t);

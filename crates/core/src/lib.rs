@@ -68,6 +68,6 @@ pub use plan::{CPlan, TransformError};
 pub use runtime::{Heuristic, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats};
 pub use sampler::{SampleStaleness, Sampler};
 pub use validate::{
-    AccuracySummary, BoundInverter, EquiSplit, GradientSplit, KeyAccuracy, SplitHeuristic, VKey,
-    ValidationMode, Validator, ValidatorStats,
+    AccuracySummary, BoundInverter, EquiSplit, GradientSplit, KeyAccuracy, KeyState,
+    SplitHeuristic, VKey, ValidationMode, Validator, ValidatorStats,
 };

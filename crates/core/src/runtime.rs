@@ -11,8 +11,8 @@ use crate::audit::ShadowAuditor;
 use crate::keymap::{KeyMap, KeySet};
 use crate::plan::{CPlan, TransformError};
 use crate::validate::{
-    keep_tightest, Bound, BoundInverter, EquiSplit, GradientSplit, InvertScratch, SplitHeuristic,
-    VKey, Validator,
+    keep_tightest, AccuracySummary, Bound, BoundInverter, EquiSplit, GradientSplit, InvertScratch,
+    KeyState, SplitHeuristic, VKey, ValidationMode, Validator,
 };
 use pulse_math::{Poly, Span};
 use pulse_model::{Models, Schema, Segment, SegmentId, StreamModel, Tuple};
@@ -179,13 +179,18 @@ struct PendingSolve {
     validation: u64,
 }
 
-/// Everything the runtime keeps per `(source, key)` between re-models:
-/// the live predictive segment, and for an adaptive source the anchor the
-/// next slope is measured from. A re-model overwrites the slot in place,
-/// so a key that keeps violating reuses its buffers instead of allocating
-/// a segment per violation.
+/// Everything the runtime keeps per `(source, key)`: the live predictive
+/// segment, the key's validation state, and for an adaptive source the
+/// anchor the next slope is measured from. A re-model overwrites the slot
+/// in place, so a key that keeps violating reuses its buffers instead of
+/// allocating a segment per violation. Holding the validation state here
+/// makes a suppressed tuple cost one map lookup: the slot found for the
+/// segment is the one the validator checks and updates.
 struct KeySlot {
     seg: Segment,
+    /// The installed validation mode and its accuracy accounting (`None`
+    /// until the key's first solve installs a mode).
+    validation: Option<KeyState>,
     /// Timestamp of the key's last re-model (adaptive sources only).
     anchor_ts: f64,
     /// Modeled values at `anchor_ts`, parallel to the source's modeled
@@ -203,13 +208,17 @@ pub struct PulseRuntime {
     unmodeled: Vec<Vec<usize>>,
     plan: CPlan,
     cfg: RuntimeConfig,
-    /// Current predictive segment (and adaptive anchor) per (source, key).
-    slots: KeyMap<(usize, u64), KeySlot>,
+    /// Current predictive segment, validation state and adaptive anchor
+    /// per `(source, key)`.
+    slots: KeyMap<VKey, KeySlot>,
     /// Reverse map: live predictive segment id → its validator key, so
     /// inverted allocations land on the stream that owns each segment.
     seg_owner: KeyMap<SegmentId, VKey>,
     validator: Validator,
-    /// Inverted per-source-segment bounds from the last results.
+    /// The map-based validator the slot-held state must match, fed every
+    /// check and install (test builds only).
+    #[cfg(test)]
+    reference: crate::validate::reference::MapValidator,
     stats: RuntimeStats,
     /// Input watermark: max tuple timestamp ingested (stream time).
     watermark: f64,
@@ -272,6 +281,8 @@ impl PulseRuntime {
             slots: KeyMap::default(),
             seg_owner: KeyMap::default(),
             validator: Validator::new(),
+            #[cfg(test)]
+            reference: Default::default(),
             stats: RuntimeStats::default(),
             watermark: f64::NEG_INFINITY,
             obs: RuntimeObs::new(),
@@ -298,7 +309,7 @@ impl PulseRuntime {
     #[inline(never)]
     fn remodel(&mut self, source: usize, tuple: &Tuple) -> Result<Option<SegmentId>, ()> {
         let horizon = self.cfg.horizon;
-        let pkey = (source, tuple.key);
+        let vkey = VKey::new(source, tuple.key);
         let sm = match &self.predictors[source] {
             Predictor::Clause(sm) => sm,
             Predictor::AdaptiveLinear(_) => {
@@ -310,7 +321,7 @@ impl PulseRuntime {
                 // start at 1) and a span the backdating below leaves alone;
                 // the in-place fill then builds it.
                 let mut first = false;
-                let slot = self.slots.entry(pkey).or_insert_with(|| {
+                let slot = self.slots.entry(vkey).or_insert_with(|| {
                     first = true;
                     let seg = Segment {
                         id: SegmentId(0),
@@ -320,7 +331,7 @@ impl PulseRuntime {
                         unmodeled: Vec::with_capacity(unmodeled.len()),
                     };
                     let anchor = modeled.iter().map(|&a| tuple.values[a]).collect();
-                    KeySlot { seg, anchor_ts: tuple.ts, anchor }
+                    KeySlot { seg, validation: None, anchor_ts: tuple.ts, anchor }
                 });
                 // The slope is the average rate of change since the last
                 // re-model (0 when no time has passed).
@@ -342,21 +353,18 @@ impl PulseRuntime {
             }
         };
         let mut seg = sm.segment_for(tuple, horizon).map_err(|_| ())?;
-        match self.slots.get_mut(&pkey) {
+        match self.slots.get_mut(&vkey) {
             Some(slot) => {
                 seg.span = backdated(slot.seg.span, seg.span, tuple.ts, horizon);
                 Ok(Some(std::mem::replace(&mut slot.seg, seg).id))
             }
             None => {
-                self.slots.insert(pkey, KeySlot { seg, anchor_ts: tuple.ts, anchor: Vec::new() });
+                let slot =
+                    KeySlot { seg, validation: None, anchor_ts: tuple.ts, anchor: Vec::new() };
+                self.slots.insert(vkey, slot);
                 Ok(None)
             }
         }
-    }
-
-    /// Key used for validator state (source-qualified).
-    fn vkey(source: usize, key: u64) -> VKey {
-        VKey::new(source, key)
     }
 
     /// Feeds one real tuple. Returns freshly produced result segments
@@ -409,7 +417,7 @@ impl PulseRuntime {
         self.batchable
     }
 
-    fn batched_one(&mut self, source: usize, tuple: &Tuple, outs: &mut Vec<Segment>) {
+    pub(crate) fn batched_one(&mut self, source: usize, tuple: &Tuple, outs: &mut Vec<Segment>) {
         if !self.batchable {
             self.ingest(source, tuple, false, outs);
             return;
@@ -424,7 +432,7 @@ impl PulseRuntime {
     /// `SolveBatchDrain` cell gets the drain's wall time net of what the
     /// solves attribute to themselves, so it holds only queue bookkeeping
     /// and the phase shares stay disjoint.
-    fn drain_pending(&mut self, outs: &mut Vec<Segment>) {
+    pub(crate) fn drain_pending(&mut self, outs: &mut Vec<Segment>) {
         if self.pending.is_empty() {
             return;
         }
@@ -460,6 +468,11 @@ impl PulseRuntime {
     /// suppression, and on violation the re-model + predictive-segment
     /// swap. `defer` queues the solve (batched mode) instead of running it
     /// inline.
+    ///
+    /// A tuple whose timestamp is NaN or infinite has no place on the time
+    /// axis a segment spans: it counts in `tuples_in` and `model_errors`
+    /// and is dropped before it moves the watermark, reaches the flight
+    /// recorder or touches any key's state.
     fn ingest(&mut self, source: usize, tuple: &Tuple, defer: bool, outs: &mut Vec<Segment>) {
         // One enabled-check per tuple; everything downstream branches on it
         // (or on the timer Option it produces) without reloading the flag.
@@ -469,11 +482,14 @@ impl PulseRuntime {
         let trace_on = self.tracer.on();
         let start = (obs_on && self.stats.suppressed & 63 == 0).then(Instant::now);
         self.stats.tuples_in += 1;
+        if !tuple.ts.is_finite() {
+            self.stats.model_errors += 1;
+            return;
+        }
         if tuple.ts > self.watermark {
             self.watermark = tuple.ts;
         }
-        let pkey = (source, tuple.key);
-        let vkey = Self::vkey(source, tuple.key);
+        let vkey = VKey::new(source, tuple.key);
         // Audited keys never defer their solve: the auditor compares the
         // live aggregate state right after the tuple's effects apply, so
         // the solve must run inline. One hash per tuple while auditing is
@@ -489,7 +505,9 @@ impl PulseRuntime {
         // everything the solver does for it.
         let mut validation = 0u64;
         let mut checked = false;
-        if let Some(KeySlot { seg, .. }) = self.slots.get(&pkey) {
+        // The one lookup of the suppressed path: the slot holds both the
+        // prediction and the validation state it is checked under.
+        if let Some(KeySlot { seg, validation: state, .. }) = self.slots.get_mut(&vkey) {
             if seg.span.contains(tuple.ts) {
                 checked = true;
                 let modeled = &self.modeled[source];
@@ -500,10 +518,15 @@ impl PulseRuntime {
                     let mut ok = true;
                     let (mut dev, mut allow) = (0.0f64, f64::INFINITY);
                     for (slot, &attr) in modeled.iter().enumerate() {
-                        let o = self.validator.check_explained(
+                        let (predicted, actual) = (seg.eval(slot, tuple.ts), tuple.values[attr]);
+                        let o = self.validator.check_explained(state, predicted, actual);
+                        #[cfg(test)]
+                        self.reference.mirror_check(
                             vkey,
-                            seg.eval(slot, tuple.ts),
-                            tuple.values[attr],
+                            predicted,
+                            actual,
+                            &self.validator,
+                            state,
                         );
                         if !o.ok {
                             (dev, allow) = (o.deviation, o.allowance);
@@ -521,7 +544,17 @@ impl PulseRuntime {
                     ok
                 } else {
                     modeled.iter().enumerate().all(|(slot, &attr)| {
-                        self.validator.check(vkey, seg.eval(slot, tuple.ts), tuple.values[attr])
+                        let (predicted, actual) = (seg.eval(slot, tuple.ts), tuple.values[attr]);
+                        let ok = self.validator.check(state, predicted, actual);
+                        #[cfg(test)]
+                        self.reference.mirror_check(
+                            vkey,
+                            predicted,
+                            actual,
+                            &self.validator,
+                            state,
+                        );
+                        ok
                     })
                 };
                 if ok {
@@ -579,7 +612,7 @@ impl PulseRuntime {
         if let Some(old) = replaced {
             self.seg_owner.remove(&old);
         }
-        self.seg_owner.insert(self.slots[&pkey].seg.id, vkey);
+        self.seg_owner.insert(self.slots[&vkey].seg.id, vkey);
         self.stats.segments_pushed += 1;
         self.tracer.prof(prof_t0, pulse_obs::Phase::RemodelFit);
         if defer && !audited {
@@ -606,13 +639,14 @@ impl PulseRuntime {
     /// closes compare against the (just-updated) live plan state.
     fn audit_tap(&mut self, source: usize, tuple: &Tuple, validated: bool) {
         let Some(aud) = self.auditor.as_mut() else { return };
+        let slot = self.slots.get(&VKey::new(source, tuple.key));
         aud.observe(
             source,
             tuple,
             validated,
-            self.slots.get(&(source, tuple.key)).map(|s| &s.seg),
+            slot.map(|s| &s.seg),
             &self.modeled[source],
-            self.validator.mode(Self::vkey(source, tuple.key)),
+            slot.and_then(|s| s.validation).map(|s| s.mode),
             &self.plan,
             &mut self.tracer,
         );
@@ -635,8 +669,8 @@ impl PulseRuntime {
     ) {
         let obs_on = pulse_obs::enabled();
         let trace_on = self.tracer.on();
-        let vkey = Self::vkey(source, key);
-        let seg = &self.slots.get(&(source, key)).expect("solve queued for a live segment").seg;
+        let vkey = VKey::new(source, key);
+        let seg = &self.slots.get(&vkey).expect("solve queued for a live segment").seg;
         let solve_start = if trace_on {
             let remodel =
                 self.tracer.emit(validation, key, ts, TraceKind::Remodel { seg: seg.id.0 });
@@ -713,11 +747,11 @@ impl PulseRuntime {
         }
         if new_outs.is_empty() {
             // Null result: slack validation until inputs leave the band.
-            if let Some(slack) = self.plan.last_slack() {
-                self.validator.set_slack(vkey, slack);
-            } else {
-                self.validator.set_accuracy(vkey, Bound::symmetric(self.cfg.bound));
-            }
+            let mode = match self.plan.last_slack() {
+                Some(slack) => ValidationMode::Slack(slack),
+                None => ValidationMode::Accuracy(Bound::symmetric(self.cfg.bound)),
+            };
+            self.install(vkey, mode);
         } else {
             self.install_bounds(new_outs, vkey);
         }
@@ -757,9 +791,20 @@ impl PulseRuntime {
             alloc.push((trigger_vkey, output_bound));
         }
         keep_tightest(alloc);
-        for &(vk, b) in alloc.iter() {
-            self.validator.set_accuracy(vk, b);
+        for i in 0..self.allocations.len() {
+            let (vk, b) = self.allocations[i];
+            self.install(vk, ValidationMode::Accuracy(b));
         }
+    }
+
+    /// Installs `mode` in `vkey`'s slot. Every key that receives a mode
+    /// has a slot: bounds go to the trigger key and to owners of live
+    /// segments, and a key's slot is made by its first re-model.
+    fn install(&mut self, vkey: VKey, mode: ValidationMode) {
+        let slot = self.slots.get_mut(&vkey).expect("a validated key has a slot");
+        self.validator.install(&mut slot.validation, mode);
+        #[cfg(test)]
+        self.reference.install(vkey, mode);
     }
 
     /// Runtime statistics.
@@ -775,6 +820,12 @@ impl PulseRuntime {
     /// Validation counters.
     pub fn validator(&self) -> &Validator {
         &self.validator
+    }
+
+    /// Aggregate accuracy telemetry across every key with an installed
+    /// mode.
+    pub fn accuracy(&self) -> AccuracySummary {
+        self.validator.accuracy(self.slots.values().filter_map(|s| s.validation.as_ref()))
     }
 
     /// The shadow oracle's guarantee ledger (None while auditing is off).
@@ -873,7 +924,7 @@ impl PulseRuntime {
         }
         // Accuracy telemetry: ratios in basis points (10000 = at budget),
         // drift in milli-units of the measured attribute.
-        let a = self.validator.accuracy();
+        let a = self.accuracy();
         for (name, v) in [
             ("validate.budget_mean_bp", (a.mean_budget_ratio * 1e4) as u64),
             ("validate.budget_max_bp", (a.max_budget_ratio * 1e4) as u64),
@@ -918,6 +969,7 @@ fn backdated(old: Span, span: Span, ts: f64, horizon: f64) -> Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::CheckOutcome;
     use pulse_math::CmpOp;
     use pulse_model::{AttrKind, Expr, ModelSpec, Pred, Schema};
     use pulse_stream::{LogicalOp, PortRef};
@@ -1015,11 +1067,8 @@ mod tests {
         let mut rt = PulseRuntime::new(vec![sm], &lp, cfg).unwrap();
         let outs = rt.on_tuple(0, &tup(1, 0.0, 0.0, 1.0));
         assert!(outs.is_empty());
-        let vkey = PulseRuntime::vkey(0, 1);
-        assert!(matches!(
-            rt.validator().mode(vkey),
-            Some(crate::validate::ValidationMode::Slack(_))
-        ));
+        let mode = rt.slots[&VKey::new(0, 1)].validation.map(|s| s.mode);
+        assert!(matches!(mode, Some(ValidationMode::Slack(_))), "{mode:?}");
         // Small deviations stay inside the huge slack: suppressed.
         assert!(rt.on_tuple(0, &tup(1, 1.0, 1.5, 1.0)).is_empty());
         assert_eq!(rt.stats().suppressed, 1);
@@ -1151,7 +1200,7 @@ mod tests {
         // tight slack for one stream clobbered the other's wide slack and
         // forced spurious violations. The composite key keeps them apart.
         let k_big = 1u64 << 48;
-        assert_ne!(PulseRuntime::vkey(1, 0), PulseRuntime::vkey(0, k_big));
+        assert_ne!(VKey::new(1, 0), VKey::new(0, k_big));
 
         let (schema, sm0) = source();
         let (_, sm1) = source();
@@ -1170,6 +1219,106 @@ mod tests {
         assert!(rt.on_tuple(0, &tup(k_big, 1.0, 10.0, 0.0)).is_empty());
         assert_eq!(rt.stats().violations, 0, "{:?}", rt.stats());
         assert_eq!(rt.stats().suppressed, 1);
+    }
+
+    /// Every check and install the runtime makes on a slot-held
+    /// [`KeyState`] is mirrored into the map-based reference validator
+    /// (test builds do this inside `ingest` and `install`, asserting each
+    /// outcome and the key's state bit for bit as they go). This drives
+    /// the mirror over two sources that share key numbers, with the pair
+    /// that collided under the old packed key, through the untraced `check`
+    /// and the traced `check_explained` paths, batched and not, and then
+    /// compares what the validator reports against the reference.
+    #[test]
+    fn slot_held_validator_state_matches_the_map_reference() {
+        let (schema, sm) = source();
+        let mut lp = LogicalPlan::new(vec![schema.clone(), schema]);
+        lp.add(
+            LogicalOp::Join {
+                window: 1.0,
+                pred: Pred::cmp(Expr::attr_of(0, 0), CmpOp::Lt, Expr::attr_of(1, 0)),
+                on_keys: pulse_stream::KeyJoin::Eq,
+            },
+            vec![PortRef::Source(0), PortRef::Source(1)],
+        );
+        lp.add(
+            LogicalOp::Filter { pred: Pred::cmp(Expr::attr(0), CmpOp::Gt, Expr::c(3.0)) },
+            vec![PortRef::Source(1)],
+        );
+        let keys = [0, 1, 2, 1u64 << 48];
+        let mut rng = 0x5107_u64;
+        let mut unit = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut feed = Vec::new();
+        for i in 0..3000 {
+            let (source, key) = (i % 2, keys[(i / 2) % keys.len()]);
+            let ts = i as f64 * 0.01;
+            let phase = key as f64 * 0.7 + source as f64 * 2.0;
+            let mut x = 2.0 + 3.0 * (0.2 * ts + phase).sin() + 0.6 * (unit() - 0.5);
+            // Every 300 tuples, 24 tuples of alternating jumps: runs of
+            // violations on every key, long enough to count as bursts.
+            if i % 300 < 24 {
+                x += if (i / 8) % 2 == 0 { 6.0 } else { -6.0 };
+            }
+            let v = 0.6 * (0.2 * ts + phase).cos();
+            feed.push((source, tup(key, ts, x - v * ts, v)));
+        }
+        let mut runs = Vec::new();
+        for trace_capacity in [0, 1 << 14] {
+            let cfg =
+                RuntimeConfig { horizon: 2.0, bound: 0.5, trace_capacity, ..Default::default() };
+            let mut rt = PulseRuntime::new(vec![sm.clone(); 2], &lp, cfg).unwrap();
+            let (mut saw_accuracy, mut saw_slack) = (false, false);
+            for (c, chunk) in feed.chunks(16).enumerate() {
+                if c % 2 == 0 {
+                    rt.on_pairs(chunk);
+                } else {
+                    chunk.iter().for_each(|(source, t)| drop(rt.on_tuple(*source, t)));
+                }
+                let stats = rt.validator().stats();
+                assert_eq!(stats, rt.reference.stats(), "after chunk {c}");
+                saw_accuracy |= stats.accuracy_keys > 0;
+                saw_slack |= stats.slack_keys > 0;
+            }
+            assert!(saw_accuracy && saw_slack, "both modes installed");
+            let (v, r) = (rt.validator(), &rt.reference);
+            assert_eq!((v.checks, v.violations, v.bursts), (r.checks, r.violations, r.bursts));
+            assert!(v.bursts > 0 && v.violations > 0 && rt.stats().suppressed > 0);
+            assert!(rt.stats().segments_pushed > 2 * keys.len() as u64, "keys re-modelled");
+            let bits = |o: Option<CheckOutcome>| {
+                o.map(|o| (o.ok, o.deviation.to_bits(), o.allowance.to_bits()))
+            };
+            assert_eq!(bits(v.last_violation()), bits(r.last_violation));
+            // Every key the reference holds is a slot holding the same
+            // state, and no slot holds a state the reference lacks.
+            for (vkey, want) in &r.modes {
+                assert_eq!(rt.slots[vkey].validation.as_ref(), Some(want), "{vkey:?}");
+            }
+            let held = rt.slots.values().filter(|s| s.validation.is_some()).count();
+            assert_eq!(held, r.modes.len());
+            assert!(r.modes.keys().any(|k| k.source == 1 && k.key == 0));
+            assert!(r.modes.keys().any(|k| k.source == 0 && k.key == 1 << 48));
+            // The summary sums per-key floats in map order, and the two maps
+            // need not iterate alike: counts and maxima match exactly, means
+            // up to summation order.
+            let (got, want) = (rt.accuracy(), r.accuracy());
+            assert_eq!(got.keys, want.keys);
+            assert_eq!(got.ratio_count, want.ratio_count);
+            assert_eq!(got.max_budget_ratio.to_bits(), want.max_budget_ratio.to_bits());
+            assert_eq!(got.max_drift.to_bits(), want.max_drift.to_bits());
+            assert_eq!(
+                (got.hot_keys, got.bursts, got.burst_max),
+                (want.hot_keys, want.bursts, want.burst_max)
+            );
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs().max(1.0);
+            assert!(close(got.mean_budget_ratio, want.mean_budget_ratio), "{got:?} {want:?}");
+            assert!(close(got.mean_drift, want.mean_drift), "{got:?} {want:?}");
+            runs.push((v.stats(), got.keys, rt.stats()));
+        }
+        // Tracing changes which verdict function runs, not what it decides.
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]
@@ -1192,8 +1341,8 @@ mod tests {
     /// the reference the in-place [`PulseRuntime::remodel`] must match.
     #[derive(Default)]
     struct AllocatingRemodel {
-        anchors: KeyMap<(usize, u64), (f64, Vec<f64>)>,
-        predicted: KeyMap<(usize, u64), Segment>,
+        anchors: KeyMap<VKey, (f64, Vec<f64>)>,
+        predicted: KeyMap<VKey, Segment>,
     }
 
     impl AllocatingRemodel {
@@ -1203,7 +1352,8 @@ mod tests {
                 Predictor::AdaptiveLinear(_) => {
                     let modeled = &rt.modeled[source];
                     let vals: Vec<f64> = modeled.iter().map(|&a| tuple.values[a]).collect();
-                    let anchor = self.anchors.insert((source, tuple.key), (tuple.ts, vals.clone()));
+                    let vkey = VKey::new(source, tuple.key);
+                    let anchor = self.anchors.insert(vkey, (tuple.ts, vals.clone()));
                     let models = modeled
                         .iter()
                         .zip(&vals)
@@ -1233,7 +1383,7 @@ mod tests {
         /// Returns whether the key had a predecessor, and whether the new
         /// segment was backdated to the predecessor's end.
         fn remodel(&mut self, rt: &PulseRuntime, source: usize, tuple: &Tuple) -> (bool, bool) {
-            let pkey = (source, tuple.key);
+            let pkey = VKey::new(source, tuple.key);
             let mut seg = self.predict(rt, source, tuple).expect("clause instantiates");
             let mut backdated = false;
             if let Some(old) = self.predicted.get(&pkey) {
@@ -1316,7 +1466,7 @@ mod tests {
                 vec![100.0 * unit(), 100.0 * unit(), unit()]
             };
             let tuple = Tuple::new(key, ts, values);
-            let pkey = (source, key);
+            let pkey = VKey::new(source, key);
             let prev = rt.slots.get(&pkey).map(|s| (s.seg.id, s.anchor_ts));
             if let Some((_, anchor_ts)) = prev {
                 same_ts += (source == 1 && ts - anchor_ts <= 1e-9) as u32;

@@ -7,7 +7,6 @@
 //! checked against their segment's model at the query *inputs*. Only a
 //! violation — or a previously unseen situation — re-runs the solver.
 
-use crate::keymap::KeyMap;
 use crate::lineage::LineageStore;
 use pulse_math::EPS;
 use pulse_model::{Segment, SegmentId};
@@ -451,18 +450,26 @@ impl AccuracySummary {
     }
 }
 
-/// A key's installed mode plus its accuracy accounting.
+/// A key's validation state: its installed mode plus its accuracy
+/// accounting. The runtime keeps it in the key's slot beside the key's
+/// predictive segment, as an `Option` that stays `None` until the key's
+/// first solve installs a mode; [`Validator`] reads and writes it there.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct KeyState {
-    mode: ValidationMode,
-    acc: KeyAccuracy,
+pub struct KeyState {
+    pub mode: ValidationMode,
+    pub acc: KeyAccuracy,
 }
 
 /// Input-side validator: decides, per tuple, whether the current prediction
 /// still stands (true) or the solver must re-run (false).
+///
+/// It holds no per-key state: each call takes the key's
+/// `Option<KeyState>` from wherever the caller keeps it (the runtime's key
+/// slot), so the suppressed path finds a key's segment and its mode with
+/// one lookup. What it keeps are the counters over every key, including
+/// how many keys are in each mode, updated on every mode change.
 #[derive(Debug, Default)]
 pub struct Validator {
-    modes: KeyMap<VKey, KeyState>,
     /// Checks performed (the cheap per-tuple cost of Pulse's fast path).
     pub checks: u64,
     /// Violations detected.
@@ -473,6 +480,14 @@ pub struct Validator {
     /// runtime right after a violation to feed the budget-ratio histogram
     /// without re-deriving deviation/allowance.
     last_violation: Option<CheckOutcome>,
+    /// The most recent check's outcome, failing or not, for the map-based
+    /// reference the runtime's tests compare against.
+    #[cfg(test)]
+    pub(crate) last_outcome: Option<CheckOutcome>,
+    /// Keys whose installed mode is accuracy validation.
+    accuracy_keys: u64,
+    /// Keys whose installed mode is slack validation.
+    slack_keys: u64,
 }
 
 impl Validator {
@@ -480,33 +495,31 @@ impl Validator {
         Validator::default()
     }
 
-    /// Installs an accuracy bound for a key (after successful inversion).
-    /// The key's accuracy accounting survives mode changes.
-    pub fn set_accuracy(&mut self, key: VKey, bound: Bound) {
-        self.modes
-            .entry(key)
-            .and_modify(|s| s.mode = ValidationMode::Accuracy(bound))
-            .or_insert(KeyState { mode: ValidationMode::Accuracy(bound), acc: Default::default() });
+    /// Installs `mode` in a key's `state`: an accuracy bound after a
+    /// successful inversion, a slack bound (negative slack clamps to 0)
+    /// after a null result. The key's accuracy accounting survives mode
+    /// changes.
+    pub fn install(&mut self, state: &mut Option<KeyState>, mode: ValidationMode) {
+        let mode = match mode {
+            ValidationMode::Slack(slack) => ValidationMode::Slack(slack.max(0.0)),
+            accuracy => accuracy,
+        };
+        match state {
+            Some(s) => {
+                *self.keys_in(s.mode) -= 1;
+                s.mode = mode;
+            }
+            None => *state = Some(KeyState { mode, acc: KeyAccuracy::default() }),
+        }
+        *self.keys_in(mode) += 1;
     }
 
-    /// Installs a slack bound for a key (after a null result). The key's
-    /// accuracy accounting survives mode changes.
-    pub fn set_slack(&mut self, key: VKey, slack: f64) {
-        let mode = ValidationMode::Slack(slack.max(0.0));
-        self.modes
-            .entry(key)
-            .and_modify(|s| s.mode = mode)
-            .or_insert(KeyState { mode, acc: Default::default() });
-    }
-
-    /// Current mode for a key.
-    pub fn mode(&self, key: VKey) -> Option<ValidationMode> {
-        self.modes.get(&key).map(|s| s.mode)
-    }
-
-    /// A key's accuracy accounting (None while no mode was ever installed).
-    pub fn key_accuracy(&self, key: VKey) -> Option<KeyAccuracy> {
-        self.modes.get(&key).map(|s| s.acc)
+    /// The running count of keys in `mode`'s kind of validation.
+    fn keys_in(&mut self, mode: ValidationMode) -> &mut u64 {
+        match mode {
+            ValidationMode::Accuracy(_) => &mut self.accuracy_keys,
+            ValidationMode::Slack(_) => &mut self.slack_keys,
+        }
     }
 
     /// The numbers behind the most recent violation.
@@ -514,14 +527,33 @@ impl Validator {
         self.last_violation
     }
 
-    /// The shared verdict path: directional deviation/allowance, per-key
-    /// accuracy accounting, counters. (For an accuracy bound the
-    /// directional compare is equivalent to `Bound::admits`: `|d| ≤ side +
-    /// EPS` with `side` picked by `d`'s sign.)
-    fn check_inner(&mut self, key: VKey, predicted: f64, actual: f64) -> CheckOutcome {
+    /// Validates an observation against its prediction, given the key's
+    /// validation state. A key with no installed mode fails validation (no
+    /// previously known result — the solver must run, per the paper's
+    /// "only … in the presence of errors, or no previously known
+    /// results").
+    pub fn check(&mut self, state: &mut Option<KeyState>, predicted: f64, actual: f64) -> bool {
+        self.check_explained(state, predicted, actual).ok
+    }
+
+    /// [`Self::check`] plus the numbers behind the verdict, for the flight
+    /// recorder's `ValidationOutcome` events: the observed deviation and the
+    /// allowance it was measured against (the directional side of an
+    /// accuracy bound, the band of a slack bound). Unknown keys report an
+    /// infinite deviation against a zero allowance — "no previously known
+    /// results" always solves. This is the one verdict path: per-key
+    /// accuracy accounting and counters update here. (For an accuracy bound
+    /// the directional compare is equivalent to `Bound::admits`: `|d| ≤
+    /// side + EPS` with `side` picked by `d`'s sign.)
+    pub fn check_explained(
+        &mut self,
+        state: &mut Option<KeyState>,
+        predicted: f64,
+        actual: f64,
+    ) -> CheckOutcome {
         self.checks += 1;
         let d = actual - predicted;
-        let outcome = match self.modes.get_mut(&key) {
+        let outcome = match state {
             Some(state) => {
                 let (deviation, allowance) = (d.abs(), state.mode.allowance_for(d));
                 let ok = deviation <= allowance + EPS;
@@ -536,51 +568,30 @@ impl Validator {
             self.violations += 1;
             self.last_violation = Some(outcome);
         }
+        #[cfg(test)]
+        {
+            self.last_outcome = Some(outcome);
+        }
         outcome
-    }
-
-    /// Validates an observation against its prediction. Keys with no
-    /// installed mode fail validation (no previously known result — the
-    /// solver must run, per the paper's "only … in the presence of errors,
-    /// or no previously known results").
-    pub fn check(&mut self, key: VKey, predicted: f64, actual: f64) -> bool {
-        self.check_inner(key, predicted, actual).ok
-    }
-
-    /// [`Self::check`] plus the numbers behind the verdict, for the flight
-    /// recorder's `ValidationOutcome` events: the observed deviation and the
-    /// allowance it was measured against (the directional side of an
-    /// accuracy bound, the band of a slack bound). Unknown keys report an
-    /// infinite deviation against a zero allowance — "no previously known
-    /// results" always solves. Counter updates are identical to `check`.
-    pub fn check_explained(&mut self, key: VKey, predicted: f64, actual: f64) -> CheckOutcome {
-        self.check_inner(key, predicted, actual)
-    }
-
-    /// Clears a key's mode (e.g. after re-modeling).
-    pub fn reset(&mut self, key: VKey) {
-        self.modes.remove(&key);
     }
 
     /// Counter and mode-population summary.
     pub fn stats(&self) -> ValidatorStats {
-        let accuracy_keys =
-            self.modes.values().filter(|s| matches!(s.mode, ValidationMode::Accuracy(_))).count()
-                as u64;
         ValidatorStats {
             checks: self.checks,
             violations: self.violations,
-            accuracy_keys,
-            slack_keys: self.modes.len() as u64 - accuracy_keys,
+            accuracy_keys: self.accuracy_keys,
+            slack_keys: self.slack_keys,
         }
     }
 
-    /// Aggregate accuracy telemetry across all keys with installed modes.
-    pub fn accuracy(&self) -> AccuracySummary {
+    /// Aggregate accuracy telemetry across `states`, the installed states
+    /// of every key this validator checks.
+    pub fn accuracy<'a>(&self, states: impl IntoIterator<Item = &'a KeyState>) -> AccuracySummary {
         let mut s = AccuracySummary { bursts: self.bursts, ..Default::default() };
         let mut ratio_sum = 0.0;
         let mut drift_sum = 0.0;
-        for st in self.modes.values() {
+        for st in states {
             s.keys += 1;
             ratio_sum += st.acc.ratio_sum;
             s.ratio_count += st.acc.ratio_count;
@@ -603,9 +614,141 @@ impl Validator {
     }
 }
 
+/// The validator as it was before its per-key state moved into the
+/// runtime's key slots: one map from [`VKey`] to [`KeyState`], probed on
+/// every check. Kept as the reference the slot-held state must match bit
+/// for bit; the runtime's test builds feed it every check and install.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::keymap::KeyMap;
+
+    #[derive(Debug, Default)]
+    pub(crate) struct MapValidator {
+        pub(crate) modes: KeyMap<VKey, KeyState>,
+        pub(crate) checks: u64,
+        pub(crate) violations: u64,
+        pub(crate) bursts: u64,
+        pub(crate) last_violation: Option<CheckOutcome>,
+    }
+
+    impl MapValidator {
+        pub(crate) fn set_accuracy(&mut self, key: VKey, bound: Bound) {
+            self.modes
+                .entry(key)
+                .and_modify(|s| s.mode = ValidationMode::Accuracy(bound))
+                .or_insert(KeyState {
+                    mode: ValidationMode::Accuracy(bound),
+                    acc: Default::default(),
+                });
+        }
+
+        pub(crate) fn set_slack(&mut self, key: VKey, slack: f64) {
+            let mode = ValidationMode::Slack(slack.max(0.0));
+            self.modes
+                .entry(key)
+                .and_modify(|s| s.mode = mode)
+                .or_insert(KeyState { mode, acc: Default::default() });
+        }
+
+        pub(crate) fn check_explained(
+            &mut self,
+            key: VKey,
+            predicted: f64,
+            actual: f64,
+        ) -> CheckOutcome {
+            self.checks += 1;
+            let d = actual - predicted;
+            let outcome = match self.modes.get_mut(&key) {
+                Some(state) => {
+                    let (deviation, allowance) = (d.abs(), state.mode.allowance_for(d));
+                    let ok = deviation <= allowance + EPS;
+                    if state.acc.note(d, deviation, allowance, ok) {
+                        self.bursts += 1;
+                    }
+                    CheckOutcome { ok, deviation, allowance }
+                }
+                None => CheckOutcome { ok: false, deviation: f64::INFINITY, allowance: 0.0 },
+            };
+            if !outcome.ok {
+                self.violations += 1;
+                self.last_violation = Some(outcome);
+            }
+            outcome
+        }
+
+        pub(crate) fn stats(&self) -> ValidatorStats {
+            let accuracy_keys = self
+                .modes
+                .values()
+                .filter(|s| matches!(s.mode, ValidationMode::Accuracy(_)))
+                .count() as u64;
+            ValidatorStats {
+                checks: self.checks,
+                violations: self.violations,
+                accuracy_keys,
+                slack_keys: self.modes.len() as u64 - accuracy_keys,
+            }
+        }
+
+        pub(crate) fn accuracy(&self) -> AccuracySummary {
+            let mut s = AccuracySummary { bursts: self.bursts, ..Default::default() };
+            let mut ratio_sum = 0.0;
+            let mut drift_sum = 0.0;
+            for st in self.modes.values() {
+                s.keys += 1;
+                ratio_sum += st.acc.ratio_sum;
+                s.ratio_count += st.acc.ratio_count;
+                s.max_budget_ratio = s.max_budget_ratio.max(st.acc.ratio_max);
+                let drift = st.acc.drift.abs();
+                drift_sum += drift;
+                s.max_drift = s.max_drift.max(drift);
+                if st.acc.mean_ratio() > HOT_RATIO {
+                    s.hot_keys += 1;
+                }
+                s.burst_max = s.burst_max.max(st.acc.burst_max);
+            }
+            if s.ratio_count > 0 {
+                s.mean_budget_ratio = ratio_sum / s.ratio_count as f64;
+            }
+            if s.keys > 0 {
+                s.mean_drift = drift_sum / s.keys as f64;
+            }
+            s
+        }
+
+        /// Mirrors an install the runtime made in `key`'s slot.
+        pub(crate) fn install(&mut self, key: VKey, mode: ValidationMode) {
+            match mode {
+                ValidationMode::Accuracy(bound) => self.set_accuracy(key, bound),
+                ValidationMode::Slack(slack) => self.set_slack(key, slack),
+            }
+        }
+
+        /// Mirrors a check the runtime just made with `live` on `key`'s
+        /// slot-held `state`: the same outcome, bit for bit, and the same
+        /// state afterwards.
+        pub(crate) fn mirror_check(
+            &mut self,
+            key: VKey,
+            predicted: f64,
+            actual: f64,
+            live: &Validator,
+            state: &Option<KeyState>,
+        ) {
+            let want = self.check_explained(key, predicted, actual);
+            let got = live.last_outcome.expect("the live validator just checked");
+            let bits = |o: CheckOutcome| (o.ok, o.deviation.to_bits(), o.allowance.to_bits());
+            assert_eq!(bits(got), bits(want), "{key:?}: {predicted} → {actual}");
+            assert_eq!(state.as_ref(), self.modes.get(&key), "{key:?}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keymap::KeyMap;
     use crate::lineage::LineageStore;
     use pulse_math::{Poly, Span};
 
@@ -771,21 +914,24 @@ mod tests {
     #[test]
     fn validator_mode_alternation() {
         let mut v = Validator::new();
-        let k = VKey::new(0, 1);
+        let mut k = None;
         // Unknown key: must fail (no previously known results).
-        assert!(!v.check(k, 10.0, 10.0));
-        v.set_accuracy(k, Bound::symmetric(0.5));
-        assert!(v.check(k, 10.0, 10.3));
-        assert!(!v.check(k, 10.0, 11.0));
+        assert!(!v.check(&mut k, 10.0, 10.0));
+        v.install(&mut k, ValidationMode::Accuracy(Bound::symmetric(0.5)));
+        assert!(v.check(&mut k, 10.0, 10.3));
+        assert!(!v.check(&mut k, 10.0, 11.0));
+        assert_eq!((v.stats().accuracy_keys, v.stats().slack_keys), (1, 0));
         // After a null result: slack mode.
-        v.set_slack(k, 3.0);
-        assert!(matches!(v.mode(k), Some(ValidationMode::Slack(_))));
-        assert!(v.check(k, 10.0, 12.0));
-        assert!(!v.check(k, 10.0, 14.0));
+        v.install(&mut k, ValidationMode::Slack(3.0));
+        assert!(matches!(k.map(|s| s.mode), Some(ValidationMode::Slack(_))));
+        assert_eq!((v.stats().accuracy_keys, v.stats().slack_keys), (0, 1));
+        assert!(v.check(&mut k, 10.0, 12.0));
+        assert!(!v.check(&mut k, 10.0, 14.0));
         assert_eq!(v.checks, 5);
         assert_eq!(v.violations, 3);
-        v.reset(k);
-        assert!(v.mode(k).is_none());
+        // A negative slack clamps to an exact-match band.
+        v.install(&mut k, ValidationMode::Slack(-1.0));
+        assert_eq!(k.map(|s| s.mode), Some(ValidationMode::Slack(0.0)));
     }
 
     #[test]
@@ -796,59 +942,62 @@ mod tests {
         let b = VKey::new(0, 1 << 48);
         assert_ne!(a, b);
         let mut v = Validator::new();
-        v.set_slack(a, 1e6);
-        v.set_accuracy(b, Bound::symmetric(0.5));
-        assert!(matches!(v.mode(a), Some(ValidationMode::Slack(_))));
-        assert!(matches!(v.mode(b), Some(ValidationMode::Accuracy(_))));
-        assert!(v.check(a, 0.0, 100.0), "a's wide slack must survive b's install");
+        let mut slots: KeyMap<VKey, Option<KeyState>> = KeyMap::default();
+        v.install(slots.entry(a).or_default(), ValidationMode::Slack(1e6));
+        v.install(slots.entry(b).or_default(), ValidationMode::Accuracy(Bound::symmetric(0.5)));
+        assert!(matches!(slots[&a].map(|s| s.mode), Some(ValidationMode::Slack(_))));
+        assert!(matches!(slots[&b].map(|s| s.mode), Some(ValidationMode::Accuracy(_))));
+        let state = slots.get_mut(&a).unwrap();
+        assert!(v.check(state, 0.0, 100.0), "a's wide slack must survive b's install");
+        assert_eq!((v.stats().accuracy_keys, v.stats().slack_keys), (1, 1));
     }
 
     #[test]
     fn check_explained_agrees_with_check() {
         let mut explained = Validator::new();
         let mut plain = Validator::new();
-        let k = VKey::new(0, 1);
+        let (mut ke, mut kp) = (None, None);
         // Unknown key: infinite deviation against zero allowance.
-        let o = explained.check_explained(k, 10.0, 10.0);
+        let o = explained.check_explained(&mut ke, 10.0, 10.0);
         assert!(!o.ok && o.deviation.is_infinite() && o.allowance == 0.0);
-        assert!(!plain.check(k, 10.0, 10.0));
-        for v in [&mut explained, &mut plain] {
-            v.set_accuracy(k, Bound { below: 0.2, above: 0.5 });
-        }
+        assert!(!plain.check(&mut kp, 10.0, 10.0));
+        let accuracy = ValidationMode::Accuracy(Bound { below: 0.2, above: 0.5 });
+        explained.install(&mut ke, accuracy);
+        plain.install(&mut kp, accuracy);
         for (pred, act) in [(10.0, 10.3), (10.0, 11.0), (10.0, 9.9), (10.0, 9.0)] {
-            let o = explained.check_explained(k, pred, act);
-            assert_eq!(o.ok, plain.check(k, pred, act), "accuracy {pred}→{act}");
+            let o = explained.check_explained(&mut ke, pred, act);
+            assert_eq!(o.ok, plain.check(&mut kp, pred, act), "accuracy {pred}→{act}");
             // A violating outcome always shows deviation beyond allowance.
             assert!(o.ok || o.deviation > o.allowance, "{o:?}");
         }
-        for v in [&mut explained, &mut plain] {
-            v.set_slack(k, 3.0);
-        }
+        explained.install(&mut ke, ValidationMode::Slack(3.0));
+        plain.install(&mut kp, ValidationMode::Slack(3.0));
         for (pred, act) in [(10.0, 12.0), (10.0, 14.0)] {
-            let o = explained.check_explained(k, pred, act);
-            assert_eq!(o.ok, plain.check(k, pred, act), "slack {pred}→{act}");
+            let o = explained.check_explained(&mut ke, pred, act);
+            assert_eq!(o.ok, plain.check(&mut kp, pred, act), "slack {pred}→{act}");
             assert_eq!(o.allowance, 3.0);
         }
-        // Counters advance identically on both paths.
+        // Counters and key state advance identically on both paths.
         assert_eq!(explained.checks, plain.checks);
         assert_eq!(explained.violations, plain.violations);
+        assert_eq!(ke, kp);
     }
 
     #[test]
     fn budget_ratio_tracks_consumed_allowance() {
         let mut v = Validator::new();
-        let k = VKey::new(0, 1);
-        v.set_accuracy(k, Bound::symmetric(1.0));
-        v.check(k, 10.0, 10.5); // ratio 0.5
-        v.check(k, 10.0, 9.0); // ratio 1.0 (just at budget)
-        v.check(k, 10.0, 12.0); // ratio 2.0, violation
-        let acc = v.key_accuracy(k).unwrap();
+        let mut k = None;
+        v.install(&mut k, ValidationMode::Accuracy(Bound::symmetric(1.0)));
+        v.check(&mut k, 10.0, 10.5); // ratio 0.5
+        v.check(&mut k, 10.0, 9.0); // ratio 1.0 (just at budget)
+        v.check(&mut k, 10.0, 12.0); // ratio 2.0, violation
+        let acc = k.unwrap().acc;
         assert_eq!(acc.ratio_count, 3);
         assert!((acc.mean_ratio() - (0.5 + 1.0 + 2.0) / 3.0).abs() < 1e-12);
         assert!((acc.ratio_max - 2.0).abs() < 1e-12);
         let last = v.last_violation().unwrap();
         assert!(!last.ok && (last.deviation - 2.0).abs() < 1e-12 && last.allowance == 1.0);
-        let sum = v.accuracy();
+        let sum = v.accuracy(k.as_ref());
         assert_eq!(sum.keys, 1);
         assert!((sum.max_budget_ratio - 2.0).abs() < 1e-12);
     }
@@ -856,42 +1005,41 @@ mod tests {
     #[test]
     fn drift_estimate_converges_to_signed_bias() {
         let mut v = Validator::new();
-        let k = VKey::new(0, 1);
-        v.set_slack(k, 10.0);
+        let mut k = None;
+        v.install(&mut k, ValidationMode::Slack(10.0));
         // Model persistently predicts 2.0 low: every check passes, but the
         // drift EWMA must converge toward +2.
         for _ in 0..200 {
-            assert!(v.check(k, 10.0, 12.0));
+            assert!(v.check(&mut k, 10.0, 12.0));
         }
-        let acc = v.key_accuracy(k).unwrap();
+        let acc = k.unwrap().acc;
         assert!((acc.drift - 2.0).abs() < 1e-3, "drift {}", acc.drift);
-        assert!(v.accuracy().max_drift > 1.9);
+        assert!(v.accuracy(k.as_ref()).max_drift > 1.9);
         // Accuracy accounting survives a mode change.
-        v.set_accuracy(k, Bound::symmetric(5.0));
-        assert_eq!(v.key_accuracy(k).unwrap().checks, 200);
+        v.install(&mut k, ValidationMode::Accuracy(Bound::symmetric(5.0)));
+        assert_eq!(k.unwrap().acc.checks, 200);
     }
 
     #[test]
     fn violation_bursts_detected_per_key() {
         let mut v = Validator::new();
-        let k = VKey::new(0, 1);
-        let other = VKey::new(0, 2);
-        v.set_accuracy(k, Bound::symmetric(0.1));
-        v.set_accuracy(other, Bound::symmetric(0.1));
+        let (mut k, mut other) = (None, None);
+        v.install(&mut k, ValidationMode::Accuracy(Bound::symmetric(0.1)));
+        v.install(&mut other, ValidationMode::Accuracy(Bound::symmetric(0.1)));
         // Two violations, a pass, then two more: no run reaches BURST_LEN=3.
         for actual in [11.0, 11.0, 10.0, 11.0, 11.0] {
-            v.check(k, 10.0, actual);
+            v.check(&mut k, 10.0, actual);
         }
         assert_eq!(v.bursts, 0);
-        assert_eq!(v.key_accuracy(k).unwrap().burst_max, 2);
+        assert_eq!(k.unwrap().acc.burst_max, 2);
         // Interleaved checks on another key must not break k's run.
         for _ in 0..3 {
-            v.check(k, 10.0, 11.0);
-            v.check(other, 10.0, 10.0);
+            v.check(&mut k, 10.0, 11.0);
+            v.check(&mut other, 10.0, 10.0);
         }
         assert_eq!(v.bursts, 1, "one run of 3 → one burst");
-        assert_eq!(v.key_accuracy(k).unwrap().burst_max, 3);
-        let sum = v.accuracy();
+        assert_eq!(k.unwrap().acc.burst_max, 3);
+        let sum = v.accuracy(k.iter().chain(&other));
         assert_eq!(sum.bursts, 1);
         assert_eq!(sum.burst_max, 3);
         assert_eq!(sum.hot_keys, 1, "only k runs over HOT_RATIO");

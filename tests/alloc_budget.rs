@@ -1,21 +1,25 @@
-//! Deterministic allocation gate: heap allocations per pushed segment
-//! through a MACD-shaped `CPlan`, a global-min `CPlan` and the global
-//! min's partition-rewrite worker `CPlan`, and per violation through a
-//! `PulseRuntime` running the MACD plan.
+//! Allocation gate: heap allocations per pushed segment through a
+//! MACD-shaped `CPlan`, a global-min `CPlan` and the global min's
+//! partition-rewrite worker `CPlan`, per violation through a
+//! `PulseRuntime` running the MACD plan, and per routed tuple through a
+//! `HybridRuntime` running the partition-rewritten global min.
 //!
 //! Timing gates swing with host load; an allocation count does not. A
 //! counting global allocator tallies allocations (reallocations included)
-//! per thread, so the harness's other threads cannot inflate the count,
-//! and by power-of-two size class, so a failing budget names the block
-//! size that grew.
+//! by power-of-two size class, so a failing budget names the block size
+//! that grew. The single-thread counts are kept per thread, so the
+//! harness's other threads cannot inflate them, and are deterministic.
+//! The hybrid count spans the router and its worker thread, so it reads
+//! the process-wide tally; where the worker stands when counting starts
+//! varies by a few batches, so it can vary in the last digits.
 //! The stream is a fixed seeded one, and every segment id comes from one
 //! process-wide counter that lineage pages by, so this file holds a single
-//! test and nothing else in the process makes segments. The runtime count
-//! runs after the `CPlan` counts, which keep the ids they were measured
-//! with.
+//! test and nothing else in the process makes segments. The runtime
+//! counts run after the `CPlan` counts, which keep the ids they were
+//! measured with.
 
 use pulse::core::runtime::{Predictor, PulseRuntime, RuntimeConfig};
-use pulse::core::{CPlan, DEFAULT_BATCH};
+use pulse::core::{CPlan, HybridRuntime, DEFAULT_BATCH};
 use pulse::math::{CmpOp, Poly, Span};
 use pulse::model::{AttrKind, Expr, Pred, Schema, Segment, Tuple};
 use pulse::stream::{partition_rewrite, AggFunc, KeyJoin, LogicalOp, LogicalPlan, PortRef};
@@ -23,6 +27,7 @@ use pulse::workload::nyse::{self, NyseConfig, NyseGen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Counting;
 
@@ -34,18 +39,28 @@ thread_local! {
     static ALLOCS: [Cell<u64>; CLASSES] = const { [const { Cell::new(0) }; CLASSES] };
 }
 
+/// Allocations made on every thread, by size class.
+static PROCESS: [AtomicU64; CLASSES] = [const { AtomicU64::new(0) }; CLASSES];
+
 fn count(size: usize) {
     let class = (size.next_power_of_two().trailing_zeros() as usize).min(CLASSES - 1);
     let _ = ALLOCS.try_with(|n| n[class].set(n[class].get() + 1));
+    PROCESS[class].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Allocations made on this thread, by size class.
+/// Allocations by size class.
 #[derive(Clone, Copy)]
 struct Counts([u64; CLASSES]);
 
 impl Counts {
+    /// Made on this thread so far.
     fn now() -> Counts {
         ALLOCS.with(|n| Counts(std::array::from_fn(|i| n[i].get())))
+    }
+
+    /// Made on any thread so far.
+    fn process() -> Counts {
+        Counts(std::array::from_fn(|i| PROCESS[i].load(Ordering::Relaxed)))
     }
 
     fn since(self, before: Counts) -> Counts {
@@ -72,7 +87,8 @@ impl fmt::Display for Counts {
 
 // SAFETY: both methods forward their arguments unchanged to `System`, so
 // the caller's guarantees are `System`'s; counting touches only a
-// thread-local array of `Cell`s with no destructor, which never allocates.
+// thread-local array of `Cell`s with no destructor and a static array of
+// atomics, neither of which ever allocates.
 // The trait's default `alloc_zeroed` and `realloc` go through `alloc`, so
 // each of those counts once too (a `realloc` in its new size's class).
 unsafe impl GlobalAlloc for Counting {
@@ -221,6 +237,40 @@ fn allocs_per_violation(plan: &LogicalPlan) -> (f64, Counts) {
     (n.total() as f64 / remodels as f64, n)
 }
 
+/// Allocations per tuple routed through [`HybridRuntime::on_tuple`] into
+/// the partition-rewritten global min on one worker, and their size
+/// classes: the router's batching, the worker's runtime and the merge
+/// stage together, over the same noisy stream shape as
+/// [`allocs_per_violation`] (200 symbols, 60 stream-seconds). The count
+/// runs from after a warm-up until `finish` has joined the worker, so it
+/// includes finishing once.
+fn allocs_per_routed_tuple() -> (f64, Counts) {
+    let trades = NyseGen::new(NyseConfig {
+        symbols: 200,
+        drift_duration: 2.0,
+        tick_noise: 0.002,
+        seed: 1,
+        ..NyseConfig::default()
+    })
+    .generate(60.0);
+    let hp = partition_rewrite(&global_min()).expect("ungrouped min splits");
+    let cfg = RuntimeConfig { horizon: 5.0, bound: 0.05, ..Default::default() };
+    let predictors = vec![Predictor::AdaptiveLinear(nyse::schema())];
+    let mut rt = HybridRuntime::new(predictors, &hp, cfg, 1).expect("branches compile");
+    let (warm, counted) = trades.split_at(4 * HybridRuntime::SYNC_EVERY);
+    for t in warm {
+        rt.on_tuple(0, t);
+    }
+    let before = Counts::process();
+    for t in counted {
+        rt.on_tuple(0, t);
+    }
+    let run = rt.finish();
+    let n = Counts::process().since(before);
+    assert!(!run.outputs.is_empty(), "the merge stage produced no outputs");
+    (n.total() as f64 / counted.len() as f64, n)
+}
+
 #[test]
 fn allocations_per_push_stay_within_budget() {
     let segs = stream(7);
@@ -264,6 +314,19 @@ fn allocations_per_push_stay_within_budget() {
     assert!(
         per_violation <= measured * 1.1,
         "runtime: {per_violation:.2} allocations per violation, budget {:.2} ({classes})",
+        measured * 1.1
+    );
+    // The budget is the count measured when the router stopped cloning
+    // each tuple into its batch and started appending it to reused column
+    // buffers, plus 10%. Before that the same stream made 1.09
+    // allocations per routed tuple, 1.0 of them the clone's values `Vec`
+    // (the 16-byte class).
+    let measured = 0.037;
+    let (per_tuple, classes) = allocs_per_routed_tuple();
+    println!("hybrid: {per_tuple:.3} allocations per routed tuple, process-wide ({classes})");
+    assert!(
+        per_tuple <= measured * 1.1,
+        "hybrid: {per_tuple:.3} allocations per routed tuple, budget {:.3} ({classes})",
         measured * 1.1
     );
 }
