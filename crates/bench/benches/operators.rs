@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks for the per-item costs behind Figures 5 & 7:
 //! equation-system solving, per-tuple discrete operator costs, validation
-//! checks, model fitting, lineage bookkeeping, and keyed join state upkeep.
+//! checks, model fitting, lineage bookkeeping, keyed join state upkeep, and
+//! the slack of a null result.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_bench::{queries, run_discrete, run_predictive};
 use pulse_core::validate::{Bound, BoundInverter, EquiSplit};
-use pulse_core::{Binding, CJoin, COperator, LineageStore};
-use pulse_math::{poly_roots_in, Poly, Span};
+use pulse_core::{Binding, CJoin, COperator, DiffEq, LineageStore, SolveScratch, System};
+use pulse_math::{poly_roots_in, CmpOp, Poly, Span};
 use pulse_model::{AttrKind, CheckMode, FitConfig, Pred, Schema, Segment, SegmentId, StreamFitter};
 use pulse_obs::Tracer;
 use pulse_stream::KeyJoin;
@@ -234,6 +235,30 @@ fn bench_lineage(c: &mut Criterion) {
     g.finish();
 }
 
+/// `min_t ‖D·t‖∞` over a 5 s null result, with warm scratch: one
+/// quadratic row (the shape of `macd`'s join, `short − long > 0` never
+/// holding) and three cubic rows (roots through Brent, three row pairs).
+fn bench_slack(c: &mut Criterion) {
+    let mut g = c.benchmark_group("slack");
+    let row = |c: &[f64]| System::Row(DiffEq { poly: Poly::new(c.to_vec()), op: CmpOp::Gt });
+    let quadratic = row(&[-4.5, 4.0, -1.0]);
+    let cubics = System::And(
+        Box::new(row(&[-8.0, 14.0, -7.0, 1.0])),
+        Box::new(System::And(
+            Box::new(row(&[3.0, -9.0, 6.0, -1.0])),
+            Box::new(row(&[1.0, -2.0, 0.0, 0.5])),
+        )),
+    );
+    let domain = Span::new(0.0, 5.0);
+    for (name, sys) in [("quadratic_1row", quadratic), ("cubic_3row", cubics)] {
+        let mut s = SolveScratch::default();
+        g.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(&sys).slack_with(domain, &mut s))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_root_finding,
@@ -242,6 +267,7 @@ criterion_group!(
     bench_join,
     bench_join_keyed_expiry,
     bench_fitting,
-    bench_lineage
+    bench_lineage,
+    bench_slack
 );
 criterion_main!(benches);

@@ -286,7 +286,7 @@ fn render_audit(audit: Option<&Value>, snapshot: &Value, out: &mut String) {
 /// `solve_assemble`/`solve_sturm`/`solve_refine`, carved out of the
 /// `root_isolate` bracket and disjoint from it — are indented under a
 /// synthetic `solve (nested)` subtotal so the pane reads as a two-level
-/// tree rather than ten flat rows; all shares still sum to 1.
+/// tree rather than eleven flat rows; all shares still sum to 1.
 fn render_phases(profile: Option<&Value>, out: &mut String) {
     let Some(p) = profile else { return };
     let phases = p.get("phases").and_then(Value::as_array).unwrap_or(&[]);

@@ -24,18 +24,20 @@ use pulse_obs::{prof, Phase, Tracer};
 pub const SOLVE_TOL: f64 = 1e-9;
 
 /// Reusable buffers for the solve and slack paths: the comparison-solver
-/// scratch (root isolation stack, root/cut lists) plus the max-norm
-/// envelope arrays for slack sampling. One per operator; after warm-up the
-/// only per-solve allocations left are the returned [`RangeSet`]s.
+/// scratch (root isolation stack, root/cut lists), plus the slack kernel's
+/// candidate instants, one derived polynomial and a row copy for
+/// [`System::slack_with`]. One per operator; after warm-up the only
+/// per-solve allocations left are the returned [`RangeSet`]s, and a slack
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
     pub cmp: CmpScratch,
-    /// Sample abscissae for the slack envelope (structure-of-arrays).
-    samples: Vec<f64>,
-    /// One row's values at every sample point.
-    row_vals: Vec<f64>,
-    /// Running max-norm envelope across rows.
-    envelope: Vec<f64>,
+    /// Instants where the slack's max-norm envelope may bottom out.
+    cands: Vec<f64>,
+    /// A row's derivative, or the sum or difference of two rows.
+    derived: Poly,
+    /// [`System::slack_with`]'s rows, copied out of the system tree.
+    rows: PendingSlack,
 }
 
 /// One row of the system: `poly(t) op 0`.
@@ -309,98 +311,80 @@ impl System {
         self.slack_with(domain, &mut SolveScratch::default())
     }
 
-    /// [`slack`] with caller-owned scratch — bit-identical results.
-    /// Computed by sampling the max-norm envelope (structure-of-arrays:
-    /// each row is Horner-evaluated across all sample points in one pass
-    /// via [`Poly::eval_many`], then max-folded into the envelope) and
-    /// refining the best bracket by ternary search (the envelope is
-    /// piecewise-smooth).
+    /// [`slack`] with caller-owned scratch — bit-identical results, and no
+    /// allocation once the scratch is warm. Exact up to the root
+    /// tolerance: the envelope `max_i |p_i(t)|` bottoms out at an endpoint,
+    /// at a root or critical point of one row, or at a root of `p_i − p_j`
+    /// or `p_i + p_j`, so the norm is taken at every such instant the root
+    /// kernels find and the smallest returned. No rows give 0, a point
+    /// domain the norm at its instant; never NaN (a NaN row value counts as
+    /// nothing, a NaN candidate is dropped), `+∞` only where every
+    /// candidate's norm overflows. The rows, copied out in [`rows`] order,
+    /// go through the kernel [`PendingSlack::resolve`] uses, so the two
+    /// give the same bits.
     ///
     /// [`slack`]: System::slack
+    /// [`rows`]: System::rows
     pub fn slack_with(&self, domain: Span, s: &mut SolveScratch) -> f64 {
-        slack_of(self, domain, s)
+        let mut one = std::mem::take(&mut s.rows);
+        one.clear();
+        one.record(self, domain);
+        let slack = slack_of(one.rows(0), domain, s);
+        s.rows = one;
+        slack
     }
 }
 
-/// The row polynomials a slack is taken over, visited in one fixed order.
-trait SlackRows {
-    fn is_empty(&self) -> bool;
-    fn for_each_poly(&self, f: &mut impl FnMut(&Poly));
-}
-
-impl SlackRows for System {
-    fn is_empty(&self) -> bool {
-        self.row_count() == 0
-    }
-
-    /// In [`System::rows`] order.
-    fn for_each_poly(&self, f: &mut impl FnMut(&Poly)) {
-        self.for_each_row(&mut |r| f(&r.poly));
-    }
-}
-
-impl SlackRows for [Poly] {
-    fn is_empty(&self) -> bool {
-        <[Poly]>::is_empty(self)
-    }
-
-    fn for_each_poly(&self, f: &mut impl FnMut(&Poly)) {
-        self.iter().for_each(f);
-    }
-}
-
-/// The max-norm `‖D·t‖∞` at one instant.
-fn norm_at(rows: &(impl SlackRows + ?Sized), t: f64) -> f64 {
-    let mut m = 0.0_f64;
-    rows.for_each_poly(&mut |p| m = m.max(p.eval(t).abs()));
-    m
+/// The max-norm `‖D·t‖∞` at one instant; a row that is NaN there adds
+/// nothing (`f64::max` drops it).
+fn norm_at(rows: &[Poly], t: f64) -> f64 {
+    rows.iter().fold(0.0, |m, p| m.max(p.eval(t).abs()))
 }
 
 /// The slack kernel behind [`System::slack_with`] and [`PendingSlack`]:
-/// the same rows in the same order give the same bits.
-fn slack_of(rows: &(impl SlackRows + ?Sized), domain: Span, s: &mut SolveScratch) -> f64 {
+/// the exact `min_t max_i |p_i(t)|` over `domain`, up to the root
+/// tolerance. The envelope is piecewise smooth, so its minimum lies at an
+/// endpoint, where one row's `|p_i|` bottoms out (a root or critical point
+/// of `p_i`), or where two rows' magnitudes cross (a root of `p_i − p_j`
+/// or `p_i + p_j`). Every such candidate comes from [`poly_roots_into`]
+/// (closed form up to degree 2, Brent above) and the norm is taken at
+/// each; the smallest wins.
+///
+/// No rows give 0, and a point domain the norm at its instant. The result
+/// is never NaN: candidates outside the domain (NaN ones included) are
+/// dropped and NaN row values count as nothing, so it lies in `[0, +∞]`,
+/// `+∞` only where every candidate's norm overflows.
+fn slack_of(rows: &[Poly], domain: Span, s: &mut SolveScratch) -> f64 {
     if rows.is_empty() {
         return 0.0;
     }
     if domain.is_point() {
         return norm_at(rows, domain.lo);
     }
-    const SAMPLES: usize = 64;
-    let step = domain.len() / SAMPLES as f64;
-    let samples = &mut s.samples;
-    samples.clear();
-    samples.push(domain.lo);
-    samples.extend((1..=SAMPLES).map(|i| domain.lo + step * i as f64));
-    s.row_vals.resize(samples.len(), 0.0);
-    s.envelope.clear();
-    s.envelope.resize(samples.len(), 0.0);
-    let (row_vals, envelope) = (&mut s.row_vals, &mut s.envelope);
-    rows.for_each_poly(&mut |p| {
-        p.eval_many(samples, row_vals);
-        for (e, v) in envelope.iter_mut().zip(row_vals.iter()) {
-            *e = e.max(v.abs());
-        }
-    });
-    let mut best_t = samples[0];
-    let mut best = envelope[0];
-    for i in 1..=SAMPLES {
-        if envelope[i] < best {
-            best = envelope[i];
-            best_t = samples[i];
+    let SolveScratch { cmp, cands, derived, .. } = s;
+    cands.clear();
+    cands.extend([domain.lo, domain.hi]);
+    let mut add_roots = |p: &Poly| {
+        poly_roots_into(p, domain.lo, domain.hi, SOLVE_TOL, &mut cmp.roots, &mut cmp.root_buf);
+        cands.extend_from_slice(&cmp.root_buf);
+    };
+    for (i, p) in rows.iter().enumerate() {
+        add_roots(p);
+        p.derivative_into(derived);
+        add_roots(derived);
+        for q in &rows[i + 1..] {
+            derived.copy_from(p);
+            derived.sub_assign_poly(q);
+            add_roots(derived);
+            derived.copy_from(p);
+            derived.add_assign_poly(q);
+            add_roots(derived);
         }
     }
-    // Ternary-search refinement inside the winning bracket.
-    let (mut lo, mut hi) = ((best_t - step).max(domain.lo), (best_t + step).min(domain.hi));
-    for _ in 0..60 {
-        let m1 = lo + (hi - lo) / 3.0;
-        let m2 = hi - (hi - lo) / 3.0;
-        if norm_at(rows, m1) <= norm_at(rows, m2) {
-            hi = m2;
-        } else {
-            lo = m1;
-        }
-    }
-    best.min(norm_at(rows, 0.5 * (lo + hi)))
+    cands
+        .iter()
+        .filter(|&&t| domain.lo <= t && t <= domain.hi)
+        .fold(f64::INFINITY, |best, &t| best.min(norm_at(rows, t)))
 }
 
 /// Null results whose slack is owed but not yet computed: each one's row
@@ -410,9 +394,9 @@ fn slack_of(rows: &(impl SlackRows + ?Sized), domain: Span, s: &mut SolveScratch
 /// here and clears it when the next call starts. Slack is read only after
 /// a push that returned nothing, so results recorded in other pushes are
 /// never resolved; those that are give the bits [`System::slack_with`]
-/// would.
+/// would. Once warm, recording and resolving allocate nothing.
 #[derive(Debug, Default)]
-pub(crate) struct PendingSlack {
+pub struct PendingSlack {
     /// Row polynomials of the recorded results, back to back. Only the
     /// first `used` are recorded; the rest keep their allocations.
     rows: Vec<Poly>,
@@ -423,34 +407,33 @@ pub(crate) struct PendingSlack {
 
 impl PendingSlack {
     /// Forgets every recorded null result.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.used = 0;
         self.nulls.clear();
     }
 
     /// Records a null result of `sys` over `domain`.
-    pub(crate) fn record(&mut self, sys: &System, domain: Span) {
-        sys.for_each_poly(&mut |p| {
+    pub fn record(&mut self, sys: &System, domain: Span) {
+        sys.for_each_row(&mut |r| {
             match self.rows.get_mut(self.used) {
-                Some(row) => row.copy_from(p),
-                None => self.rows.push(p.clone()),
+                Some(row) => row.copy_from(&r.poly),
+                None => self.rows.push(r.poly.clone()),
             }
             self.used += 1;
         });
         self.nulls.push((domain, self.used));
     }
 
+    /// The rows of recorded result `i`.
+    fn rows(&self, i: usize) -> &[Poly] {
+        let start = if i == 0 { 0 } else { self.nulls[i - 1].1 };
+        &self.rows[start..self.nulls[i].1]
+    }
+
     /// The smallest slack over the recorded null results, taken in the
     /// order they were recorded; `None` when there are none.
-    pub(crate) fn resolve(&self, s: &mut SolveScratch) -> Option<f64> {
-        let mut start = 0;
-        let mut worst: Option<f64> = None;
-        for &(domain, end) in &self.nulls {
-            let slack = slack_of(&self.rows[start..end], domain, s);
-            worst = Some(worst.map_or(slack, |w| w.min(slack)));
-            start = end;
-        }
-        worst
+    pub fn resolve(&self, s: &mut SolveScratch) -> Option<f64> {
+        (0..self.nulls.len()).map(|i| slack_of(self.rows(i), self.nulls[i].0, s)).reduce(f64::min)
     }
 }
 
@@ -721,6 +704,132 @@ mod tests {
         let sys = System::build(&pred, &linear_lookup(1.0, 0.0, 0.0, 0.0)).unwrap();
         let slack = sys.slack(Span::new(-5.0, 5.0));
         assert!((slack - 2.0).abs() < 1e-6, "slack {slack}");
+    }
+
+    /// The kernel slack had before it went exact: the max-norm at 65 evenly
+    /// spaced instants, then a 60-step ternary search in the bracket of the
+    /// best one. The exact kernel must never come out above it.
+    fn sampled_slack(rows: &[Poly], domain: Span) -> f64 {
+        if rows.is_empty() {
+            return 0.0;
+        }
+        if domain.is_point() {
+            return norm_at(rows, domain.lo);
+        }
+        const SAMPLES: usize = 64;
+        let step = domain.len() / SAMPLES as f64;
+        let (mut best_t, mut best) = (domain.lo, norm_at(rows, domain.lo));
+        for i in 1..=SAMPLES {
+            let t = domain.lo + step * i as f64;
+            let v = norm_at(rows, t);
+            if v < best {
+                (best_t, best) = (t, v);
+            }
+        }
+        let (mut lo, mut hi) = ((best_t - step).max(domain.lo), (best_t + step).min(domain.hi));
+        for _ in 0..60 {
+            let m1 = lo + (hi - lo) / 3.0;
+            let m2 = hi - (hi - lo) / 3.0;
+            if norm_at(rows, m1) <= norm_at(rows, m2) {
+                hi = m2;
+            } else {
+                lo = m1;
+            }
+        }
+        best.min(norm_at(rows, 0.5 * (lo + hi)))
+    }
+
+    #[test]
+    fn exact_slack_is_the_true_minimum() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut s = SolveScratch::default();
+        let tol = |r: f64| 1e-9 * (1.0 + r.abs());
+        for case in 0..300 {
+            let rows: Vec<Poly> = (0..rng.gen_range(1..=4))
+                .map(|_| {
+                    let degree = rng.gen_range(0..=4);
+                    Poly::new((0..=degree).map(|_| rng.gen_range(-5.0..5.0)).collect())
+                })
+                .collect();
+            let lo = rng.gen_range(-5.0..5.0);
+            let width = match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => rng.gen_range(0.0..pulse_math::EPS),
+                _ => rng.gen_range(0.0..6.0),
+            };
+            let domain = Span::new(lo, lo + width);
+            let slack = slack_of(&rows, domain, &mut s);
+            let reference = sampled_slack(&rows, domain);
+            assert!(slack <= reference + tol(reference), "case {case}: {slack} > {reference}");
+            if domain.is_point() {
+                // A point domain is read at its instant, as before.
+                assert_eq!(slack.to_bits(), norm_at(&rows, lo).to_bits(), "case {case}");
+                continue;
+            }
+            let grid = (0..=10_000)
+                .map(|k| (domain.lo + domain.len() * k as f64 / 1e4).min(domain.hi))
+                .fold(f64::INFINITY, |m, t| m.min(norm_at(&rows, t)));
+            assert!(slack <= grid + tol(grid), "case {case}: {slack} > grid {grid}");
+            // Attained at an instant of the domain, so never below the
+            // true minimum.
+            let attained = s.cands.iter().any(|&t| {
+                domain.lo <= t && t <= domain.hi && norm_at(&rows, t).to_bits() == slack.to_bits()
+            });
+            assert!(attained, "case {case}: {slack} not attained in {domain:?}");
+        }
+    }
+
+    #[test]
+    fn exact_slack_finds_the_narrow_dip_sampling_steps_over() {
+        // 0.01·(t−10)²(t−40.5)² plus a tilt: a broad dip of ≈1 near the
+        // sample t = 10 and a narrow one of ≈0.1 near t = 40.5, halfway
+        // between the samples at 40 and 41 (both ≈2.4).
+        let tilt = 0.9 / 30.5;
+        let quartic = Poly::linear(-10.0, 1.0)
+            .powi(2)
+            .mul(&Poly::linear(-40.5, 1.0).powi(2))
+            .scale(0.01)
+            .add(&Poly::linear(1.0 + 10.0 * tilt, -tilt));
+        let (rows, domain) = ([quartic], Span::new(0.0, 64.0));
+        let sampled = sampled_slack(&rows, domain);
+        assert!((sampled - 1.0).abs() < 1e-3, "sampling should settle in the broad dip: {sampled}");
+        let exact = slack_of(&rows, domain, &mut SolveScratch::default());
+        assert!((exact - 0.1).abs() < 1e-3, "the narrow dip is the minimum: {exact}");
+    }
+
+    #[test]
+    fn degenerate_slack_never_panics_or_gives_nan() {
+        let mut s = SolveScratch::default();
+        let d = Span::new(0.0, 10.0);
+        assert_eq!(slack_of(&[], d, &mut s), 0.0);
+        assert_eq!(slack_of(&[Poly::zero()], d, &mut s), 0.0);
+        assert_eq!(slack_of(&[Poly::constant(-3.0), Poly::constant(2.0)], d, &mut s), 3.0);
+        let domains = [
+            d,
+            Span::point(2.0),
+            Span::new(-1e300, 1e300),
+            Span { lo: 0.0, hi: f64::INFINITY },
+            Span { lo: f64::NEG_INFINITY, hi: f64::INFINITY },
+        ];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in 0..4 {
+                let mut c = vec![1.0, -2.0, 0.5, 0.25];
+                c[at] = bad;
+                for rows in
+                    [vec![Poly::new(c.clone())], vec![Poly::new(c), Poly::linear(-1.0, 1.0)]]
+                {
+                    for domain in domains {
+                        let slack = slack_of(&rows, domain, &mut s);
+                        assert!(slack >= 0.0, "{slack} for {rows:?} over {domain:?}");
+                    }
+                }
+            }
+        }
+        for domain in domains {
+            let rows = [Poly::new(vec![1.0, -2.0, 0.5, 0.25]), Poly::linear(-1.0, 1.0)];
+            assert!(slack_of(&rows, domain, &mut s) >= 0.0, "{domain:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::binding::Binding;
 use crate::cops::{CFilter, CGroupBy, CJoin, CMap, CMinMax, COperator, CSumAvg, CUnion};
 use crate::lineage::LineageStore;
 use pulse_model::{Pred, Segment};
-use pulse_obs::Tracer;
+use pulse_obs::{prof, Phase, Tracer};
 use pulse_stream::{AggFunc, LogicalOp, LogicalPlan, OpMetrics, PortRef};
 
 /// Errors from the continuous query transform.
@@ -205,7 +205,7 @@ impl CPlan {
     ///
     /// Operators only record their null results; when the push appends
     /// nothing, their slack is resolved here, before returning, for
-    /// [`Self::last_slack`].
+    /// [`Self::last_slack`], and timed as the profiler's `slack` phase.
     pub fn push_traced(
         &mut self,
         source: usize,
@@ -224,11 +224,13 @@ impl CPlan {
         self.drain(seg, tr, results);
         self.slack = None;
         if results.len() == start {
+            let t0 = prof::start();
             for n in self.nodes.iter_mut().flatten() {
                 if let Some(s) = n.resolve_slack() {
                     self.slack = Some(self.slack.map_or(s, |a: f64| a.min(s)));
                 }
             }
+            tr.prof(t0, Phase::Slack);
         }
     }
 
@@ -549,6 +551,24 @@ mod tests {
         assert_eq!(results[0], held);
         assert_eq!((results[1].key, results[1].span), (1, Span::new(50.0, 100.0)));
         assert_eq!(plan.last_slack(), None);
+    }
+
+    #[test]
+    fn slack_resolution_is_timed_in_its_own_cell() {
+        let mut lp = LogicalPlan::new(vec![src()]);
+        lp.add(
+            LogicalOp::Filter { pred: Pred::cmp(Expr::attr(0), CmpOp::Gt, Expr::c(50.0)) },
+            vec![PortRef::Source(0)],
+        );
+        let mut plan = CPlan::compile(&lp).unwrap();
+        let (mut tr, mut results) = (Tracer::off(), Vec::new());
+        pulse_obs::set_prof_enabled(true);
+        // A null result resolves its slack; a hit resolves none.
+        plan.push_traced(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut tr, &mut results);
+        plan.push_traced(0, &seg(1, 10.0, 100.0, 0.0, 1.0), &mut tr, &mut results);
+        pulse_obs::set_prof_enabled(false);
+        assert_eq!(results.len(), 1);
+        assert_eq!(tr.phases().count(Phase::Slack), 1);
     }
 
     fn pass() -> LogicalOp {

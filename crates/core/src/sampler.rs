@@ -27,8 +27,10 @@ impl Sampler {
         Sampler::new(1.0 / slide)
     }
 
-    /// Tuples for one segment: every grid point within its span (a point
-    /// segment yields exactly one tuple at its instant).
+    /// Tuples for one segment: every grid point within its span, in
+    /// strictly increasing time (a point segment yields exactly one tuple
+    /// at its instant). Where the step is under the ulp of `t`, grid
+    /// points that round to the instant before them are skipped.
     pub fn sample_segment(&self, seg: &Segment) -> Vec<Tuple> {
         let eval = |t: f64| -> Tuple {
             let mut values: Vec<f64> = seg.models.iter().map(|m| m.eval(t)).collect();
@@ -46,9 +48,11 @@ impl Sampler {
         // sum: a sum drifts off the grid, and stops advancing once `step`
         // is under half an ulp of `t`.
         let later = ((k0 as i64).saturating_add(1)..=i64::MAX).map(|k| k as f64 * step);
+        let mut last = f64::NEG_INFINITY;
         std::iter::once(first)
             .chain(later)
             .take_while(|&t| t < seg.span.hi - EPS)
+            .filter(|&t| t > std::mem::replace(&mut last, t))
             .map(eval)
             .collect()
     }
@@ -140,14 +144,19 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(1))
             .expect("sampling a sub-ulp grid must terminate");
         sampler.join().expect("the sampling thread ran to its end");
-        // One sample per grid step of the span, up to the ulp the end
-        // rounds within.
-        let steps = (hi - lo) * rate;
-        let ulp_steps = (hi.next_up() - hi) * rate;
-        let n = tuples.len() as f64;
-        assert!(n >= steps - ulp_steps - 1.0 && n <= steps + 1.0, "{n} samples for {steps} steps");
+        // One sample per distinct `f64` the grid points of the span round
+        // to: about 1,000 grid points, but index `k` near 1.7e17 is only
+        // representable in steps of 32, so they take 31 values.
+        let step = 1.0 / rate;
+        let mut grid: Vec<f64> = ((lo / step).floor() as i64..=(hi / step).ceil() as i64)
+            .map(|k| (k as f64 * step).max(lo))
+            .filter(|&t| t < hi)
+            .collect();
+        grid.dedup();
+        assert_eq!(grid.len(), 31);
+        assert_eq!(tuples.len(), grid.len());
         assert_eq!(tuples[0].ts, lo);
-        assert!(tuples.windows(2).all(|w| w[0].ts <= w[1].ts));
+        assert!(tuples.windows(2).all(|w| w[0].ts < w[1].ts), "timestamps strictly increase");
         assert!(tuples.iter().all(|t| t.ts >= lo && t.ts < hi));
     }
 

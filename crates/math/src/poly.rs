@@ -263,22 +263,6 @@ impl Poly {
         c.iter().rev().fold(0.0, |acc, &c| acc * t + c)
     }
 
-    /// Batch Horner evaluation over a chunk of sample times.
-    ///
-    /// The inner loop runs over the contiguous `f64` arrays (coefficient
-    /// outer, samples inner), so it vectorizes where the per-point `eval`
-    /// cannot. Each lane performs the identical `acc·t + c` sequence, so
-    /// results are bit-identical to calling [`Poly::eval`] per point.
-    pub fn eval_many(&self, ts: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(ts.len(), out.len());
-        out.fill(0.0);
-        for &c in self.coeffs().iter().rev() {
-            for (o, &t) in out.iter_mut().zip(ts) {
-                *o = *o * t + c;
-            }
-        }
-    }
-
     /// Replaces `self` with a copy of `other`, reusing the allocation.
     pub fn copy_from(&mut self, other: &Poly) {
         match (&self.c, &other.c) {
@@ -976,17 +960,6 @@ mod tests {
             let mut flat = vec![1.0];
             xp.derivative_append(&mut flat);
             prop_assert_eq!(vbits(&flat[1..]), vbits(&reference::derivative(&x)));
-        }
-    }
-
-    #[test]
-    fn eval_many_matches_eval() {
-        let q = p(&[1.0, -2.0, 0.5, 3.0]);
-        let ts: Vec<f64> = (0..37).map(|i| -3.0 + 0.2 * i as f64).collect();
-        let mut out = vec![0.0; ts.len()];
-        q.eval_many(&ts, &mut out);
-        for (t, o) in ts.iter().zip(&out) {
-            assert_eq!(q.eval(*t).to_bits(), o.to_bits(), "t={t}");
         }
     }
 

@@ -2,12 +2,12 @@
 //! re-model/re-solve pipeline.
 //!
 //! The violation path (validate → remodel-fit → template-substitute →
-//! root-isolate → solve glue → emit) is where Pulse spends ~99% of its
-//! cycles whenever predictions break, yet span histograms only show whole
-//! stages. This module gives each runtime a fixed, shard-local
-//! [`PhaseTable`] — twenty plain `u64` cells, single-writer by ownership —
-//! that accumulates nanoseconds per phase as the runtime and its operators
-//! pass through them. The table exports as counters
+//! root-isolate → solve glue → slack → emit) is where Pulse spends ~99% of
+//! its cycles whenever predictions break, yet span histograms only show
+//! whole stages. This module gives each runtime a fixed, shard-local
+//! [`PhaseTable`] — two plain `u64` cells per phase, single-writer by
+//! ownership — that accumulates nanoseconds per phase as the runtime and
+//! its operators pass through them. The table exports as counters
 //! (`prof.<phase>.ns` / `prof.<phase>.count`) and as a self-normalizing
 //! [`PhaseBreakdown`] whose shares always sum to 1 regardless of how much
 //! of the run was profiled.
@@ -59,7 +59,7 @@ pub fn start() -> Option<Instant> {
 }
 
 /// Number of phases in the violation-path pipeline.
-pub const PHASE_COUNT: usize = 10;
+pub const PHASE_COUNT: usize = 11;
 
 /// One phase of the violation path, in pipeline order.
 ///
@@ -94,13 +94,16 @@ pub enum Phase {
     SolveBatchDrain = 7,
     /// Plan-push glue around the solves: operator state scans, lineage
     /// registration, segment construction (push total minus the nested
-    /// substitute/isolate time).
+    /// substitute/isolate/slack time).
     Solve = 8,
+    /// Resolving the slack of a push's null results (§IV's slack
+    /// validation), run at the end of a plan push that produced nothing.
+    Slack = 9,
     /// Result installation: bound inversion and validation-mode updates,
     /// plus (metrics on) each output's lag/lead histogram samples and
     /// (flight recorder on) each output's `OutputEmit` event and the
     /// lineage walk to its sources.
-    Emit = 9,
+    Emit = 10,
 }
 
 impl Phase {
@@ -115,6 +118,7 @@ impl Phase {
         Phase::SolveRefine,
         Phase::SolveBatchDrain,
         Phase::Solve,
+        Phase::Slack,
         Phase::Emit,
     ];
 
@@ -130,6 +134,7 @@ impl Phase {
             Phase::SolveRefine => "solve_refine",
             Phase::SolveBatchDrain => "solve_batch_drain",
             Phase::Solve => "solve",
+            Phase::Slack => "slack",
             Phase::Emit => "emit",
         }
     }
@@ -143,13 +148,14 @@ impl Phase {
 
     /// Nanoseconds currently accumulated across everything operators record
     /// while a plan push runs: template substitution, the `RootIsolate`
-    /// glue and its nested solve sub-phases. The runtime subtracts the
-    /// delta of this sum from a push's wall time so the `Solve` cell holds
-    /// only plan glue.
+    /// glue and its nested solve sub-phases, and the slack resolution at
+    /// the push's end. The runtime subtracts the delta of this sum from a
+    /// push's wall time so the `Solve` cell holds only plan glue.
     pub fn push_nested_ns(table: &PhaseTable) -> u64 {
         table.ns(Phase::TemplateSubstitute)
             + table.ns(Phase::RootIsolate)
             + Phase::solve_nested_ns(table)
+            + table.ns(Phase::Slack)
     }
 }
 
@@ -348,6 +354,25 @@ mod tests {
         t.record_since(None, Phase::Emit);
         assert!(t.is_empty(), "off-path record is a no-op");
         assert!(t.lap(None, Phase::Emit).is_none() && t.is_empty(), "off-path lap is a no-op");
+    }
+
+    #[test]
+    fn push_nested_phases_include_the_slack_cell() {
+        // The runtime records `Solve` as a push's wall time minus this sum,
+        // so a phase left out of it would be counted twice.
+        let mut t = PhaseTable::default();
+        for (i, &p) in Phase::ALL.iter().enumerate() {
+            t.record(p, 1 << i);
+        }
+        let nested = [
+            Phase::TemplateSubstitute,
+            Phase::RootIsolate,
+            Phase::SolveAssemble,
+            Phase::SolveSturm,
+            Phase::SolveRefine,
+            Phase::Slack,
+        ];
+        assert_eq!(Phase::push_nested_ns(&t), nested.iter().map(|&p| t.ns(p)).sum::<u64>());
     }
 
     #[test]

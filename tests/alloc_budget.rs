@@ -1,8 +1,9 @@
 //! Allocation gate: heap allocations per pushed segment through a
 //! MACD-shaped `CPlan`, a global-min `CPlan` and the global min's
 //! partition-rewrite worker `CPlan`, per violation through a
-//! `PulseRuntime` running the MACD plan, and per routed tuple through a
-//! `HybridRuntime` running the partition-rewritten global min.
+//! `PulseRuntime` running the MACD plan, per routed tuple through a
+//! `HybridRuntime` running the partition-rewritten global min, and per
+//! slack resolved from a warm `PendingSlack` (none allowed).
 //!
 //! Timing gates swing with host load; an allocation count does not. A
 //! counting global allocator tallies allocations (reallocations included)
@@ -19,7 +20,7 @@
 //! measured with.
 
 use pulse::core::runtime::{Predictor, PulseRuntime, RuntimeConfig};
-use pulse::core::{CPlan, HybridRuntime, DEFAULT_BATCH};
+use pulse::core::{eqsys, CPlan, DiffEq, HybridRuntime, SolveScratch, DEFAULT_BATCH};
 use pulse::math::{CmpOp, Poly, Span};
 use pulse::model::{AttrKind, Expr, Pred, Schema, Segment, Tuple};
 use pulse::stream::{partition_rewrite, AggFunc, KeyJoin, LogicalOp, LogicalPlan, PortRef};
@@ -271,6 +272,23 @@ fn allocs_per_routed_tuple() -> (f64, Counts) {
     (n.total() as f64 / counted.len() as f64, n)
 }
 
+/// Allocations made by 1,000 rounds of recording one null result of
+/// `sys` over a 5 s domain into a warm [`PendingSlack`] and resolving it,
+/// and their size classes.
+fn allocs_per_slack(sys: &eqsys::System) -> Counts {
+    let (mut pending, mut s) = (eqsys::PendingSlack::default(), SolveScratch::default());
+    let domain = Span::new(0.0, 5.0);
+    pending.record(sys, domain);
+    assert!(pending.resolve(&mut s).is_some_and(f64::is_finite), "warm-up resolves");
+    let before = Counts::now();
+    for _ in 0..1000 {
+        pending.clear();
+        pending.record(sys, domain);
+        std::hint::black_box(pending.resolve(&mut s));
+    }
+    Counts::now().since(before)
+}
+
 #[test]
 fn allocations_per_push_stay_within_budget() {
     let segs = stream(7);
@@ -329,4 +347,21 @@ fn allocations_per_push_stay_within_budget() {
         "hybrid: {per_tuple:.3} allocations per routed tuple, budget {:.3} ({classes})",
         measured * 1.1
     );
+    // The slack kernel takes every candidate minimum into buffers the
+    // scratch keeps, so a warm resolve allocates nothing: not for `macd`'s
+    // one-row quadratic join, nor for three cubics, whose roots go through
+    // the derivative recursion and Brent.
+    let row = |c: &[f64]| eqsys::System::Row(DiffEq { poly: Poly::new(c.to_vec()), op: CmpOp::Gt });
+    let cubics = eqsys::System::And(
+        Box::new(row(&[-8.0, 14.0, -7.0, 1.0])),
+        Box::new(eqsys::System::And(
+            Box::new(row(&[3.0, -9.0, 6.0, -1.0])),
+            Box::new(row(&[1.0, -2.0, 0.0, 0.5])),
+        )),
+    );
+    for (name, sys) in [("quadratic", row(&[4.0, -5.0, 1.0])), ("cubics", cubics)] {
+        let n = allocs_per_slack(&sys);
+        println!("slack ({name}): {} allocations over 1000 resolves ({n})", n.total());
+        assert_eq!(n.total(), 0, "slack ({name}) allocated: {n}");
+    }
 }
