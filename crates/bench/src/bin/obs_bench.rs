@@ -49,8 +49,10 @@
 //! `viol_obs_on` — which is how `scripts/check.sh` keeps instrumentation
 //! honest. (The percentage limit was 5% when the violation path cost
 //! ~15 µs/tuple; the batched+VM rewrite made the path ~4× cheaper and
-//! the solve sub-phase drill-down added timestamp pairs per solve, so
-//! the same ~400 ns absolute profiler cost is now a ~10% share.)
+//! the solve sub-phase drill-down added clock reads per solve, so the
+//! same few-hundred-ns absolute profiler cost is now a 10–25% share. The
+//! profiler reads the clock once per phase boundary, where its one clock
+//! switches from one phase to the next.)
 
 use pulse_bench::queries;
 use pulse_core::runtime::Predictor;

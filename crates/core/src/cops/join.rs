@@ -23,7 +23,7 @@ use crate::keymap::KeyMap;
 use crate::lineage::LineageStore;
 use pulse_math::{Span, EPS};
 use pulse_model::{Models, Pred, Segment};
-use pulse_obs::{prof, Phase, TraceKind, Tracer};
+use pulse_obs::{Phase, TraceKind, Tracer};
 use pulse_stream::{KeyJoin, OpMetrics};
 use std::any::Any;
 
@@ -331,7 +331,7 @@ impl COperator for CJoin {
             any_overlap = true;
             let lb = &self.bindings[0];
             let rb = &self.bindings[1];
-            let t0 = prof::start();
+            let m = tr.enter(Phase::TemplateSubstitute);
             let sys = match self.template.substitute_into(|inp, attr, slot| {
                 if inp == 0 {
                     lb.poly_into(l, attr, slot)
@@ -340,17 +340,15 @@ impl COperator for CJoin {
                 }
             }) {
                 Ok(sys) => sys,
-                Err(_) => continue,
+                Err(_) => {
+                    tr.leave(m);
+                    continue;
+                }
             };
-            let t0 = tr.prof_lap(t0, Phase::TemplateSubstitute);
-            let nested0 = t0.map(|_| Phase::solve_nested_ns(tr.phases()));
+            tr.enter(Phase::RootIsolate);
             let mut rows = 0;
             let sol = sys.solve_with(overlap, &mut rows, &mut self.scratch, tr);
-            if let (Some(t0), Some(n0)) = (t0, nested0) {
-                let nested = Phase::solve_nested_ns(tr.phases()).saturating_sub(n0);
-                let total = t0.elapsed().as_nanos() as u64;
-                tr.phases_mut().record(Phase::RootIsolate, total.saturating_sub(nested));
-            }
+            tr.leave(m);
             self.m.systems_solved += 1;
             self.m.comparisons += rows;
             trace_rows += rows;

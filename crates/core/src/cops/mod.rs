@@ -22,7 +22,7 @@ use crate::eqsys::{PendingSlack, SolveScratch, SystemTemplate};
 use crate::lineage::LineageStore;
 use pulse_math::{Poly, EPS};
 use pulse_model::{ExprError, ExprVm, Models, Pred, Segment, SlotMap, VmProgram};
-use pulse_obs::{prof, Phase, TraceKind, Tracer};
+use pulse_obs::{Phase, TraceKind, Tracer};
 use pulse_stream::OpMetrics;
 use std::any::Any;
 
@@ -112,23 +112,22 @@ impl COperator for CFilter {
     ) {
         self.m.items_in += 1;
         let binding = &self.binding;
-        let t0 = prof::start();
+        let m = tr.enter(Phase::TemplateSubstitute);
         let sys =
             match self.template.substitute_into(|_, attr, slot| binding.poly_into(seg, attr, slot))
             {
                 Ok(sys) => sys,
-                Err(_) => return, // non-polynomial predicate: no continuous result
+                Err(_) => {
+                    // Non-polynomial predicate: no continuous result.
+                    tr.leave(m);
+                    return;
+                }
             };
         self.null.clear();
-        let t0 = tr.prof_lap(t0, Phase::TemplateSubstitute);
-        let nested0 = t0.map(|_| Phase::solve_nested_ns(tr.phases()));
+        tr.enter(Phase::RootIsolate);
         let mut rows = 0;
         let sol = sys.solve_with(seg.span, &mut rows, &mut self.scratch, tr);
-        if let (Some(t0), Some(n0)) = (t0, nested0) {
-            let nested = Phase::solve_nested_ns(tr.phases()).saturating_sub(n0);
-            let total = t0.elapsed().as_nanos() as u64;
-            tr.phases_mut().record(Phase::RootIsolate, total.saturating_sub(nested));
-        }
+        tr.leave(m);
         self.m.systems_solved += 1;
         self.m.comparisons += rows;
         if tr.on() {
@@ -218,9 +217,9 @@ impl COperator for CMap {
         out: &mut Vec<Segment>,
     ) {
         self.m.items_in += 1;
-        let t0 = prof::start();
+        let m = tr.enter(Phase::TemplateSubstitute);
         let models = self.project(seg);
-        tr.prof(t0, Phase::TemplateSubstitute);
+        tr.leave(m);
         let Ok(models) = models else { return };
         let mapped = Segment::new(seg.key, seg.span, models, Vec::new());
         lineage.emit(&mapped, &[seg.id]);

@@ -18,7 +18,7 @@ use pulse_math::{
     Span,
 };
 use pulse_model::{ExprError, ExprVm, Pred, SlotMap, VmProgram};
-use pulse_obs::{prof, Phase, Tracer};
+use pulse_obs::{Phase, Tracer};
 
 /// Default root-finding tolerance used by the operators.
 pub const SOLVE_TOL: f64 = 1e-9;
@@ -113,9 +113,9 @@ impl System {
         tr: &mut Tracer,
     ) -> RangeSet {
         if self.is_conjunctive_linear_eq() {
-            let t0 = prof::start();
+            let m = tr.enter(Phase::SolveAssemble);
             let fast = self.linear_equality_solution(domain, rows_solved);
-            tr.prof(t0, Phase::SolveAssemble);
+            tr.leave(m);
             return fast;
         }
         self.solve_general(domain, rows_solved, s, tr)
@@ -136,7 +136,7 @@ impl System {
                 if let Some(rs) = solve_cmp_degenerate(&r.poly, r.op, domain) {
                     return rs;
                 }
-                let t0 = prof::start();
+                let m = tr.enter(Phase::SolveSturm);
                 poly_roots_into(
                     &r.poly,
                     domain.lo,
@@ -145,7 +145,7 @@ impl System {
                     &mut s.cmp.roots,
                     &mut s.cmp.root_buf,
                 );
-                let t0 = tr.prof_lap(t0, Phase::SolveSturm);
+                tr.enter(Phase::SolveRefine);
                 let rs = solve_cmp_from_roots(
                     &r.poly,
                     r.op,
@@ -154,7 +154,7 @@ impl System {
                     &s.cmp.root_buf,
                     &mut s.cmp.cuts,
                 );
-                tr.prof(t0, Phase::SolveRefine);
+                tr.leave(m);
                 rs
             }
             System::And(a, b) => {

@@ -11,7 +11,7 @@ use crate::binding::Binding;
 use crate::cops::{CFilter, CGroupBy, CJoin, CMap, CMinMax, COperator, CSumAvg, CUnion};
 use crate::lineage::LineageStore;
 use pulse_model::{Pred, Segment};
-use pulse_obs::{prof, Phase, Tracer};
+use pulse_obs::{Phase, Tracer};
 use pulse_stream::{AggFunc, LogicalOp, LogicalPlan, OpMetrics, PortRef};
 
 /// Errors from the continuous query transform.
@@ -224,13 +224,13 @@ impl CPlan {
         self.drain(seg, tr, results);
         self.slack = None;
         if results.len() == start {
-            let t0 = prof::start();
+            let m = tr.enter(Phase::Slack);
             for n in self.nodes.iter_mut().flatten() {
                 if let Some(s) = n.resolve_slack() {
                     self.slack = Some(self.slack.map_or(s, |a: f64| a.min(s)));
                 }
             }
-            tr.prof(t0, Phase::Slack);
+            tr.leave(m);
         }
     }
 
@@ -267,15 +267,6 @@ impl CPlan {
         results.extend(
             produced.drain(..).zip(is_result.drain(..)).filter_map(|(s, r)| r.then_some(s)),
         );
-    }
-
-    /// Pushes a batch of segments (time-ordered per source).
-    pub fn push_all(&mut self, source: usize, segs: &[Segment]) -> Vec<Segment> {
-        let mut out = Vec::new();
-        for s in segs {
-            self.push_traced(source, s, &mut Tracer::off(), &mut out);
-        }
-        out
     }
 
     /// Sum of all operator metrics.

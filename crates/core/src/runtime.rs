@@ -428,17 +428,14 @@ impl PulseRuntime {
         self.ingest(source, tuple, true, outs);
     }
 
-    /// Drains the deferred-solve queue in violation order. The
-    /// `SolveBatchDrain` cell gets the drain's wall time net of what the
-    /// solves attribute to themselves, so it holds only queue bookkeeping
-    /// and the phase shares stay disjoint.
+    /// Drains the deferred-solve queue in violation order. The queue's
+    /// bookkeeping is the `SolveBatchDrain` phase; each solve pauses it.
     pub(crate) fn drain_pending(&mut self, outs: &mut Vec<Segment>) {
         if self.pending.is_empty() {
             return;
         }
         let obs_on = pulse_obs::enabled();
-        let t0 = pulse_obs::prof::start();
-        let solved0 = t0.map(|_| self.solved_ns());
+        let m = self.tracer.enter(pulse_obs::Phase::SolveBatchDrain);
         let mut queued = std::mem::take(&mut self.pending);
         self.pending_keys.clear();
         for p in queued.drain(..) {
@@ -446,22 +443,7 @@ impl PulseRuntime {
             self.run_solve(p.source, p.key, p.ts, p.validation, vt0, outs);
         }
         self.pending = queued;
-        if let (Some(t0), Some(s0)) = (t0, solved0) {
-            let total = t0.elapsed().as_nanos() as u64;
-            let solved = self.solved_ns() - s0;
-            self.tracer
-                .phases_mut()
-                .record(pulse_obs::Phase::SolveBatchDrain, total.saturating_sub(solved));
-        }
-    }
-
-    /// Phase ns the solves inside a drain record for themselves (the push
-    /// phases plus emit) — subtracted from the drain wall time above.
-    fn solved_ns(&self) -> u64 {
-        let p = self.tracer.phases();
-        pulse_obs::Phase::push_nested_ns(p)
-            + p.ns(pulse_obs::Phase::Solve)
-            + p.ns(pulse_obs::Phase::Emit)
+        self.tracer.leave(m);
     }
 
     /// The validation front half shared by every entry point: fast-path
@@ -602,10 +584,12 @@ impl PulseRuntime {
         // Violation/re-model path: rare and expensive, so it always times
         // itself (reusing the entry timestamp when sampling took one).
         let slow_t0 = obs_on.then(|| start.unwrap_or_else(Instant::now));
-        // Re-model from this tuple and re-solve.
-        let prof_t0 = pulse_obs::prof::start();
+        // Re-model from this tuple and re-solve. The profiler's clock runs
+        // from here to the end of result installation: the solve and the
+        // enqueue below each pause the re-model phase.
+        let m = self.tracer.enter(pulse_obs::Phase::RemodelFit);
         let Ok(replaced) = self.remodel(source, tuple) else {
-            self.tracer.prof(prof_t0, pulse_obs::Phase::RemodelFit);
+            self.tracer.leave(m);
             self.stats.model_errors += 1;
             return;
         };
@@ -614,10 +598,11 @@ impl PulseRuntime {
         }
         self.seg_owner.insert(self.slots[&vkey].seg.id, vkey);
         self.stats.segments_pushed += 1;
-        self.tracer.prof(prof_t0, pulse_obs::Phase::RemodelFit);
         if defer && !audited {
+            self.tracer.enter(pulse_obs::Phase::SolveBatchDrain);
             self.pending.push(PendingSolve { source, key: tuple.key, ts: tuple.ts, validation });
             self.pending_keys.insert(tuple.key);
+            self.tracer.leave(m);
             // The deferred half times itself at drain; record the ingest
             // half now so the two histogram contributions sum to the same
             // violation-path total as inline execution.
@@ -627,6 +612,7 @@ impl PulseRuntime {
             return;
         }
         self.run_solve(source, tuple.key, tuple.ts, validation, slow_t0, outs);
+        self.tracer.leave(m);
         if audited {
             self.audit_tap(source, tuple, false);
         }
@@ -654,9 +640,10 @@ impl PulseRuntime {
 
     /// The solve half of the violation path: pushes `(source, key)`'s
     /// current predictive segment through the plan, appending the results
-    /// to `outs`, attributes the `Solve` phase net of everything the
-    /// operators record inside the push, and installs the inverted bounds
-    /// (or slack mode) from the results.
+    /// to `outs`, and installs the inverted bounds (or slack mode) from the
+    /// results. Profiled as `Solve` (the phases operators enter pause it)
+    /// through the recorder's `SolveEnd`, then as `Emit` to the end of
+    /// result installation.
     /// `slow_t0` feeds the `runtime.violation_path_ns` histogram.
     fn run_solve(
         &mut self,
@@ -667,6 +654,7 @@ impl PulseRuntime {
         slow_t0: Option<Instant>,
         outs: &mut Vec<Segment>,
     ) {
+        let m = self.tracer.enter(pulse_obs::Phase::Solve);
         let obs_on = pulse_obs::enabled();
         let trace_on = self.tracer.on();
         let vkey = VKey::new(source, key);
@@ -683,21 +671,10 @@ impl PulseRuntime {
             0
         };
         let solve_t0 = trace_on.then(Instant::now);
-        // Solve-phase attribution: the push total minus whatever the
-        // operators attribute to template substitution, root isolation and
-        // the solver sub-phases while it runs, leaving the plan glue (state
-        // scans, lineage, segment construction) as the Solve cell.
-        let push_t0 = pulse_obs::prof::start();
-        let nested0 = push_t0.map(|_| pulse_obs::Phase::push_nested_ns(self.tracer.phases()));
         let start = outs.len();
         self.plan.push_traced(source, seg, &mut self.tracer, outs);
         let new_outs = &outs[start..];
-        if let (Some(t0), Some(n0)) = (push_t0, nested0) {
-            let total = t0.elapsed().as_nanos() as u64;
-            let nested = pulse_obs::Phase::push_nested_ns(self.tracer.phases()) - n0;
-            self.tracer.phases_mut().record(pulse_obs::Phase::Solve, total.saturating_sub(nested));
-        }
-        if trace_on {
+        let solve_end = if trace_on {
             self.tracer.set_scope(0);
             let (iters, _) = self.tracer.scope_op_totals(solve_start);
             let ns = solve_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
@@ -707,9 +684,13 @@ impl PulseRuntime {
                 iters,
                 ns,
             };
-            let solve_end = self.tracer.emit(solve_start, key, ts, kind);
+            self.tracer.emit(solve_start, key, ts, kind)
+        } else {
+            0
+        };
+        self.tracer.enter(pulse_obs::Phase::Emit);
+        if trace_on {
             // Each OutputEmit walks lineage to its sources: emit work.
-            let emit_t0 = pulse_obs::prof::start();
             let store = self.plan.lineage();
             for out in new_outs {
                 let sources = store.sources_of(out.id).iter().map(|s| s.0).collect();
@@ -726,10 +707,8 @@ impl PulseRuntime {
                     aud.record_emit(out.key, out.span.lo, emit_id);
                 }
             }
-            self.tracer.prof(emit_t0, pulse_obs::Phase::Emit);
         }
         self.stats.outputs += new_outs.len() as u64;
-        let emit_t0 = pulse_obs::prof::start();
         if obs_on {
             // Where each emitted range stands relative to the watermark:
             // lag = how far it starts behind arrivals, lead = how far the
@@ -755,7 +734,7 @@ impl PulseRuntime {
         } else {
             self.install_bounds(new_outs, vkey);
         }
-        self.tracer.prof(emit_t0, pulse_obs::Phase::Emit);
+        self.tracer.leave(m);
         if let Some(t0) = slow_t0 {
             self.obs.violation_path_ns.record(t0.elapsed().as_nanos() as u64);
         }

@@ -54,7 +54,9 @@ pub use registry::{
 pub use serve::{serve, AuditFn, ExplainFn, Routes, ServeHandle, TraceFn};
 pub use snapshot::{HistogramSnapshot, KeyedSnapshot, Snapshot};
 pub use timeseries::{Point, TimeSeriesStore, TsConfig};
-pub use trace::{explain_from_events, ExplainReport, SolveTrace, TraceEvent, TraceKind, Tracer};
+pub use trace::{
+    explain_from_events, ExplainReport, PhaseMark, SolveTrace, TraceEvent, TraceKind, Tracer,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

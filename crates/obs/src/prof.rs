@@ -12,11 +12,19 @@
 //! [`PhaseBreakdown`] whose shares always sum to 1 regardless of how much
 //! of the run was profiled.
 //!
+//! One clock fills the table: the runtime's [`Tracer`](crate::Tracer)
+//! knows which phase is running and since when. [`Tracer::enter`] charges
+//! the time since the last boundary to the running phase and makes the new
+//! one current; [`Tracer::leave`] charges it and resumes the phase that
+//! was running before. A phase entered inside another therefore pauses
+//! it, and every cell holds exclusive time by construction: no recording
+//! site knows which phases nest inside which.
+//!
 //! Cost model (why this can stay always-on):
-//! - profiling off: one relaxed atomic load at each phase boundary of the
-//!   violation path, nothing at all on the suppressed path;
-//! - profiling on: two `Instant::now()` calls per phase of the violation
-//!   path (tens of ns against a multi-µs path), and **zero extra
+//! - profiling off: one relaxed atomic load per region of the violation
+//!   path and no clock read, nothing at all on the suppressed path;
+//! - profiling on: one `Instant::now()` per phase boundary of the
+//!   violation path (tens of ns against a multi-µs path), and **zero extra
 //!   timestamps** on the suppressed path — the `Validate` phase reuses the
 //!   1-in-64 sampled fast-path measurement the runtime already takes.
 //!
@@ -24,13 +32,15 @@
 //! the violation-heavy path and ≤ 2 ns to the suppressed path (see
 //! `bin/obs_bench.rs`; the percentage ceiling tracks the path itself —
 //! the batched+VM rewrite cut the denominator ~4× and the solve
-//! sub-phases added timestamp pairs, so the same few-hundred-ns absolute
+//! sub-phases added clock reads, so the same few-hundred-ns absolute
 //! cost reads as ~10% now).
+//!
+//! [`Tracer::enter`]: crate::Tracer::enter
+//! [`Tracer::leave`]: crate::Tracer::leave
 
 use crate::snapshot::Snapshot;
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 static PROF_ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -47,27 +57,18 @@ pub fn prof_enabled() -> bool {
     PROF_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Opens a phase measurement: `Some(now)` when profiling is on. Pair with
-/// [`PhaseTable::record_since`] (or `Tracer::prof`) at the phase boundary.
-#[inline]
-pub fn start() -> Option<Instant> {
-    if prof_enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    }
-}
-
 /// Number of phases in the violation-path pipeline.
 pub const PHASE_COUNT: usize = 11;
 
 /// One phase of the violation path, in pipeline order.
 ///
 /// The four `Solve*` sub-phases decompose what used to be a monolithic
-/// `solve` bucket. Phases are kept mutually disjoint by subtraction at the
-/// recording sites: `RootIsolate` is recorded net of the nested
-/// `SolveAssemble`/`SolveSturm`/`SolveRefine` deltas, and `Solve` net of
-/// everything nested inside the plan push, so shares still sum to 1.
+/// `solve` bucket. Phases are mutually disjoint because the profiler clock
+/// switches between them: a phase entered inside another pauses the outer
+/// one until it is left (see the module docs), so `RootIsolate` holds the
+/// solver glue around the `SolveAssemble`/`SolveSturm`/`SolveRefine` work
+/// it calls, `Solve` the plan glue around what the operators enter, and
+/// shares still sum to 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
@@ -81,7 +82,7 @@ pub enum Phase {
     TemplateSubstitute = 2,
     /// Equation-system solve glue around the per-row stages: boolean
     /// structure traversal, the linear-equality fast path, range-set
-    /// algebra (recorded net of the nested sub-phases below).
+    /// algebra (the sub-phases below pause it).
     RootIsolate = 3,
     /// Row assembly for the linear-equality elimination fast path.
     SolveAssemble = 4,
@@ -92,9 +93,9 @@ pub enum Phase {
     /// Bookkeeping of the per-key batched violation queue: enqueueing and
     /// draining tuples around the amortized solves.
     SolveBatchDrain = 7,
-    /// Plan-push glue around the solves: operator state scans, lineage
-    /// registration, segment construction (push total minus the nested
-    /// substitute/isolate/slack time).
+    /// Plan-push glue around the solves: the solve's slot lookup and
+    /// recorder prelude, operator state scans, lineage registration,
+    /// segment construction (the phases operators enter pause it).
     Solve = 8,
     /// Resolving the slack of a push's null results (§IV's slack
     /// validation), run at the end of a plan push that produced nothing.
@@ -138,25 +139,6 @@ impl Phase {
             Phase::Emit => "emit",
         }
     }
-
-    /// Nanoseconds currently accumulated across the three solve sub-phases
-    /// nested inside `RootIsolate` — what its recording site subtracts to
-    /// keep phases disjoint.
-    pub fn solve_nested_ns(table: &PhaseTable) -> u64 {
-        table.ns(Phase::SolveAssemble) + table.ns(Phase::SolveSturm) + table.ns(Phase::SolveRefine)
-    }
-
-    /// Nanoseconds currently accumulated across everything operators record
-    /// while a plan push runs: template substitution, the `RootIsolate`
-    /// glue and its nested solve sub-phases, and the slack resolution at
-    /// the push's end. The runtime subtracts the delta of this sum from a
-    /// push's wall time so the `Solve` cell holds only plan glue.
-    pub fn push_nested_ns(table: &PhaseTable) -> u64 {
-        table.ns(Phase::TemplateSubstitute)
-            + table.ns(Phase::RootIsolate)
-            + Phase::solve_nested_ns(table)
-            + table.ns(Phase::Slack)
-    }
 }
 
 /// Fixed per-phase accumulator: plain fields, no atomics — each runtime
@@ -176,24 +158,11 @@ impl PhaseTable {
         self.ns[phase as usize] += ns;
     }
 
-    /// Records the time since a [`start`] measurement (no-op when profiling
-    /// was off at the phase entry).
+    /// Adds nanoseconds to a phase without counting a visit (the profiler
+    /// clock's charge at a phase boundary; `Tracer::enter` counts visits).
     #[inline]
-    pub fn record_since(&mut self, t0: Option<Instant>, phase: Phase) {
-        if let Some(t0) = t0 {
-            self.record(phase, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// [`Self::record_since`] that also returns the instant it measured
-    /// to, so a phase that follows at once starts there without reading
-    /// the clock again.
-    #[inline]
-    pub fn lap(&mut self, t0: Option<Instant>, phase: Phase) -> Option<Instant> {
-        let t0 = t0?;
-        let now = Instant::now();
-        self.record(phase, now.duration_since(t0).as_nanos() as u64);
-        Some(now)
+    pub(crate) fn charge(&mut self, phase: Phase, ns: u64) {
+        self.ns[phase as usize] += ns;
     }
 
     /// Accumulates another table (shard merging).
@@ -341,49 +310,6 @@ mod tests {
         let bd = PhaseTable::default().breakdown();
         assert_eq!(bd.total_ns, 0);
         assert!(bd.phases.iter().all(|p| p.share == 0.0));
-    }
-
-    #[test]
-    fn start_is_none_when_disabled() {
-        set_prof_enabled(false);
-        assert!(start().is_none());
-        set_prof_enabled(true);
-        assert!(start().is_some());
-        set_prof_enabled(false);
-        let mut t = PhaseTable::default();
-        t.record_since(None, Phase::Emit);
-        assert!(t.is_empty(), "off-path record is a no-op");
-        assert!(t.lap(None, Phase::Emit).is_none() && t.is_empty(), "off-path lap is a no-op");
-    }
-
-    #[test]
-    fn push_nested_phases_include_the_slack_cell() {
-        // The runtime records `Solve` as a push's wall time minus this sum,
-        // so a phase left out of it would be counted twice.
-        let mut t = PhaseTable::default();
-        for (i, &p) in Phase::ALL.iter().enumerate() {
-            t.record(p, 1 << i);
-        }
-        let nested = [
-            Phase::TemplateSubstitute,
-            Phase::RootIsolate,
-            Phase::SolveAssemble,
-            Phase::SolveSturm,
-            Phase::SolveRefine,
-            Phase::Slack,
-        ];
-        assert_eq!(Phase::push_nested_ns(&t), nested.iter().map(|&p| t.ns(p)).sum::<u64>());
-    }
-
-    #[test]
-    fn lap_closes_one_phase_where_the_next_opens() {
-        let mut t = PhaseTable::default();
-        let t0 = Instant::now();
-        let t1 = t.lap(Some(t0), Phase::SolveSturm).unwrap();
-        t.record_since(Some(t1), Phase::SolveRefine);
-        assert!(t1 >= t0);
-        assert_eq!((t.count(Phase::SolveSturm), t.count(Phase::SolveRefine)), (1, 1));
-        assert_eq!(t.ns(Phase::SolveSturm), t1.duration_since(t0).as_nanos() as u64);
     }
 
     #[test]

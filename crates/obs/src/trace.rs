@@ -23,9 +23,11 @@
 //! tracing off the per-tuple cost is that single branch; the existing
 //! `obs_overhead` suppressed-path gate covers it.
 
+use crate::prof::{prof_enabled, Phase, PhaseTable};
 use serde::{Serialize, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// JSON object from borrowed field pairs (hand-written `Serialize` impls —
 /// the vendored derive cannot handle data-carrying enums).
@@ -172,13 +174,21 @@ pub struct Tracer {
     /// Violation-path phase attribution (see [`crate::prof`]). Rides on the
     /// tracer because the tracer already has the right ownership story:
     /// exactly one per runtime, touched only from its driving thread.
-    phases: crate::prof::PhaseTable,
+    phases: PhaseTable,
+    /// The profiler clock: the phase being charged and the instant the
+    /// charge began; `None` outside every profiled region.
+    clock: Option<(Phase, Instant)>,
 }
+
+/// What [`Tracer::leave`] resumes: the phase that was running when the
+/// matching [`Tracer::enter`] was called.
+#[derive(Debug, Clone, Copy)]
+pub struct PhaseMark(Option<Phase>);
 
 impl Tracer {
     /// A recording tracer holding at most `cap` events.
     pub fn ring(cap: usize) -> Self {
-        Tracer { ring: VecDeque::new(), cap, scope: 0, phases: Default::default() }
+        Tracer { ring: VecDeque::new(), cap, scope: 0, phases: Default::default(), clock: None }
     }
 
     /// The no-op tracer: never records, never allocates.
@@ -219,33 +229,53 @@ impl Tracer {
     }
 
     /// The accumulated violation-path phase table.
-    pub fn phases(&self) -> &crate::prof::PhaseTable {
+    pub fn phases(&self) -> &PhaseTable {
         &self.phases
     }
 
     /// Mutable access for direct recording (e.g. piggybacking an
     /// already-measured duration instead of taking fresh timestamps).
-    pub fn phases_mut(&mut self) -> &mut crate::prof::PhaseTable {
+    pub fn phases_mut(&mut self) -> &mut PhaseTable {
         &mut self.phases
     }
 
-    /// Closes a phase measurement opened with [`crate::prof::start`]:
-    /// attributes the elapsed time to `phase`. No-op when profiling was off
-    /// at the open (`t0 == None`).
+    /// Switches the profiler clock to `phase`: the time since the last
+    /// boundary goes to the phase that was running, and `phase` counts one
+    /// visit. Returns the mark [`Self::leave`] takes to resume the phase
+    /// that was running. With profiling off it reads no clock and records
+    /// nothing.
+    ///
+    /// An `enter` whose mark is dropped switches phases inside the
+    /// enclosing region: that region's `leave` closes whichever phase is
+    /// running, so consecutive phases share one clock read per boundary.
     #[inline]
-    pub fn prof(&mut self, t0: Option<std::time::Instant>, phase: crate::prof::Phase) {
-        self.phases.record_since(t0, phase);
+    pub fn enter(&mut self, phase: Phase) -> PhaseMark {
+        if !prof_enabled() {
+            return PhaseMark(None);
+        }
+        let now = Instant::now();
+        let outer = self.clock.replace((phase, now)).map(|running| self.charge(running, now));
+        self.phases.record(phase, 0);
+        PhaseMark(outer)
     }
 
-    /// [`Self::prof`] that opens the next phase where this one closed:
-    /// returns the closing instant to pass on as its `t0`.
+    /// Charges the running phase and resumes the one `mark` was entered
+    /// from. No clock read when no phase is running (profiling was off at
+    /// the region's entry), so toggling profiling inside a region loses at
+    /// most that region's time and never leaves a phase running.
     #[inline]
-    pub fn prof_lap(
-        &mut self,
-        t0: Option<std::time::Instant>,
-        phase: crate::prof::Phase,
-    ) -> Option<std::time::Instant> {
-        self.phases.lap(t0, phase)
+    pub fn leave(&mut self, mark: PhaseMark) {
+        if let Some(running) = self.clock {
+            let now = Instant::now();
+            self.charge(running, now);
+            self.clock = mark.0.map(|p| (p, now));
+        }
+    }
+
+    /// Charges a running phase from its start to `now`; returns the phase.
+    fn charge(&mut self, (phase, since): (Phase, Instant), now: Instant) -> Phase {
+        self.phases.charge(phase, now.duration_since(since).as_nanos() as u64);
+        phase
     }
 
     /// Events currently retained, oldest first.
@@ -421,6 +451,87 @@ mod tests {
         let id = tr.emit(0, 1, 0.0, TraceKind::SegmentArrival { source: 0 });
         assert_eq!(id, 0);
         assert!(tr.is_empty());
+    }
+
+    fn busy(ms: u64) -> u64 {
+        let (t0, d) = (Instant::now(), std::time::Duration::from_millis(ms));
+        while t0.elapsed() < d {}
+        d.as_nanos() as u64
+    }
+
+    /// The only test in this crate that touches the profiler flag, so it
+    /// can toggle it without racing another test.
+    #[test]
+    fn phases_switch_exclusively_and_survive_toggling() {
+        crate::set_prof_enabled(true);
+        let mut tr = Tracer::off();
+        let wall = Instant::now();
+        let outer = tr.enter(Phase::Solve);
+        let mut outer_busy = busy(2);
+        let inner = tr.enter(Phase::RootIsolate);
+        let inner_busy = busy(3);
+        tr.leave(inner);
+        outer_busy += busy(1);
+        tr.leave(outer);
+        let wall = wall.elapsed().as_nanos() as u64;
+        let (o, i) = (tr.phases().ns(Phase::Solve), tr.phases().ns(Phase::RootIsolate));
+        assert!(o >= outer_busy && i >= inner_busy, "outer {o} ns, inner {i} ns");
+        assert!(o + i <= wall, "{o} + {i} ns exceeds the {wall} ns wall");
+        assert_eq!(
+            (tr.phases().count(Phase::Solve), tr.phases().count(Phase::RootIsolate)),
+            (1, 1)
+        );
+        assert!(tr.clock.is_none(), "the outermost leave stops the clock");
+
+        // A dropped mark switches phases; the region's leave closes it.
+        let mut tr = Tracer::off();
+        let region = tr.enter(Phase::SolveSturm);
+        let sturm = busy(1);
+        tr.enter(Phase::SolveRefine);
+        let refine = busy(1);
+        tr.leave(region);
+        assert!(tr.phases().ns(Phase::SolveSturm) >= sturm);
+        assert!(tr.phases().ns(Phase::SolveRefine) >= refine);
+        assert!(tr.clock.is_none());
+
+        // Turned off inside a region: the outer phase keeps the inner
+        // region's time, nothing wraps, and the clock stops.
+        let mut tr = Tracer::off();
+        let wall = Instant::now();
+        let outer = tr.enter(Phase::Emit);
+        crate::set_prof_enabled(false);
+        let inner = tr.enter(Phase::Slack);
+        busy(1);
+        tr.leave(inner);
+        tr.leave(outer);
+        let wall = wall.elapsed().as_nanos() as u64;
+        assert!(tr.phases().ns(Phase::Emit) <= wall && tr.phases().ns(Phase::Slack) == 0);
+        assert_eq!(tr.phases().count(Phase::Slack), 0);
+        assert!(tr.clock.is_none());
+
+        // Turned on inside a region: only the inner region is timed, and
+        // the outer leave (whose enter read no clock) still stops it.
+        let mut tr = Tracer::off();
+        let outer = tr.enter(Phase::Emit);
+        crate::set_prof_enabled(true);
+        let wall = Instant::now();
+        let inner = tr.enter(Phase::Slack);
+        tr.enter(Phase::Solve);
+        tr.leave(inner);
+        busy(1);
+        tr.leave(outer);
+        let wall = wall.elapsed().as_nanos() as u64;
+        assert_eq!(tr.phases().count(Phase::Emit), 0);
+        assert!(tr.phases().total_ns() <= wall);
+        assert!(tr.clock.is_none());
+
+        // Off throughout: nothing recorded, no clock.
+        crate::set_prof_enabled(false);
+        let mut tr = Tracer::off();
+        let m = tr.enter(Phase::Solve);
+        tr.enter(Phase::Emit);
+        tr.leave(m);
+        assert!(tr.phases().is_empty() && tr.clock.is_none());
     }
 
     #[test]
