@@ -1,14 +1,16 @@
 //! Criterion micro-benchmarks for the per-item costs behind Figures 5 & 7:
 //! equation-system solving, per-tuple discrete operator costs, validation
-//! checks, model fitting, lineage bookkeeping, keyed join state upkeep, and
-//! the slack of a null result.
+//! checks, model fitting, lineage bookkeeping, join state upkeep and
+//! probing, and the slack of a null result.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_bench::{queries, run_discrete, run_predictive};
 use pulse_core::validate::{Bound, BoundInverter, EquiSplit};
 use pulse_core::{Binding, CJoin, COperator, DiffEq, LineageStore, SolveScratch, System};
 use pulse_math::{poly_roots_in, CmpOp, Poly, Span};
-use pulse_model::{AttrKind, CheckMode, FitConfig, Pred, Schema, Segment, SegmentId, StreamFitter};
+use pulse_model::{
+    AttrKind, CheckMode, Expr, FitConfig, Pred, Schema, Segment, SegmentId, StreamFitter,
+};
 use pulse_obs::Tracer;
 use pulse_stream::KeyJoin;
 use pulse_workload::{moving, MovingConfig, MovingObjectGen};
@@ -171,6 +173,49 @@ fn bench_join_keyed_expiry(c: &mut Criterion) {
     g.finish();
 }
 
+/// The highly segmented stream behind `join/any_segmented`: `n` short
+/// segments per side, one key each, a new one every 0.01 s lasting
+/// 0.012 s, the right side 0.005 s behind the left, so each arrival
+/// overlaps about two opposite segments.
+fn segmented_side(n: usize, offset: f64) -> Vec<Segment> {
+    (0..n)
+        .map(|i| {
+            let lo = i as f64 * 0.01 + offset;
+            Segment::single(i as u64, Span::new(lo, lo + 0.012), Poly::linear(i as f64, 0.1))
+        })
+        .collect()
+}
+
+/// Cost of a `KeyJoin::Any` join over [`segmented_side`] streams of 200,
+/// 1000 and 4000 segments per side, all in one bucket: with a window that
+/// never expires, so state grows to the whole stream, and with a 5 s
+/// window, which holds at most 500 segments per side.
+fn bench_join_any_segmented(c: &mut Criterion) {
+    let mut g = c.benchmark_group("join");
+    g.sample_size(10);
+    for n in [200usize, 1000, 4000] {
+        let (left, right) = (segmented_side(n, 0.0), segmented_side(n, 0.005));
+        for (label, window) in [("no_expiry", 1e9), ("window_5s", 5.0)] {
+            g.bench_function(BenchmarkId::new("any_segmented", format!("{n}/{label}")), |b| {
+                b.iter(|| {
+                    let schema = Schema::of(&[("x", AttrKind::Modeled)]);
+                    let bindings = [Binding::new(schema.clone()), Binding::new(schema)];
+                    let pred = Pred::cmp(Expr::attr_of(0, 0), CmpOp::Lt, Expr::attr_of(1, 0));
+                    let mut join = CJoin::new(window, pred, KeyJoin::Any, bindings);
+                    let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
+                    let mut out = Vec::new();
+                    for (l, r) in left.iter().zip(&right) {
+                        join.process(0, l, &mut store, &mut tr, &mut out);
+                        join.process(1, r, &mut store, &mut tr, &mut out);
+                        out.clear();
+                    }
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_fitting(c: &mut Criterion) {
     let mut g = c.benchmark_group("fitting");
     g.sample_size(10);
@@ -266,6 +311,7 @@ criterion_group!(
     bench_aggregate,
     bench_join,
     bench_join_keyed_expiry,
+    bench_join_any_segmented,
     bench_fitting,
     bench_lineage,
     bench_slack

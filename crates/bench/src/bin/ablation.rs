@@ -1,78 +1,20 @@
 //! Ablation studies for the design choices documented in DESIGN.md:
 //!
-//! 1. join state layout — linear scan vs the interval index (§VII's
-//!    "segment indexing" future work) on a highly segmented stream;
-//! 2. online segmentation residual check — exact full rescan vs the O(1)
+//! 1. online segmentation residual check — exact full rescan vs the O(1)
 //!    new-point check;
-//! 3. equation-system solving — the all-equality linear fast path vs the
+//! 2. equation-system solving — the all-equality linear fast path vs the
 //!    general root-isolation path;
-//! 4. bound-splitting heuristic — equi-split vs gradient split, measured by
+//! 3. bound-splitting heuristic — equi-split vs gradient split, measured by
 //!    bound longevity (violations on the same workload).
 
 use pulse_bench::{report, Params};
-use pulse_core::cops::{CJoin, COperator, JoinState};
 use pulse_core::runtime::Heuristic;
-use pulse_core::{Binding, LineageStore, PulseRuntime, RuntimeConfig, System};
+use pulse_core::{PulseRuntime, RuntimeConfig, System};
 use pulse_math::{CmpOp, Poly, Span};
-use pulse_model::{
-    AttrKind, CheckMode, Expr, FitConfig, Pred, Schema, Segment, StreamFitter, Tuple,
-};
-use pulse_obs::Tracer;
+use pulse_model::{CheckMode, Expr, FitConfig, Pred, StreamFitter, Tuple};
 use pulse_stream::KeyJoin;
 use pulse_workload::{moving, MovingConfig, MovingObjectGen};
 use std::time::Instant;
-
-fn xschema() -> Schema {
-    Schema::of(&[("x", AttrKind::Modeled)])
-}
-
-fn join_state_ablation() {
-    let mut rows = Vec::new();
-    for &n_segments in &[200usize, 1000, 4000] {
-        // Highly segmented stream: short segments, a long join window so
-        // the buffer holds everything.
-        let mk_segments = |offset: f64| -> Vec<Segment> {
-            (0..n_segments)
-                .map(|i| {
-                    let lo = i as f64 * 0.01 + offset;
-                    Segment::single(
-                        i as u64,
-                        Span::new(lo, lo + 0.012),
-                        Poly::linear(i as f64, 0.1),
-                    )
-                })
-                .collect()
-        };
-        let (left, right) = (mk_segments(0.0), mk_segments(0.005));
-        let mut cells = vec![report::fmt(n_segments as f64)];
-        for state in [JoinState::Scan, JoinState::Indexed] {
-            let pred = Pred::cmp(Expr::attr_of(0, 0), CmpOp::Lt, Expr::attr_of(1, 0));
-            let mut j = CJoin::with_state(
-                1e9, // never expire: stress the state size
-                pred,
-                KeyJoin::Any,
-                [Binding::new(xschema()), Binding::new(xschema())],
-                state,
-            );
-            let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
-            let start = Instant::now();
-            let mut out = Vec::new();
-            for i in 0..n_segments {
-                j.process(0, &left[i], &mut store, &mut tr, &mut out);
-                j.process(1, &right[i], &mut store, &mut tr, &mut out);
-                out.clear();
-            }
-            let secs = start.elapsed().as_secs_f64();
-            cells.push(report::fmt(2.0 * n_segments as f64 / secs));
-        }
-        rows.push(cells);
-    }
-    report::table(
-        "Ablation 1 — join state: scan vs interval index (segments/s)",
-        &["buffered segs", "scan seg/s", "indexed seg/s"],
-        &rows,
-    );
-}
 
 fn fitting_ablation(p: &Params) {
     let tuples = MovingObjectGen::new(MovingConfig {
@@ -104,7 +46,7 @@ fn fitting_ablation(p: &Params) {
         ]);
     }
     report::table(
-        "Ablation 2 — segmentation residual check (tuples/s)",
+        "Ablation 1 — segmentation residual check (tuples/s)",
         &["check", "throughput t/s", "segments"],
         &rows,
     );
@@ -137,7 +79,7 @@ fn solver_ablation() {
         rows.push(vec![name.to_string(), report::fmt(reps as f64 / secs)]);
     }
     report::table(
-        "Ablation 3 — equation-system solve path (systems/s)",
+        "Ablation 2 — equation-system solve path (systems/s)",
         &["path", "solves/s"],
         &rows,
     );
@@ -193,7 +135,7 @@ fn split_ablation() {
         ]);
     }
     report::table(
-        "Ablation 4 — bound split heuristic (violations = shorter bound longevity)",
+        "Ablation 3 — bound split heuristic (violations = shorter bound longevity)",
         &["heuristic", "violations", "suppressed", "violations/tuple"],
         &rows,
     );
@@ -202,7 +144,6 @@ fn split_ablation() {
 fn main() {
     let p = Params::from_env();
     report::begin_telemetry();
-    join_state_ablation();
     fitting_ablation(&p);
     solver_ablation();
     split_ablation();

@@ -8,17 +8,20 @@
 //! the pair's common time range. A segment stays in state until an arrival
 //! whose horizon `now − window` it ends at or before.
 //!
-//! The scan and indexed layouts expire eagerly: every arrival drops, on
-//! both sides, everything ending at or before its horizon. The
-//! `KeyJoin::Eq` layout touches only the arriving key. It expires lazily
-//! through a horizon log that gives, for any stored segment, the largest
-//! horizon since it was stored, so every probe sees exactly the segments
-//! eager expiry would have left. A sweep of every key frees silent keys.
+//! State is one layout for every join: buckets of both sides' segments, one
+//! per key for a `KeyJoin::Eq` join and a single one otherwise, where
+//! `KeyJoin::test` filters the pairs. Each side of a bucket is sorted by
+//! start and carries the running maximum end (§VII's segment index), so a
+//! probe is two binary searches plus the overlaps it returns. An arrival
+//! touches only its own bucket. It expires lazily through a horizon log
+//! that gives, for any stored segment, the largest horizon since it was
+//! stored, so every probe sees exactly the segments that expiring every
+//! bucket at every arrival would have left. A sweep of every bucket frees
+//! silent keys.
 
 use super::{meaningful_spans, COperator};
 use crate::binding::Binding;
 use crate::eqsys::{PendingSlack, SolveScratch, SystemTemplate};
-use crate::index::{start_order_pos, SegmentIndex};
 use crate::keymap::KeyMap;
 use crate::lineage::LineageStore;
 use pulse_math::{Span, EPS};
@@ -27,28 +30,37 @@ use pulse_obs::{Phase, TraceKind, Tracer};
 use pulse_stream::{KeyJoin, OpMetrics};
 use std::any::Any;
 
-/// How the join buffers its per-side segment state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinState {
-    /// Linear scan of the whole buffer per arrival (the baseline the paper
-    /// prototype used).
-    Scan,
-    /// Interval-indexed state (§VII future work): `O(log n + k)` overlap
-    /// lookup — pays off on highly segmented inputs. For `KeyJoin::Eq`
-    /// joins this becomes per-key state expired lazily, so an arrival
-    /// never touches other keys' segments.
-    #[default]
-    Indexed,
-}
-
-/// A segment in keyed state and the number of the arrival that stored it.
+/// A segment in join state, the number of the arrival that stored it, and
+/// the largest end among it and the entries before it on its side.
 struct Stored {
     seg: Segment,
     seq: u64,
+    max_hi: f64,
 }
 
-/// The `KeyJoin::Eq` state layout: both sides of a key in one map entry,
-/// each a `Vec` in the start order [`SegmentIndex::insert`] gives.
+/// The bucket a segment of `key` goes to: its key when the join pairs
+/// equal keys only, else the one bucket every segment shares.
+fn bucket(on_keys: KeyJoin, key: u64) -> u64 {
+    if on_keys == KeyJoin::Eq {
+        key
+    } else {
+        0
+    }
+}
+
+/// Where an entry starting at `lo` goes among `entries`, whose starts
+/// `start` reads: last when it starts no more than `EPS` before the last
+/// entry, else after every entry starting at or before it.
+fn start_order_pos<T>(entries: &[T], lo: f64, start: impl Fn(&T) -> f64) -> usize {
+    if entries.last().is_none_or(|l| start(l) <= lo + EPS) {
+        entries.len()
+    } else {
+        entries.partition_point(|e| start(e) <= lo)
+    }
+}
+
+/// The join state: both sides of a bucket in one map entry, each a `Vec`
+/// in [`start_order_pos`] order.
 ///
 /// *Exactness.* Eager expiry keeps a segment stored at arrival `i` live at
 /// arrival `p` iff `hi > t_j` for every horizon `t_j`, `i < j ≤ p`, i.e.
@@ -57,18 +69,26 @@ struct Stored {
 /// strictly decrease along it, and that maximum is the horizon of the
 /// first entry with `seq > i` ([`is_dead`]). A NaN horizon, which drops
 /// everything under eager expiry, is logged as `+∞`, which does the same.
-/// Each arrival drops its own key's dead segments on both sides before it
-/// stores and probes, so the key's vectors hold exactly the live segments,
-/// in the order a [`SegmentIndex`] holding only them would have.
+/// Each arrival drops its own bucket's dead segments on both sides before
+/// it stores and probes, so the bucket's vectors hold exactly the live
+/// segments, in the order eager expiry would have left them.
 ///
-/// *Bound.* Other keys keep their dead segments until a sweep, due once
+/// *Bound.* Other buckets keep their dead segments until a sweep, due once
 /// the arrivals since the last one reach the segments it left. A sweep
-/// drops every dead segment and empty key and clears the log: a survivor
-/// ends after every horizon up to the sweep, so only later ones can kill
-/// it, and for a segment stored before the sweep [`is_dead`] reads the
-/// log's first entry, their maximum. The sweep costs at most one check
-/// per arrival, amortised, and keeps stored segments within twice what it
-/// left.
+/// drops every dead segment and empty bucket and clears the log: a
+/// survivor ends after every horizon up to the sweep, so only later ones
+/// can kill it, and for a segment stored before the sweep [`is_dead`]
+/// reads the log's first entry, their maximum. The sweep costs at most one
+/// check per arrival, amortised, and keeps stored segments within twice
+/// what it left.
+///
+/// *Running maximum.* Only a store renews maxima, from its position on:
+/// dropping dead segments leaves every survivor's running maximum end as
+/// it was, because a segment `d` that dies ends before every survivor `s`
+/// of its bucket does. If `d` was stored after `s`, every horizon that can
+/// kill `d` came after `s` was stored, and `s` outlives them all. If
+/// before, `d` outlived `s`'s arrival, which dropped the bucket's dead
+/// first, so the horizon that kills `d` came after `s` was stored too.
 #[derive(Default)]
 struct KeyedState {
     map: KeyMap<u64, [Vec<Stored>; 2]>,
@@ -83,19 +103,25 @@ struct KeyedState {
 }
 
 /// Whether `s` ends at or before the largest horizon logged after its
-/// `seq`, or has a NaN end: the segments [`SegmentIndex::expire_before`]
-/// drops, since logged horizons are never NaN.
+/// `seq`, or has a NaN end: the segments eager expiry drops, since logged
+/// horizons are never NaN.
 fn is_dead(s: &Stored, log: &[(u64, f64)]) -> bool {
-    let later = log.partition_point(|&(seq, _)| seq <= s.seq);
     let hi = s.seg.span.hi;
+    // The log's first horizon is its largest: a segment ending after it
+    // lives, whenever it was stored.
+    if log.first().is_none_or(|&(_, max)| hi > max) {
+        return false;
+    }
+    let later = log.partition_point(|&(seq, _)| seq <= s.seq);
     log.get(later).is_some_and(|&(_, h)| hi <= h || hi.is_nan())
 }
 
 impl KeyedState {
-    /// Opens the next arrival, of `key` at `horizon`: logs the horizon,
-    /// sweeps every key when one is due, and drops `key`'s dead segments
-    /// on both sides.
-    fn arrive(&mut self, key: u64, horizon: f64) {
+    /// Takes the next arrival, `seg` into `bucket`'s `side` at `horizon`:
+    /// logs the horizon, sweeps every bucket when one is due, drops
+    /// `bucket`'s dead segments on both sides and stores a copy of `seg`.
+    /// Returns the bucket's other side, the one the arrival probes.
+    fn arrive(&mut self, bucket: u64, horizon: f64, side: usize, seg: &Segment) -> &[Stored] {
         self.seq += 1;
         let h = if horizon.is_nan() { f64::INFINITY } else { horizon };
         while self.log.last().is_some_and(|&(_, last)| last <= h) {
@@ -105,13 +131,23 @@ impl KeyedState {
         self.since_sweep += 1;
         if self.since_sweep >= self.swept {
             self.sweep();
-        } else if let Some(sides) = self.map.get_mut(&key) {
-            for side in sides {
-                let before = side.len();
-                side.retain(|s| !is_dead(s, &self.log));
-                self.stored -= before - side.len();
-            }
         }
+        let sides = self.map.entry(bucket).or_default();
+        for v in sides.iter_mut() {
+            let before = v.len();
+            v.retain(|s| !is_dead(s, &self.log));
+            self.stored -= before - v.len();
+        }
+        let v = &mut sides[side];
+        let pos = start_order_pos(v, seg.span.lo, |s| s.seg.span.lo);
+        let mut max_hi = pos.checked_sub(1).map_or(f64::NEG_INFINITY, |i| v[i].max_hi);
+        v.insert(pos, Stored { seg: seg.clone(), seq: self.seq, max_hi });
+        for s in &mut v[pos..] {
+            max_hi = max_hi.max(s.seg.span.hi);
+            s.max_hi = max_hi;
+        }
+        self.stored += 1;
+        &sides[1 - side]
     }
 
     fn sweep(&mut self) {
@@ -129,98 +165,16 @@ impl KeyedState {
         self.swept = stored;
         self.since_sweep = 0;
     }
-
-    /// `key`'s segments on `side` overlapping `q`, as
-    /// [`SegmentIndex::overlapping`] finds them in the same entries: those
-    /// starting before `q.hi − EPS`, from the first whose running maximum
-    /// end passes `q.lo + EPS`, that overlap `q`, in start order.
-    fn candidates(&self, key: u64, side: usize, q: Span) -> impl Iterator<Item = &Segment> {
-        let v = self.map.get(&key).map_or(&[][..], |sides| &sides[side][..]);
-        let end = v.partition_point(|s| s.seg.span.lo < q.hi - EPS);
-        let mut max_hi = f64::NEG_INFINITY;
-        v[..end]
-            .iter()
-            .map(|s| &s.seg)
-            .skip_while(move |s| {
-                max_hi = max_hi.max(s.span.hi);
-                max_hi <= q.lo + EPS
-            })
-            .filter(move |s| s.span.overlaps(&q))
-    }
-
-    /// Stores a copy of the current arrival's segment on `side`.
-    fn store(&mut self, side: usize, seg: &Segment) {
-        let v = &mut self.map.entry(seg.key).or_default()[side];
-        let pos = start_order_pos(v, seg.span.lo, |s| s.seg.span.lo);
-        v.insert(pos, Stored { seg: seg.clone(), seq: self.seq });
-        self.stored += 1;
-    }
 }
 
-/// One side's buffer in the scan and indexed layouts.
-enum SideState {
-    Scan(Vec<Segment>),
-    Indexed(SegmentIndex),
-}
-
-impl SideState {
-    /// Drops every segment ending at or before `t`.
-    fn expire(&mut self, t: f64) {
-        match self {
-            SideState::Scan(v) => v.retain(|s| s.span.hi > t),
-            SideState::Indexed(idx) => idx.expire_before(t),
-        }
-    }
-
-    fn push(&mut self, seg: Segment) {
-        match self {
-            SideState::Scan(v) => v.push(seg),
-            SideState::Indexed(idx) => idx.insert(seg),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SideState::Scan(v) => v.len(),
-            SideState::Indexed(idx) => idx.len(),
-        }
-    }
-
-    /// Segments overlapping `span` (the Scan variant reproduces the naive
-    /// full-buffer walk, including the comparisons against non-overlapping
-    /// state that the index avoids).
-    fn candidates(&self, span: Span, scanned: &mut u64) -> Vec<&Segment> {
-        match self {
-            SideState::Scan(v) => {
-                *scanned += v.len() as u64;
-                v.iter().filter(|s| s.span.overlaps(&span)).collect()
-            }
-            SideState::Indexed(idx) => {
-                let hits = idx.overlapping(span);
-                *scanned += hits.len() as u64;
-                hits
-            }
-        }
-    }
-}
-
-/// Both sides' state.
-enum Sides {
-    /// Scan or indexed buffers, expired at every arrival's horizon.
-    Eager([SideState; 2]),
-    Keyed(KeyedState),
-}
-
-impl Sides {
-    fn new(kind: JoinState, on_keys: KeyJoin) -> Self {
-        match kind {
-            JoinState::Indexed if on_keys == KeyJoin::Eq => Sides::Keyed(KeyedState::default()),
-            JoinState::Indexed => {
-                Sides::Eager([0, 1].map(|_| SideState::Indexed(SegmentIndex::new())))
-            }
-            JoinState::Scan => Sides::Eager([0, 1].map(|_| SideState::Scan(Vec::new()))),
-        }
-    }
+/// The segments of a bucket side `v` overlapping `q`, in start order. Two
+/// binary searches bound the walk: it ends at the first entry starting at
+/// or after `q.hi − EPS` and starts at the first whose running maximum end
+/// passes `q.lo + EPS`.
+fn overlapping(v: &[Stored], q: Span) -> impl Iterator<Item = &Segment> {
+    let v = &v[..v.partition_point(|s| s.seg.span.lo < q.hi - EPS)];
+    let start = v.partition_point(|s| s.max_hi <= q.lo + EPS);
+    v[start..].iter().map(|s| &s.seg).filter(move |s| s.span.overlaps(&q))
 }
 
 /// Continuous join operator.
@@ -231,7 +185,7 @@ pub struct CJoin {
     template: SystemTemplate,
     on_keys: KeyJoin,
     bindings: [Binding; 2],
-    sides: Sides,
+    state: KeyedState,
     /// The last arrival's null pairs, in probe order.
     nulls: PendingSlack,
     /// Solver scratch shared by every candidate pair of every arrival.
@@ -241,39 +195,23 @@ pub struct CJoin {
 
 impl CJoin {
     pub fn new(window: f64, pred: Pred, on_keys: KeyJoin, bindings: [Binding; 2]) -> Self {
-        Self::with_state(window, pred, on_keys, bindings, JoinState::default())
-    }
-
-    /// Chooses the state layout explicitly (the ablation harness compares
-    /// Scan vs Indexed).
-    pub fn with_state(
-        window: f64,
-        pred: Pred,
-        on_keys: KeyJoin,
-        bindings: [Binding; 2],
-        state: JoinState,
-    ) -> Self {
-        let template = SystemTemplate::compile(&pred.normalize());
         CJoin {
             window,
-            template,
+            template: SystemTemplate::compile(&pred.normalize()),
             on_keys,
             bindings,
-            sides: Sides::new(state, on_keys),
+            state: KeyedState::default(),
             nulls: PendingSlack::default(),
             scratch: SolveScratch::default(),
             m: OpMetrics::default(),
         }
     }
 
-    /// Segments stored on both sides, and horizon log entries (keyed
-    /// layout only): the `state.join_segments` and `state.join_horizons`
-    /// gauges. The keyed layout counts dead segments its next sweep frees.
+    /// Segments stored on both sides, counting dead ones the next sweep
+    /// frees, and horizon log entries: the `state.join_segments` and
+    /// `state.join_horizons` gauges.
     pub fn state_sizes(&self) -> (usize, usize) {
-        match &self.sides {
-            Sides::Eager(sides) => (sides.iter().map(SideState::len).sum(), 0),
-            Sides::Keyed(k) => (k.stored, k.log.len()),
-        }
+        (self.state.stored, self.state.log.len())
     }
 }
 
@@ -292,37 +230,19 @@ impl COperator for CJoin {
     ) {
         self.m.items_in += 1;
         let now = seg.span.lo;
-        let horizon = now - self.window;
-        match &mut self.sides {
-            Sides::Eager(sides) => sides.iter_mut().for_each(|s| s.expire(horizon)),
-            Sides::Keyed(k) => k.arrive(seg.key, horizon),
-        }
         let from_left = input == 0;
-        let (side, opposite) = if from_left { (0, 1) } else { (1, 0) };
+        let side = if from_left { 0 } else { 1 };
         // Stored before the probe, which reads only the opposite side.
-        match &mut self.sides {
-            Sides::Eager(sides) => sides[side].push(seg.clone()),
-            Sides::Keyed(k) => k.store(side, seg),
-        }
+        let bucket = bucket(self.on_keys, seg.key);
+        let opposite = self.state.arrive(bucket, now - self.window, side, seg);
 
         self.nulls.clear();
         let mut any_overlap = false;
         let mut scanned = 0;
         let mut trace_rows = 0u64;
         let mut trace_outputs = 0u32;
-        let mut eager_hits;
-        let mut keyed_hits;
-        let candidates: &mut dyn Iterator<Item = &Segment> = match &self.sides {
-            Sides::Eager(sides) => {
-                eager_hits = sides[opposite].candidates(seg.span, &mut scanned).into_iter();
-                &mut eager_hits
-            }
-            Sides::Keyed(k) => {
-                keyed_hits = k.candidates(seg.key, opposite, seg.span).inspect(|_| scanned += 1);
-                &mut keyed_hits
-            }
-        };
-        for opp in candidates {
+        for opp in overlapping(opposite, seg.span) {
+            scanned += 1;
             let (l, r) = if from_left { (seg, opp) } else { (opp, seg) };
             if !self.on_keys.test(l.key, r.key) {
                 continue;
@@ -510,8 +430,165 @@ mod tests {
         ids(side.iter().map(|s| &s.seg))
     }
 
-    /// The brute-force reference for keyed state: one [`SegmentIndex`] per
-    /// key and side, every key expired at every arrival.
+    /// The eager reference for one bucket side: segments in
+    /// [`start_order_pos`] order with an augmented running maximum end,
+    /// expired at every arrival, whose overlap walk runs backwards from the
+    /// last entry starting before the probe ends.
+    #[derive(Debug, Default)]
+    struct SegmentIndex {
+        entries: Vec<Segment>,
+        /// `max_hi[i]` = max of `entries[0..=i].span.hi`.
+        max_hi: Vec<f64>,
+    }
+
+    impl SegmentIndex {
+        fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+
+        fn insert(&mut self, seg: Segment) {
+            let pos = start_order_pos(&self.entries, seg.span.lo, |e| e.span.lo);
+            self.entries.insert(pos, seg);
+            self.rebuild_from(pos);
+        }
+
+        fn rebuild_from(&mut self, pos: usize) {
+            self.max_hi.truncate(pos);
+            for i in pos..self.entries.len() {
+                let prev = if i == 0 { f64::NEG_INFINITY } else { self.max_hi[i - 1] };
+                self.max_hi.push(prev.max(self.entries[i].span.hi));
+            }
+        }
+
+        /// Removes every segment ending at or before `t`.
+        fn expire_before(&mut self, t: f64) {
+            let before = self.entries.len();
+            self.entries.retain(|e| e.span.hi > t);
+            if self.entries.len() != before {
+                self.rebuild_from(0);
+            }
+        }
+
+        /// All segments whose spans overlap `q`, in start order.
+        fn overlapping(&self, q: Span) -> Vec<&Segment> {
+            let mut out = Vec::new();
+            let end = self.entries.partition_point(|e| e.span.lo < q.hi - EPS);
+            for i in (0..end).rev() {
+                if self.max_hi[i] <= q.lo + EPS {
+                    break;
+                }
+                if self.entries[i].span.overlaps(&q) {
+                    out.push(&self.entries[i]);
+                }
+            }
+            out.reverse();
+            out
+        }
+
+        fn iter(&self) -> impl Iterator<Item = &Segment> {
+            self.entries.iter()
+        }
+    }
+
+    fn zero_seg(key: u64, lo: f64, hi: f64) -> Segment {
+        Segment::single(key, Span::new(lo, hi), Poly::zero())
+    }
+
+    #[test]
+    fn index_ordered_insert_and_overlap() {
+        let mut idx = SegmentIndex::default();
+        idx.insert(zero_seg(1, 0.0, 5.0));
+        idx.insert(zero_seg(2, 2.0, 3.0));
+        idx.insert(zero_seg(3, 6.0, 8.0));
+        let hits = idx.overlapping(Span::new(2.5, 6.5));
+        let keys: Vec<u64> = hits.iter().map(|s| s.key).collect();
+        assert_eq!(keys, vec![1, 2, 3]);
+        let hits = idx.overlapping(Span::new(5.5, 5.9));
+        assert!(hits.is_empty());
+    }
+
+    #[test]
+    fn index_out_of_order_insert() {
+        let mut idx = SegmentIndex::default();
+        idx.insert(zero_seg(2, 4.0, 6.0));
+        idx.insert(zero_seg(1, 0.0, 2.0)); // earlier start after a later one
+        let keys: Vec<u64> = idx.iter().map(|s| s.key).collect();
+        assert_eq!(keys, vec![1, 2]);
+        assert_eq!(idx.overlapping(Span::new(1.0, 5.0)).len(), 2);
+    }
+
+    #[test]
+    fn index_long_segment_not_missed_by_pruning() {
+        let mut idx = SegmentIndex::default();
+        let mut k = KeyedState::default();
+        for s in std::iter::once(zero_seg(1, 0.0, 100.0))
+            .chain((1..50).map(|i| zero_seg(i + 1, i as f64, i as f64 + 0.5)))
+        {
+            k.arrive(0, f64::NEG_INFINITY, 0, &s);
+            idx.insert(s);
+        }
+        // Query far to the right: only the long segment overlaps; the
+        // augmented max prevents an early stop.
+        let q = Span::new(80.0, 80.1);
+        let hits = idx.overlapping(q);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].key, 1);
+        assert_eq!(probe(&k, 0, 0, q), ids(hits));
+    }
+
+    #[test]
+    fn index_expiry() {
+        let mut idx = SegmentIndex::default();
+        idx.insert(zero_seg(1, 0.0, 1.0));
+        idx.insert(zero_seg(2, 0.5, 5.0));
+        idx.insert(zero_seg(3, 2.0, 3.0));
+        idx.expire_before(1.5);
+        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.overlapping(Span::new(0.0, 10.0)).len(), 2);
+    }
+
+    /// The reference and the join state's walk both find exactly the
+    /// overlapping segments of a random layout.
+    #[test]
+    fn index_and_walk_match_linear_scan_on_random_layout() {
+        let mut idx = SegmentIndex::default();
+        let mut k = KeyedState::default();
+        let mut all = Vec::new();
+        // Deterministic pseudo-random spans (LCG).
+        let mut rngf = {
+            let mut s = 9876543u64;
+            move || {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 11) as f64 / (1u64 << 53) as f64
+            }
+        };
+        for key in 0..200 {
+            let lo = rngf() * 100.0;
+            let len = rngf() * 10.0 + 0.01;
+            let s = zero_seg(key, lo, lo + len);
+            all.push(s.clone());
+            k.arrive(0, f64::NEG_INFINITY, 0, &s);
+            idx.insert(s);
+        }
+        for _ in 0..50 {
+            let lo = rngf() * 100.0;
+            let q = Span::new(lo, lo + rngf() * 5.0 + 0.01);
+            let mut want: Vec<u64> =
+                all.iter().filter(|s| s.span.overlaps(&q)).map(|s| s.key).collect();
+            want.sort_unstable();
+            let mut got: Vec<u64> = idx.overlapping(q).iter().map(|s| s.key).collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "query {q:?}");
+            assert_eq!(probe(&k, 0, 0, q), ids(idx.overlapping(q)), "query {q:?}");
+        }
+    }
+
+    /// The eager reference for join state: one [`SegmentIndex`] per
+    /// bucket and side, every bucket expired at every arrival.
     #[derive(Default)]
     struct EagerKeyed(HashMap<u64, [SegmentIndex; 2]>);
 
@@ -525,16 +602,24 @@ mod tests {
         }
     }
 
-    /// Checks the lazy state against the reference: the arriving key's
-    /// sides hold the same segments in the same order, the stored count
-    /// is right, and after a sweep every key matches, no key is empty and
-    /// the log is empty. Returns whether a sweep ran.
+    /// Checks the lazy state against the reference: the arriving bucket's
+    /// sides hold the same segments in the same order, with the same
+    /// running maximum ends bit for bit, the stored count is right, and
+    /// after a sweep every bucket matches, no bucket is empty and the log
+    /// is empty. Returns whether a sweep ran.
     fn assert_keyed_state(lazy: &KeyedState, eager: &EagerKeyed, key: u64) -> bool {
-        let held =
-            |k: u64, side: usize| lazy.map.get(&k).map_or_else(Vec::new, |s| stored_ids(&s[side]));
-        for side in 0..2 {
-            assert_eq!(held(key, side), eager.side(key, side), "key {key} side {side}");
-        }
+        let matches = |k: u64, what: &str| {
+            for side in 0..2 {
+                let held = lazy.map.get(&k).map_or(&[][..], |s| &s[side][..]);
+                assert_eq!(stored_ids(held), eager.side(k, side), "key {k} side {side} {what}");
+                let got: Vec<u64> = held.iter().map(|s| s.max_hi.to_bits()).collect();
+                let want: Vec<u64> = eager.0.get(&k).map_or_else(Vec::new, |s| {
+                    s[side].max_hi.iter().map(|h| h.to_bits()).collect()
+                });
+                assert_eq!(got, want, "key {k} side {side} running maximum end {what}");
+            }
+        };
+        matches(key, "");
         assert_eq!(lazy.stored, lazy.map.values().flatten().map(Vec::len).sum::<usize>());
         let swept = lazy.log.is_empty();
         if swept {
@@ -544,17 +629,22 @@ mod tests {
             );
             let live = eager.0.iter().filter(|(_, sides)| sides.iter().any(|i| !i.is_empty()));
             assert_eq!(live.clone().count(), lazy.map.len(), "keys after a sweep");
-            for (&k, _) in live {
-                for side in 0..2 {
-                    assert_eq!(held(k, side), eager.side(k, side), "key {k} after a sweep");
-                }
-            }
+            live.for_each(|(&k, _)| matches(k, "after a sweep"));
         }
         swept
     }
 
+    /// Per-key buckets (`KeyJoin::Eq`) and the single bucket (`Any`, `Ne`)
+    /// against the eager reference: the same candidates, in the same order,
+    /// at every probe.
     #[test]
     fn keyed_lazy_expiry_matches_eager_reference() {
+        for on_keys in [KeyJoin::Eq, KeyJoin::Any, KeyJoin::Ne] {
+            lazy_expiry_matches_eager_reference(on_keys);
+        }
+    }
+
+    fn lazy_expiry_matches_eager_reference(on_keys: KeyJoin) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(29);
         let (mut probes, mut hits, mut sweeps, mut late) = (0, 0, 0, 0);
@@ -630,24 +720,24 @@ mod tests {
                     let s = Segment::new(key, span, models, values(3));
                     let horizon = if rng.gen_bool(0.003) { f64::NAN } else { span.lo - window };
                     max_horizon = max_horizon.max(horizon);
-                    lazy.arrive(key, horizon);
+                    let b = bucket(on_keys, key);
+                    let got: Vec<&Segment> =
+                        overlapping(lazy.arrive(b, horizon, side, &s), span).collect();
                     eager.arrive(horizon);
-                    sweeps += usize::from(assert_keyed_state(&lazy, &eager, key));
-                    let got: Vec<&Segment> = lazy.candidates(key, 1 - side, span).collect();
                     let want = eager
                         .0
-                        .get(&key)
+                        .get(&b)
                         .map_or_else(Vec::new, |sides| sides[1 - side].overlapping(span));
-                    assert_eq!(got, want, "key {key} probing {span:?}");
+                    assert_eq!(got, want, "{on_keys:?}: key {key} probing {span:?}");
                     probes += 1;
                     hits += usize::from(!want.is_empty());
-                    lazy.store(side, &s);
-                    eager.0.entry(key).or_default()[side].insert(s);
+                    eager.0.entry(b).or_default()[side].insert(s);
+                    sweeps += usize::from(assert_keyed_state(&lazy, &eager, b));
                 }
             }
         }
-        assert!(hits > probes / 10, "too few probes hit state: {hits} of {probes}");
-        assert!(sweeps > 100 && late > 100, "sweeps {sweeps}, late pushes {late}");
+        assert!(hits > probes / 10, "{on_keys:?}: too few probes hit state: {hits} of {probes}");
+        assert!(sweeps > 100 && late > 100, "{on_keys:?}: sweeps {sweeps}, late pushes {late}");
     }
 
     #[test]
@@ -665,40 +755,50 @@ mod tests {
             Span::new(2.0 - EPS, 3.0),
             Span::new(2.0, 3.0),
         ];
-        let probes = [Span::new(1.0, 2.0), point(1.0), point(1.0 + EPS), point(2.0)];
+        // Probes starting and ending at, just before and just after every
+        // stored end point, so both binary searches cut at every edge.
+        let mut probes = vec![Span::new(1.0, 2.0), Span::new(-1.0, 0.0), Span::new(3.0, 4.0)];
+        for t in spans.iter().flat_map(|s| [s.lo, s.hi]) {
+            for d in [-EPS, 0.0, EPS] {
+                probes.extend([point(t + d), Span::new(t + d, t + 1.0), Span::new(t - 1.0, t + d)]);
+            }
+        }
         // Every prefix of the spans, so each one is last (the running
         // maximum end cut-off) in some state.
         for n in 1..=spans.len() {
             let mut k = KeyedState::default();
-            let mut idx = SegmentIndex::new();
+            let mut idx = SegmentIndex::default();
             for &span in &spans[..n] {
                 let s = Segment::single(7, span, Poly::constant(0.0));
-                k.arrive(7, f64::NEG_INFINITY);
-                k.store(0, &s);
+                k.arrive(7, f64::NEG_INFINITY, 0, &s);
                 idx.insert(s);
             }
-            for q in probes {
-                assert_eq!(ids(k.candidates(7, 0, q)), ids(idx.overlapping(q)), "{n} spans, {q:?}");
+            for &q in &probes {
+                assert_eq!(probe(&k, 7, 0, q), ids(idx.overlapping(q)), "{n} spans, {q:?}");
             }
         }
+    }
+
+    /// `bucket`'s segments on `side` that a probe of `q` finds.
+    fn probe(k: &KeyedState, bucket: u64, side: usize, q: Span) -> Vec<SegmentId> {
+        ids(overlapping(k.map.get(&bucket).map_or(&[][..], |sides| &sides[side][..]), q))
     }
 
     #[test]
     fn silent_key_is_freed_by_the_next_sweep() {
         let mut k = KeyedState::default();
         for key in 0..8 {
-            k.arrive(key, -1.0);
-            k.store(0, &seg(key, 0.0, 0.5 + key as f64, 0.0, 0.0));
+            k.arrive(key, -1.0, 0, &seg(key, 0.0, 0.5 + key as f64, 0.0, 0.0));
         }
         // Keys 0..4 never arrive again; key 9's arrivals at horizon 4.0
         // leave their dead segments stored until the next sweep, which
         // comes within as many arrivals as there are stored segments.
         let stored = k.stored;
         for n in 1..=stored {
-            k.arrive(9, 4.0);
+            k.arrive(9, 4.0, 0, &seg(9, 4.5, 5.0, 0.0, 0.0));
             if k.log.is_empty() {
                 assert!((0..4).all(|key| !k.map.contains_key(&key)));
-                assert_eq!((k.map.len(), k.stored), (4, 4), "{n} arrivals to the sweep");
+                assert_eq!((k.map.len(), k.stored), (5, 4 + n), "{n} arrivals to the sweep");
                 return;
             }
             assert!(k.map.contains_key(&0), "key 0 freed before a sweep");
@@ -709,22 +809,22 @@ mod tests {
     #[test]
     fn key_that_empties_and_returns_keeps_live_segments() {
         let mut k = KeyedState::default();
-        k.arrive(7, -1.0);
-        k.store(0, &seg(7, 0.0, 1.0, 0.0, 0.0));
-        k.arrive(7, -1.0);
-        k.store(0, &seg(7, 0.5, 1.0, 0.0, 0.0));
-        k.arrive(7, 1.5);
-        assert_eq!(k.stored, 0);
+        let late = |k: &KeyedState| probe(k, 7, 0, Span::new(9.5, 9.6)).len();
+        k.arrive(7, -1.0, 0, &seg(7, 0.0, 1.0, 0.0, 0.0));
+        k.arrive(7, -1.0, 0, &seg(7, 0.5, 1.0, 0.0, 0.0));
+        // An arrival at 1.5 drops both; its own point is all the key holds.
+        k.arrive(7, 1.5, 1, &seg(7, 1.5, 1.5, 0.0, 0.0));
+        assert_eq!(k.stored, 1);
         // Back with a segment ending later than the old ones: arrivals at
         // the old ends, and at an earlier horizon, must keep it.
-        k.store(0, &seg(7, 2.0, 10.0, 0.0, 0.0));
+        k.arrive(7, 1.5, 0, &seg(7, 2.0, 10.0, 0.0, 0.0));
         for t in [1.0, 1.5, 0.0, 9.0] {
-            k.arrive(7, t);
-            assert_eq!(k.candidates(7, 0, Span::new(9.5, 9.6)).count(), 1, "t={t}");
+            k.arrive(7, t, 1, &seg(7, t, t, 0.0, 0.0));
+            assert_eq!(late(&k), 1, "t={t}");
         }
-        k.arrive(7, 10.0);
-        assert_eq!(k.candidates(7, 0, Span::new(9.5, 9.6)).count(), 0);
-        assert_eq!(k.stored, 0);
+        k.arrive(7, 10.0, 1, &seg(7, 10.0, 10.0, 0.0, 0.0));
+        assert_eq!(late(&k), 0);
+        assert_eq!(k.stored, 1, "the last arrival's point alone");
     }
 
     #[test]
@@ -753,25 +853,24 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let nan_hi = Segment::single(1, Span { lo: 0.0, hi: f64::NAN }, Poly::constant(0.0));
         let nan_lo = Segment::single(1, Span { lo: f64::NAN, hi: 1.0 }, Poly::constant(0.0));
-        for state in [JoinState::Scan, JoinState::Indexed] {
-            let join =
-                |window| CJoin::with_state(window, Pred::True, KeyJoin::Eq, bindings(), state);
+        for on_keys in [KeyJoin::Any, KeyJoin::Ne, KeyJoin::Eq] {
+            let join = |window| CJoin::new(window, Pred::True, on_keys, bindings());
             let mut out = Vec::new();
             // A NaN horizon (here from a NaN window) drops everything stored.
             let mut j = join(f64::NAN);
             j.process(0, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
             j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
-            assert!(out.is_empty(), "{state:?}");
-            assert_eq!(j.state_sizes().0, 1, "{state:?}");
+            assert!(out.is_empty(), "{on_keys:?}");
+            assert_eq!(j.state_sizes().0, 1, "{on_keys:?}");
             // A NaN end is dropped at its first check.
             let mut j = join(100.0);
             j.process(0, &nan_hi, &mut store, &mut tr, &mut out);
             j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
-            assert!(out.is_empty(), "{state:?}");
-            assert_eq!(j.state_sizes().0, 1, "{state:?}");
+            assert!(out.is_empty(), "{on_keys:?}");
+            assert_eq!(j.state_sizes().0, 1, "{on_keys:?}");
             // A NaN start's horizon drops everything too.
             j.process(0, &nan_lo, &mut store, &mut tr, &mut out);
-            assert_eq!(j.state_sizes().0, 1, "{state:?}");
+            assert_eq!(j.state_sizes().0, 1, "{on_keys:?}");
             j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
         }
     }

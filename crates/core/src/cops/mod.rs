@@ -13,7 +13,7 @@ mod minmax;
 mod sumavg;
 
 pub use group::CGroupBy;
-pub use join::{CJoin, JoinState};
+pub use join::CJoin;
 pub use minmax::CMinMax;
 pub use sumavg::CSumAvg;
 

@@ -101,8 +101,8 @@ impl System {
     /// allocation once the scratch is warm. Time is recorded into the
     /// tracer's phase table as `solve_assemble` (the linear-equality fast
     /// path, timed only for systems that take it), `solve_sturm` (root
-    /// isolation/refinement) and `solve_refine` (sign analysis between
-    /// roots).
+    /// isolation: derivative recursion plus Brent, no Sturm chain) and
+    /// `solve_refine` (sign analysis between roots).
     ///
     /// [`solve`]: System::solve
     pub fn solve_with(

@@ -48,7 +48,6 @@ pub mod cops;
 pub mod eqsys;
 pub mod historical;
 pub mod hybrid;
-pub mod index;
 mod keymap;
 pub mod lineage;
 pub mod plan;
@@ -62,7 +61,6 @@ pub use cops::{CFilter, CGroupBy, CJoin, CMap, CMinMax, COperator, CSumAvg, CUni
 pub use eqsys::{DiffEq, SolveScratch, System, SystemTemplate, SOLVE_TOL};
 pub use historical::HistoricalStore;
 pub use hybrid::{ExplainHandle, HybridRun, HybridRuntime, ShardError, DEFAULT_BATCH};
-pub use index::SegmentIndex;
 pub use lineage::LineageStore;
 pub use plan::{CPlan, TransformError};
 pub use runtime::{Heuristic, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats};

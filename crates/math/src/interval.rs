@@ -251,11 +251,6 @@ impl RangeSet {
     pub fn clip(&self, window: Span) -> RangeSet {
         self.intersect(&RangeSet::single(window))
     }
-
-    /// The earliest point of the set, if any.
-    pub fn first_point(&self) -> Option<f64> {
-        self.spans.first().map(|s| s.lo)
-    }
 }
 
 impl From<Span> for RangeSet {

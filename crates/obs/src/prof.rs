@@ -86,7 +86,10 @@ pub enum Phase {
     RootIsolate = 3,
     /// Row assembly for the linear-equality elimination fast path.
     SolveAssemble = 4,
-    /// Sturm-guided root isolation and refinement of one row polynomial.
+    /// Root isolation of one row polynomial (`poly_roots_into`): derivative
+    /// recursion to the critical points, then Brent between them. The name
+    /// is older than that isolator; Sturm chains now serve only the test
+    /// oracle.
     SolveSturm = 5,
     /// Sign analysis between isolated roots (midpoint tests, span build).
     SolveRefine = 6,

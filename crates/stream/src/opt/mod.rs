@@ -89,11 +89,6 @@ impl Optimizer {
         Optimizer { passes: vec![Box::new(PredicatePushdown), Box::new(ProjectionPrune)] }
     }
 
-    /// An optimizer with an explicit pass list.
-    pub fn with_passes(passes: Vec<Box<dyn Pass>>) -> Self {
-        Optimizer { passes }
-    }
-
     /// Runs every pass to a joint fixpoint.
     pub fn run(&self, plan: &LogicalPlan) -> Optimized {
         let mut out = Optimized {

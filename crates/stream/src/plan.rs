@@ -113,15 +113,6 @@ impl Plan {
         results
     }
 
-    /// Pushes a whole batch (tuples must be timestamp-ordered per source).
-    pub fn push_all(&mut self, source: usize, tuples: &[Tuple]) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        for t in tuples {
-            out.extend(self.push(source, t));
-        }
-        out
-    }
-
     /// End-of-stream: flushes every operator in topological order (nodes
     /// are stored topologically — a logical plan can only wire to already
     /// added nodes), routing flushed tuples downstream. Returns the query
