@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_bench::{queries, run_discrete, run_predictive};
 use pulse_core::validate::{Bound, BoundInverter, EquiSplit};
-use pulse_core::{Binding, CJoin, COperator, DiffEq, LineageStore, SolveScratch, System};
+use pulse_core::{Binding, CJoin, COperator, DiffEq, Emitter, LineageStore, SolveScratch, System};
 use pulse_math::{poly_roots_in, CmpOp, Poly, Span};
 use pulse_model::{
     AttrKind, CheckMode, Expr, FitConfig, Pred, Schema, Segment, SegmentId, StreamFitter,
@@ -107,12 +107,12 @@ fn bench_join(c: &mut Criterion) {
 fn keyed_arrival(join: &mut CJoin, i: u64, keys: u64, out: &mut Vec<Segment>) {
     let t = i as f64 * 3.0 / keys as f64;
     let seg = Segment::single(i % keys, Span::new(t, t + 1.0), Poly::constant(0.0));
+    let mut store = LineageStore::default();
     join.process(
         ((i / keys) % 2) as usize,
         &seg,
-        &mut LineageStore::default(),
         &mut Tracer::off(),
-        out,
+        &mut Emitter::new(&mut store, out),
     );
 }
 
@@ -126,13 +126,9 @@ fn keyed_push_newest_first(join: &mut CJoin, i: u64, keys: u64, out: &mut Vec<Se
     for piece in (0..3).rev() {
         let lo = t + piece as f64 / 3.0;
         let seg = Segment::single(i % keys, Span::new(lo, lo + 1.0 / 3.0), Poly::constant(0.0));
-        join.process(
-            ((i / keys) % 2) as usize,
-            &seg,
-            &mut LineageStore::default(),
-            &mut Tracer::off(),
-            out,
-        );
+        let mut store = LineageStore::default();
+        let mut out = Emitter::new(&mut store, out);
+        join.process(((i / keys) % 2) as usize, &seg, &mut Tracer::off(), &mut out);
     }
 }
 
@@ -205,8 +201,8 @@ fn bench_join_any_segmented(c: &mut Criterion) {
                     let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
                     let mut out = Vec::new();
                     for (l, r) in left.iter().zip(&right) {
-                        join.process(0, l, &mut store, &mut tr, &mut out);
-                        join.process(1, r, &mut store, &mut tr, &mut out);
+                        join.process(0, l, &mut tr, &mut Emitter::new(&mut store, &mut out));
+                        join.process(1, r, &mut tr, &mut Emitter::new(&mut store, &mut out));
                         out.clear();
                     }
                 })

@@ -49,12 +49,26 @@ impl Binding {
     ///
     /// [`poly_of`]: Binding::poly_of
     pub fn poly_into(&self, seg: &Segment, attr: usize, out: &mut Poly) -> Result<(), ExprError> {
+        self.poly_of_parts(&[seg], attr, out)
+    }
+
+    /// [`Self::poly_into`] over the columns of `parts` read side by side as
+    /// one segment's: a join pair's halves, before anything concatenates
+    /// them.
+    pub fn poly_of_parts(
+        &self,
+        parts: &[&Segment],
+        attr: usize,
+        out: &mut Poly,
+    ) -> Result<(), ExprError> {
         if attr >= self.schema.len() {
             return Err(ExprError::UnknownAttr { input: 0, attr });
         }
         match self.schema.attr(attr).kind {
-            AttrKind::Modeled => out.copy_from(&seg.models[self.slots[attr].unwrap()]),
-            AttrKind::Unmodeled => out.set_constant(seg.unmodeled[self.unmodeled[attr].unwrap()]),
+            AttrKind::Modeled => out.copy_from(column(parts, |s| &s.models[..], self.slots[attr])),
+            AttrKind::Unmodeled => {
+                out.set_constant(*column(parts, |s| &s.unmodeled[..], self.unmodeled[attr]))
+            }
             AttrKind::Key | AttrKind::Coefficient => {
                 return Err(ExprError::NotPolynomial(
                     "key/coefficient attributes are not visible to continuous operators",
@@ -69,6 +83,24 @@ impl Binding {
     pub fn model_slot(&self, attr: usize) -> Option<usize> {
         self.slots.get(attr).copied().flatten()
     }
+}
+
+/// Column `slot` of `parts` side by side, each part's columns read by
+/// `cols`.
+fn column<'a, T>(
+    parts: &[&'a Segment],
+    cols: impl Fn(&'a Segment) -> &'a [T],
+    slot: Option<usize>,
+) -> &'a T {
+    let mut i = slot.expect("the binding's schema gives the attribute a slot");
+    for part in parts {
+        let c = cols(part);
+        match c.get(i) {
+            Some(v) => return v,
+            None => i -= c.len(),
+        }
+    }
+    panic!("slot past the segment's columns")
 }
 
 #[cfg(test)]
@@ -96,6 +128,26 @@ mod tests {
         assert!(b.poly_of(&seg, 7).is_err());
         assert_eq!(b.model_slot(2), Some(1));
         assert_eq!(b.model_slot(1), None);
+    }
+
+    #[test]
+    fn parts_read_as_their_concatenation() {
+        let half =
+            |name: &str| Schema::of(&[(name, AttrKind::Modeled), ("f", AttrKind::Unmodeled)]);
+        let b = Binding::new(half("x").join(&half("y"), "l", "r"));
+        let l = Segment::new(1, Span::new(0.0, 1.0), vec![Poly::linear(1.0, 2.0)], vec![3.0]);
+        let r = Segment::new(2, Span::new(0.0, 1.0), vec![Poly::linear(4.0, 5.0)], vec![6.0]);
+        let whole = Segment::new(
+            3,
+            Span::new(0.0, 1.0),
+            vec![l.models[0].clone(), r.models[0].clone()],
+            vec![3.0, 6.0],
+        );
+        for attr in 0..4 {
+            let mut got = Poly::zero();
+            b.poly_of_parts(&[&l, &r], attr, &mut got).unwrap();
+            assert_eq!(got, b.poly_of(&whole, attr).unwrap(), "attr {attr}");
+        }
     }
 
     #[test]

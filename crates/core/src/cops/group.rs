@@ -1,9 +1,8 @@
 //! Hash-based group-by wrapper (Fig. 3's last row): per-group state and an
 //! independent operator instance for each key.
 
-use super::COperator;
+use super::{COperator, Emitter};
 use crate::keymap::KeyMap;
-use crate::lineage::LineageStore;
 use pulse_model::Segment;
 use pulse_obs::Tracer;
 use pulse_stream::OpMetrics;
@@ -44,16 +43,9 @@ impl COperator for CGroupBy {
         self.groups.values().next().map_or("groupby", |g| g.name())
     }
 
-    fn process(
-        &mut self,
-        input: usize,
-        seg: &Segment,
-        lineage: &mut LineageStore,
-        tr: &mut Tracer,
-        out: &mut Vec<Segment>,
-    ) {
+    fn process(&mut self, input: usize, seg: &Segment, tr: &mut Tracer, out: &mut Emitter<'_>) {
         let op = self.groups.entry(seg.key).or_insert_with(|| (self.factory)(seg.key));
-        op.process(input, seg, lineage, tr, out);
+        op.process(input, seg, tr, out);
     }
 
     fn metrics(&self) -> OpMetrics {
@@ -73,6 +65,8 @@ impl COperator for CGroupBy {
 mod tests {
     use super::*;
     use crate::cops::CSumAvg;
+    use crate::cops::Feed;
+    use crate::lineage::LineageStore;
     use pulse_math::{Poly, Span};
 
     #[test]
@@ -83,7 +77,7 @@ mod tests {
         let b = Segment::single(2, Span::new(0.0, 10.0), Poly::constant(8.0));
         let mut out = Vec::new();
         for s in [&a, &b] {
-            g.process(0, s, &mut store, &mut tr, &mut out);
+            g.feed(0, s, &mut store, &mut tr, &mut out);
         }
         assert_eq!(g.group_count(), 2);
         assert_eq!(out.len(), 2);

@@ -19,13 +19,12 @@
 //! bucket at every arrival would have left. A sweep of every bucket frees
 //! silent keys.
 
-use super::{meaningful_spans, COperator};
+use super::{meaningful_spans, COperator, Emitter};
 use crate::binding::Binding;
 use crate::eqsys::{PendingSlack, SolveScratch, SystemTemplate};
 use crate::keymap::KeyMap;
-use crate::lineage::LineageStore;
 use pulse_math::{Span, EPS};
-use pulse_model::{Models, Pred, Segment};
+use pulse_model::{Pred, Segment};
 use pulse_obs::{Phase, TraceKind, Tracer};
 use pulse_stream::{KeyJoin, OpMetrics};
 use std::any::Any;
@@ -59,8 +58,55 @@ fn start_order_pos<T>(entries: &[T], lo: f64, start: impl Fn(&T) -> f64) -> usiz
     }
 }
 
-/// The join state: both sides of a bucket in one map entry, each a `Vec`
-/// in [`start_order_pos`] order.
+/// One side of a bucket: its segments in [`start_order_pos`] order, and
+/// the earliest end among them, a NaN end counting as `−∞` (`+∞` when
+/// there are none).
+struct Side {
+    segs: Vec<Stored>,
+    min_hi: f64,
+}
+
+impl Default for Side {
+    fn default() -> Self {
+        Side { segs: Vec::new(), min_hi: f64::INFINITY }
+    }
+}
+
+impl std::ops::Deref for Side {
+    type Target = [Stored];
+
+    fn deref(&self) -> &[Stored] {
+        &self.segs
+    }
+}
+
+/// A span end as [`Side::min_hi`] counts it.
+fn end(hi: f64) -> f64 {
+    if hi.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        hi
+    }
+}
+
+impl Side {
+    /// Drops the dead segments and returns how many. When the earliest end
+    /// is after the log's first, largest horizon, none is dead, and the
+    /// side is not scanned: an arrival that frees nothing costs O(1) even
+    /// in the single bucket of an `Any` or `Ne` join.
+    fn expire(&mut self, log: &[(u64, f64)]) -> usize {
+        if log.first().is_none_or(|&(_, max)| self.min_hi > max) {
+            return 0;
+        }
+        let before = self.segs.len();
+        self.segs.retain(|s| !is_dead(s, log));
+        // A second pass: folding the minimum into `retain` measured slower.
+        self.min_hi = self.segs.iter().map(|s| end(s.seg.span.hi)).fold(f64::INFINITY, f64::min);
+        before - self.segs.len()
+    }
+}
+
+/// The join state: both sides of a bucket in one map entry.
 ///
 /// *Exactness.* Eager expiry keeps a segment stored at arrival `i` live at
 /// arrival `p` iff `hi > t_j` for every horizon `t_j`, `i < j ≤ p`, i.e.
@@ -91,7 +137,7 @@ fn start_order_pos<T>(entries: &[T], lo: f64, start: impl Fn(&T) -> f64) -> usiz
 /// first, so the horizon that kills `d` came after `s` was stored too.
 #[derive(Default)]
 struct KeyedState {
-    map: KeyMap<u64, [Vec<Stored>; 2]>,
+    map: KeyMap<u64, [Side; 2]>,
     log: Vec<(u64, f64)>,
     /// Arrivals so far; the current arrival's number.
     seq: u64,
@@ -134,11 +180,10 @@ impl KeyedState {
         }
         let sides = self.map.entry(bucket).or_default();
         for v in sides.iter_mut() {
-            let before = v.len();
-            v.retain(|s| !is_dead(s, &self.log));
-            self.stored -= before - v.len();
+            self.stored -= v.expire(&self.log);
         }
-        let v = &mut sides[side];
+        let Side { segs: v, min_hi } = &mut sides[side];
+        *min_hi = min_hi.min(end(seg.span.hi));
         let pos = start_order_pos(v, seg.span.lo, |s| s.seg.span.lo);
         let mut max_hi = pos.checked_sub(1).map_or(f64::NEG_INFINITY, |i| v[i].max_hi);
         v.insert(pos, Stored { seg: seg.clone(), seq: self.seq, max_hi });
@@ -155,7 +200,7 @@ impl KeyedState {
         let mut stored = 0;
         self.map.retain(|_, sides| {
             for side in sides.iter_mut() {
-                side.retain(|s| !is_dead(s, log));
+                side.expire(log);
                 stored += side.len();
             }
             sides.iter().any(|side| !side.is_empty())
@@ -220,14 +265,7 @@ impl COperator for CJoin {
         "join"
     }
 
-    fn process(
-        &mut self,
-        input: usize,
-        seg: &Segment,
-        lineage: &mut LineageStore,
-        tr: &mut Tracer,
-        out: &mut Vec<Segment>,
-    ) {
+    fn process(&mut self, input: usize, seg: &Segment, tr: &mut Tracer, out: &mut Emitter<'_>) {
         self.m.items_in += 1;
         let now = seg.span.lo;
         let from_left = input == 0;
@@ -276,26 +314,11 @@ impl COperator for CJoin {
                 self.nulls.record(sys, overlap);
                 continue;
             }
-            let mut models = Models::with_capacity(l.models.len() + r.models.len());
-            models.extend_from_slice(&l.models);
-            models.extend_from_slice(&r.models);
-            let mut unmodeled = Vec::with_capacity(l.unmodeled.len() + r.unmodeled.len());
-            unmodeled.extend_from_slice(&l.unmodeled);
-            unmodeled.extend_from_slice(&r.unmodeled);
             let key = self.on_keys.output_key(l.key, r.key);
-            let mut spans = meaningful_spans(&sol).peekable();
-            while let Some(span) = spans.next() {
-                // The last span takes the vectors; earlier ones copy them.
-                let (models, unmodeled) = if spans.peek().is_some() {
-                    (models.clone(), unmodeled.clone())
-                } else {
-                    (std::mem::take(&mut models), std::mem::take(&mut unmodeled))
-                };
-                let joined = Segment::new(key, span, models, unmodeled);
-                lineage.emit(&joined, &[l.id, r.id]);
+            for span in meaningful_spans(&sol) {
                 self.m.items_out += 1;
                 trace_outputs += 1;
-                out.push(joined);
+                out.emit_parts(key, span, &[l, r], &[l.id, r.id], tr);
             }
         }
         self.m.comparisons += scanned;
@@ -325,8 +348,10 @@ impl COperator for CJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cops::Feed;
+    use crate::lineage::LineageStore;
     use pulse_math::{CmpOp, Poly, Span};
-    use pulse_model::{AttrKind, Expr, Schema, SegmentId};
+    use pulse_model::{AttrKind, Expr, Models, Schema, SegmentId};
     use std::collections::HashMap;
 
     fn schema() -> Schema {
@@ -351,9 +376,9 @@ mod tests {
         let mut j = CJoin::new(100.0, lt_pred(), KeyJoin::Any, bindings());
         let mut out = Vec::new();
         // Left: x = t on [0, 10); Right: y = 5 on [0, 10). x < y ⇔ t < 5.
-        j.process(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
+        j.feed(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty(), "nothing buffered on the other side yet");
-        j.process(1, &seg(2, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(1, &seg(2, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert!((out[0].span.hi - 5.0).abs() < 1e-8);
         // Joined segment carries both models.
@@ -367,8 +392,8 @@ mod tests {
         let pred = Pred::cmp(Expr::attr_of(0, 0), CmpOp::Eq, Expr::attr_of(1, 0));
         let mut j = CJoin::new(100.0, pred, KeyJoin::Any, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out); // x = t
-        j.process(1, &seg(2, 0.0, 10.0, 8.0, -1.0), &mut store, &mut tr, &mut out); // y = 8 − t; equal at t=4
+        j.feed(0, &seg(1, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out); // x = t
+        j.feed(1, &seg(2, 0.0, 10.0, 8.0, -1.0), &mut store, &mut tr, &mut out); // y = 8 − t; equal at t=4
         assert_eq!(out.len(), 1);
         assert!(out[0].span.is_point());
         assert!((out[0].span.lo - 4.0).abs() < 1e-8);
@@ -380,8 +405,8 @@ mod tests {
         let mut j = CJoin::new(100.0, lt_pred(), KeyJoin::Any, bindings());
         let mut out = Vec::new();
         // Left valid [0, 4); right valid [2, 10): overlap [2, 4). x<y always.
-        j.process(0, &seg(1, 0.0, 4.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
-        j.process(1, &seg(2, 2.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(0, &seg(1, 0.0, 4.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(1, &seg(2, 2.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].span, Span::new(2.0, 4.0));
     }
@@ -391,10 +416,10 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut j = CJoin::new(100.0, Pred::True, KeyJoin::Ne, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(7, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
-        j.process(1, &seg(7, 0.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(0, &seg(7, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(1, &seg(7, 0.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty(), "same key must not self-join under Ne");
-        j.process(1, &seg(8, 0.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(1, &seg(8, 0.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
     }
 
@@ -403,10 +428,10 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut j = CJoin::new(100.0, Pred::True, KeyJoin::Eq, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(5, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
-        j.process(1, &seg(6, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(0, &seg(5, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(1, &seg(6, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty());
-        j.process(1, &seg(5, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(1, &seg(5, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].key, 5);
     }
@@ -416,9 +441,9 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Any, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(1, 0.0, 0.5, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(0, &seg(1, 0.0, 0.5, 0.0, 0.0), &mut store, &mut tr, &mut out);
         // Arrives at t=5: the old left segment (ended 0.5) is beyond the 1s window.
-        j.process(1, &seg(2, 5.0, 6.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+        j.feed(1, &seg(2, 5.0, 6.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty());
     }
 
@@ -604,9 +629,10 @@ mod tests {
 
     /// Checks the lazy state against the reference: the arriving bucket's
     /// sides hold the same segments in the same order, with the same
-    /// running maximum ends bit for bit, the stored count is right, and
-    /// after a sweep every bucket matches, no bucket is empty and the log
-    /// is empty. Returns whether a sweep ran.
+    /// running maximum ends bit for bit, every side's earliest end is
+    /// exact, the stored count is right, and after a sweep every bucket
+    /// matches, no bucket is empty and the log is empty. Returns whether a
+    /// sweep ran.
     fn assert_keyed_state(lazy: &KeyedState, eager: &EagerKeyed, key: u64) -> bool {
         let matches = |k: u64, what: &str| {
             for side in 0..2 {
@@ -620,7 +646,11 @@ mod tests {
             }
         };
         matches(key, "");
-        assert_eq!(lazy.stored, lazy.map.values().flatten().map(Vec::len).sum::<usize>());
+        assert_eq!(lazy.stored, lazy.map.values().flatten().map(|s| s.len()).sum::<usize>());
+        for side in lazy.map.values().flatten() {
+            let min = side.iter().map(|s| end(s.seg.span.hi)).fold(f64::INFINITY, f64::min);
+            assert_eq!(side.min_hi.to_bits(), min.to_bits(), "earliest end");
+        }
         let swept = lazy.log.is_empty();
         if swept {
             assert!(
@@ -648,6 +678,7 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(29);
         let (mut probes, mut hits, mut sweeps, mut late) = (0, 0, 0, 0);
+        let (mut skips, mut scans) = (0, 0);
         for _ in 0..24 {
             let window = if rng.gen_bool(0.5) {
                 rng.gen_range(1..12) as f64 / 4.0
@@ -729,6 +760,16 @@ mod tests {
                         .get(&b)
                         .map_or_else(Vec::new, |sides| sides[1 - side].overlapping(span));
                     assert_eq!(got, want, "{on_keys:?}: key {key} probing {span:?}");
+                    // Whether the arrival skipped scanning the side it
+                    // probed, which it left as it was: the matching probe
+                    // shows the skip dropped nothing it should have.
+                    let probed = &lazy.map.get(&b).expect("the arrival's bucket")[1 - side];
+                    if !probed.is_empty() {
+                        match lazy.log.first() {
+                            Some(&(_, max)) if probed.min_hi <= max => scans += 1,
+                            _ => skips += 1,
+                        }
+                    }
                     probes += 1;
                     hits += usize::from(!want.is_empty());
                     eager.0.entry(b).or_default()[side].insert(s);
@@ -738,6 +779,7 @@ mod tests {
         }
         assert!(hits > probes / 10, "{on_keys:?}: too few probes hit state: {hits} of {probes}");
         assert!(sweeps > 100 && late > 100, "{on_keys:?}: sweeps {sweeps}, late pushes {late}");
+        assert!(skips > 100 && scans > 100, "{on_keys:?}: {skips} skipped scans, {scans} scans");
     }
 
     #[test]
@@ -833,13 +875,13 @@ mod tests {
         let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Eq, bindings());
         let mut out = Vec::new();
         for key in 0..8 {
-            j.process(0, &seg(key, 0.0, 0.5, 0.0, 0.0), &mut store, &mut tr, &mut out);
+            j.feed(0, &seg(key, 0.0, 0.5, 0.0, 0.0), &mut store, &mut tr, &mut out);
         }
         assert_eq!(j.state_sizes().0, 8);
         // Key 9 arrives past every stored end. The dead segments count
         // until the next sweep frees them and empties the horizon log.
         for n in 1..=8 {
-            j.process(1, &seg(9, 1.6, 2.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+            j.feed(1, &seg(9, 1.6, 2.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
             match j.state_sizes() {
                 (segments, 0) => return assert_eq!(segments, n, "key 9's segments alone"),
                 (segments, _) => assert_eq!(segments, 8 + n, "dead segments wait for the sweep"),
@@ -858,20 +900,20 @@ mod tests {
             let mut out = Vec::new();
             // A NaN horizon (here from a NaN window) drops everything stored.
             let mut j = join(f64::NAN);
-            j.process(0, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
-            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+            j.feed(0, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+            j.feed(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
             assert!(out.is_empty(), "{on_keys:?}");
             assert_eq!(j.state_sizes().0, 1, "{on_keys:?}");
             // A NaN end is dropped at its first check.
             let mut j = join(100.0);
-            j.process(0, &nan_hi, &mut store, &mut tr, &mut out);
-            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+            j.feed(0, &nan_hi, &mut store, &mut tr, &mut out);
+            j.feed(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
             assert!(out.is_empty(), "{on_keys:?}");
             assert_eq!(j.state_sizes().0, 1, "{on_keys:?}");
             // A NaN start's horizon drops everything too.
-            j.process(0, &nan_lo, &mut store, &mut tr, &mut out);
+            j.feed(0, &nan_lo, &mut store, &mut tr, &mut out);
             assert_eq!(j.state_sizes().0, 1, "{on_keys:?}");
-            j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
+            j.feed(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut store, &mut tr, &mut out);
         }
     }
 
@@ -882,8 +924,8 @@ mod tests {
         let pred = Pred::cmp(Expr::attr_of(0, 0), CmpOp::Eq, Expr::attr_of(1, 0));
         let mut j = CJoin::new(100.0, pred, KeyJoin::Any, bindings());
         let mut out = Vec::new();
-        j.process(0, &seg(1, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out); // x = 0
-        j.process(1, &seg(2, 0.0, 10.0, 3.0, 0.0), &mut store, &mut tr, &mut out); // y = 3
+        j.feed(0, &seg(1, 0.0, 10.0, 0.0, 0.0), &mut store, &mut tr, &mut out); // x = 0
+        j.feed(1, &seg(2, 0.0, 10.0, 3.0, 0.0), &mut store, &mut tr, &mut out); // y = 3
         assert!(out.is_empty());
         let slack = j.resolve_slack().unwrap();
         assert!((slack - 3.0).abs() < 1e-6, "slack {slack}");
@@ -972,7 +1014,7 @@ mod tests {
                 let mut pieces = Vec::new();
                 let mut want = None;
                 if source == 0 {
-                    filter_ref.process(0, &s, &mut store, &mut tr, &mut pieces);
+                    filter_ref.feed(0, &s, &mut store, &mut tr, &mut pieces);
                     if pieces.is_empty() {
                         want = eager_null_slack(
                             &mut filter_template,
@@ -1039,8 +1081,8 @@ mod tests {
         let mut out = Vec::new();
         let l = seg(1, 0.0, 10.0, 0.0, 1.0);
         let r = seg(2, 0.0, 10.0, 5.0, 0.0);
-        j.process(0, &l, &mut store, &mut tr, &mut out);
-        j.process(1, &r, &mut store, &mut tr, &mut out);
+        j.feed(0, &l, &mut store, &mut tr, &mut out);
+        j.feed(1, &r, &mut store, &mut tr, &mut out);
         let parents = store.parents_of(out[0].id).to_vec();
         assert_eq!(parents, vec![l.id, r.id]);
     }

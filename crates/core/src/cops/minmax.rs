@@ -7,9 +7,8 @@
 //! the newcomer improves on the envelope, the envelope is rebuilt and the
 //! updated pieces are emitted (Fig. 3's outputs `{(t, sᵢ) | DtR0}`).
 
-use super::COperator;
+use super::{COperator, Emitter};
 use crate::eqsys::SOLVE_TOL;
-use crate::lineage::LineageStore;
 use pulse_math::{
     poly_roots_in, solve_poly_cmp_append, CmpOp, CmpScratch, Poly, RangeSet, Span, EPS,
 };
@@ -93,14 +92,7 @@ impl CMinMax {
     /// into `process`, it measured 4% slower on plans without
     /// min/max (a code-layout effect on `pulse-core`).
     #[inline(never)]
-    fn update(
-        &mut self,
-        seg: &Segment,
-        st: &mut Staging,
-        lineage: &mut LineageStore,
-        tr: &mut Tracer,
-        out: &mut Vec<Segment>,
-    ) {
+    fn update(&mut self, seg: &Segment, st: &mut Staging, tr: &mut Tracer, out: &mut Emitter<'_>) {
         let x = &seg.models[self.slot];
         let domain = seg.span;
         let better_op = if self.is_min { CmpOp::Lt } else { CmpOp::Gt };
@@ -135,11 +127,10 @@ impl CMinMax {
         let mut emitted = 0u32;
         for span in st.win.iter().filter(|s| s.len() > EPS) {
             let piece = Segment::single(seg.key, *span, x.clone());
-            lineage.emit(&piece, &st.parents);
             self.envelope.insert(piece.clone());
             self.m.items_out += 1;
             emitted += 1;
-            out.push(piece);
+            out.emit(piece, &st.parents, tr);
         }
         if tr.on() {
             // `rows` = difference equations solved against the envelope.
@@ -154,17 +145,10 @@ impl COperator for CMinMax {
         "minmax"
     }
 
-    fn process(
-        &mut self,
-        _input: usize,
-        seg: &Segment,
-        lineage: &mut LineageStore,
-        tr: &mut Tracer,
-        out: &mut Vec<Segment>,
-    ) {
+    fn process(&mut self, _input: usize, seg: &Segment, tr: &mut Tracer, out: &mut Emitter<'_>) {
         self.m.items_in += 1;
         self.envelope.expire_before(seg.span.lo - self.width);
-        STAGING.with_borrow_mut(|st| self.update(seg, st, lineage, tr, out));
+        STAGING.with_borrow_mut(|st| self.update(seg, st, tr, out));
     }
 
     fn metrics(&self) -> OpMetrics {
@@ -179,6 +163,8 @@ impl COperator for CMinMax {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cops::Feed;
+    use crate::lineage::LineageStore;
     use pulse_math::solve_poly_cmp;
     use std::collections::HashMap;
 
@@ -195,7 +181,7 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(100.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(op.envelope().len(), 1);
         assert_eq!(op.envelope().eval(0, 3.0), Some(5.0));
@@ -207,9 +193,9 @@ mod tests {
         let mut op = min_op(100.0);
         let mut out = Vec::new();
         // Key 1: constant 5. Key 2: x = t (crosses 5 at t=5).
-        op.process(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
         out.clear();
-        op.process(0, &seg(2, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(2, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
         // The line wins on [0, 5), the constant on [5, 10).
         assert_eq!(out.len(), 1);
         assert!((out[0].span.hi - 5.0).abs() < 1e-8);
@@ -222,9 +208,9 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(100.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 10.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         out.clear();
-        op.process(0, &seg(2, 0.0, 10.0, 9.0, 0.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(2, 0.0, 10.0, 9.0, 0.0), &mut store, &mut tr, &mut out);
         assert!(out.is_empty(), "a dominated model must not update the envelope");
         assert_eq!(op.envelope().eval(0, 5.0), Some(1.0));
     }
@@ -234,8 +220,8 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = CMinMax::new(false, 0, 100.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
-        op.process(0, &seg(2, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 10.0, 5.0, 0.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(2, 0.0, 10.0, 0.0, 1.0), &mut store, &mut tr, &mut out);
         // Upper envelope: constant 5 until t=5, then the line.
         assert_eq!(op.envelope().eval(0, 2.0), Some(5.0));
         assert_eq!(op.envelope().eval(0, 8.0), Some(8.0));
@@ -250,7 +236,7 @@ mod tests {
         let segs: Vec<Segment> =
             models.iter().map(|&(lo, hi, b, a)| seg(0, lo, hi, b, a)).collect();
         for s in &segs {
-            op.process(0, s, &mut store, &mut tr, &mut out);
+            op.feed(0, s, &mut store, &mut tr, &mut out);
         }
         for i in 0..100 {
             let t = 0.05 + i as f64 * 0.0999;
@@ -272,8 +258,8 @@ mod tests {
         let mut op = min_op(10.0);
         let mut out = Vec::new();
         // V-shape: down then up; min at the kink (t=5, value 0).
-        op.process(0, &seg(1, 0.0, 5.0, 5.0, -1.0), &mut store, &mut tr, &mut out);
-        op.process(0, &seg(1, 5.0, 10.0, -5.0, 1.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 5.0, 5.0, -1.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 5.0, 10.0, -5.0, 1.0), &mut store, &mut tr, &mut out);
         let v = op.window_value(10.0).unwrap();
         assert!(v.abs() < 1e-6, "window min {v}");
         // Window covering only the rising tail.
@@ -287,9 +273,9 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = min_op(2.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 1.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 1.0, 1.0, 0.0), &mut store, &mut tr, &mut out);
         // Next segment at t=10: old state far outside the 2s window.
-        op.process(0, &seg(2, 10.0, 11.0, 3.0, 0.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(2, 10.0, 11.0, 3.0, 0.0), &mut store, &mut tr, &mut out);
         assert_eq!(op.envelope().len(), 1);
         assert_eq!(op.envelope().eval(0, 10.5), Some(3.0));
         assert_eq!(op.envelope().eval(0, 0.5), None);
@@ -302,9 +288,9 @@ mod tests {
         let mut out = Vec::new();
         // Parabola (t−5)² and constant 4: parabola below on (3, 7).
         let para = Segment::single(1, Span::new(0.0, 10.0), Poly::new(vec![25.0, -10.0, 1.0]));
-        op.process(0, &para, &mut store, &mut tr, &mut out);
+        op.feed(0, &para, &mut store, &mut tr, &mut out);
         out.clear();
-        op.process(0, &seg(2, 0.0, 10.0, 4.0, 0.0), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(2, 0.0, 10.0, 4.0, 0.0), &mut store, &mut tr, &mut out);
         // Constant wins outside (3, 7): two emitted pieces.
         assert_eq!(out.len(), 2, "{out:?}");
         assert!((out[0].span.hi - 3.0).abs() < 1e-6);
@@ -384,7 +370,7 @@ mod tests {
                 }
                 let seg = Segment::single(rng.gen_range(0..4), Span::new(lo, hi), model.clone());
                 out.clear();
-                op.process(0, &seg, &mut store, &mut tr, &mut out);
+                op.feed(0, &seg, &mut store, &mut tr, &mut out);
                 let (want, want_parents) = reference_process(&mut reference, &seg);
                 assert_eq!(out.len(), want.len(), "run {run} at [{lo}, {hi})");
                 for (got, want) in out.iter().zip(&want) {

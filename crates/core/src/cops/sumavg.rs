@@ -16,8 +16,7 @@
 //! "preserve continuity downstream from the aggregate": the emitted
 //! segments flow into further operators like any model segment.
 
-use super::COperator;
-use crate::lineage::LineageStore;
+use super::{COperator, Emitter};
 use pulse_math::{Poly, Span, EPS};
 use pulse_model::{Segment, SegmentId};
 use pulse_obs::{TraceKind, Tracer};
@@ -151,14 +150,7 @@ impl COperator for CSumAvg {
         "sumavg"
     }
 
-    fn process(
-        &mut self,
-        _input: usize,
-        seg: &Segment,
-        lineage: &mut LineageStore,
-        tr: &mut Tracer,
-        out: &mut Vec<Segment>,
-    ) {
+    fn process(&mut self, _input: usize, seg: &Segment, tr: &mut Tracer, out: &mut Emitter<'_>) {
         self.m.items_in += 1;
         let mut span = seg.span;
         // Update semantics: a successor overlapping the predecessor
@@ -214,10 +206,9 @@ impl COperator for CSumAvg {
                     st.wf.scale_assign(1.0 / self.width);
                 }
                 let piece = Segment::single(seg.key, Span::new(a, b), st.wf.clone());
-                lineage.emit(&piece, &st.parents);
                 self.m.items_out += 1;
                 emitted += 1;
-                out.push(piece);
+                out.emit(piece, &st.parents, tr);
             }
         });
         if tr.on() && built > 0 {
@@ -287,6 +278,8 @@ impl CSumAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cops::Feed;
+    use crate::lineage::LineageStore;
 
     fn seg(key: u64, lo: f64, hi: f64, poly: Poly) -> Segment {
         Segment::single(key, Span::new(lo, hi), poly)
@@ -368,7 +361,7 @@ mod tests {
                     .map(|_| if rng.gen_bool(0.1) { 1e-13 } else { rng.gen_range(-5.0..5.0) })
                     .collect();
                 c[0] += 100.0;
-                op.process(0, &seg(1, lo, hi, Poly::new(c)), &mut store, &mut tr, &mut out);
+                op.feed(0, &seg(1, lo, hi, Poly::new(c)), &mut store, &mut tr, &mut out);
                 t = hi;
                 let earliest = (op.history[0].span.lo + width - 0.5).min(t);
                 for _ in 0..10 {
@@ -404,7 +397,7 @@ mod tests {
         let mut op = CSumAvg::new(false, 0, 2.0);
         let mut out = Vec::new();
         // x = 3t on [0, 10): wf(t) = ∫_{t−2}^{t} 3u du = 3/2 (t² − (t−2)²) = 6t − 6.
-        op.process(0, &seg(1, 0.0, 10.0, Poly::linear(0.0, 3.0)), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 10.0, Poly::linear(0.0, 3.0)), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         let wf = &out[0].models[0];
         assert_eq!(out[0].span, Span::new(2.0, 10.0)); // first full window closes at 2
@@ -424,7 +417,7 @@ mod tests {
             (4.0, 8.0, Poly::constant(2.0)),
         ];
         for (lo, hi, p) in &pieces {
-            op.process(0, &seg(1, *lo, *hi, p.clone()), &mut store, &mut tr, &mut out);
+            op.feed(0, &seg(1, *lo, *hi, p.clone()), &mut store, &mut tr, &mut out);
         }
         assert!(!out.is_empty());
         // Every emitted window function must match numeric integration.
@@ -453,7 +446,7 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = CSumAvg::new(true, 0, 4.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, Poly::constant(6.0)), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 10.0, Poly::constant(6.0)), &mut store, &mut tr, &mut out);
         assert_eq!(out.len(), 1);
         // avg of a constant is the constant.
         let wf = &out[0].models[0];
@@ -467,9 +460,9 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = CSumAvg::new(false, 0, 5.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 3.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 3.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
         assert!(out.is_empty(), "window not yet full");
-        op.process(0, &seg(1, 3.0, 6.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 3.0, 6.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
         // Full windows close in [5, 6).
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].span, Span::new(5.0, 6.0));
@@ -481,9 +474,9 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = CSumAvg::new(false, 0, 2.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 1.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 1.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
         // Gap [1, 5).
-        op.process(0, &seg(1, 5.0, 6.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 5.0, 6.0, Poly::constant(1.0)), &mut store, &mut tr, &mut out);
         // No close time in [5,6) has full coverage of [t−2, t]: tail would
         // sit in the gap.
         assert!(out.is_empty(), "{out:?}");
@@ -495,7 +488,7 @@ mod tests {
         let mut op = CSumAvg::new(false, 0, 1.0);
         let mut out = Vec::new();
         let p = Poly::new(vec![0.0, 0.0, 1.0]); // t²
-        op.process(0, &seg(1, 0.0, 4.0, p.clone()), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 4.0, p.clone()), &mut store, &mut tr, &mut out);
         let pieces = vec![(0.0, 4.0, p)];
         for piece in &out {
             let wf = &piece.models[0];
@@ -512,7 +505,7 @@ mod tests {
         let (mut store, mut tr) = (LineageStore::default(), Tracer::off());
         let mut op = CSumAvg::new(false, 0, 2.0);
         let mut out = Vec::new();
-        op.process(0, &seg(1, 0.0, 10.0, Poly::constant(3.0)), &mut store, &mut tr, &mut out);
+        op.feed(0, &seg(1, 0.0, 10.0, Poly::constant(3.0)), &mut store, &mut tr, &mut out);
         assert!((op.window_value(5.0).unwrap() - 6.0).abs() < 1e-9);
         assert!(op.window_value(1.0).is_none(), "incomplete window");
     }
@@ -525,9 +518,9 @@ mod tests {
         let s1 = seg(1, 0.0, 2.0, Poly::constant(1.0));
         let s2 = seg(1, 2.0, 4.0, Poly::constant(2.0));
         let s3 = seg(1, 4.0, 6.0, Poly::constant(3.0));
-        op.process(0, &s1, &mut store, &mut tr, &mut out);
-        op.process(0, &s2, &mut store, &mut tr, &mut out);
-        op.process(0, &s3, &mut store, &mut tr, &mut out);
+        op.feed(0, &s1, &mut store, &mut tr, &mut out);
+        op.feed(0, &s2, &mut store, &mut tr, &mut out);
+        op.feed(0, &s3, &mut store, &mut tr, &mut out);
         // A window closing in (4, 5) spans s1 (tail), s2 (covered), s3 (head).
         let multi =
             out.iter().find(|o| o.span.contains(4.5)).expect("window function covering close 4.5");

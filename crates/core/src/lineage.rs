@@ -10,12 +10,15 @@
 //! compactness", and the layout below keeps it that way:
 //!
 //! * **One owner, no lock.** Each [`crate::CPlan`] owns its store and lends
-//!   it to an operator for the length of one `process` call; a plan runs
+//!   it to the [`crate::cops::Emitter`] of one `process` call; a plan runs
 //!   on one thread, so nothing is shared. A hybrid runtime's workers and
 //!   its merge stage each have a plan, and so a store, of their own.
 //! * **One snapshot per segment.** A segment is snapshotted when it enters
-//!   the plan (a pushed source segment) or leaves an operator (an output),
-//!   never again by the operators that consume it.
+//!   the plan (a pushed source segment) or when an operator hands it to
+//!   its emitter (an output), never again by the operators that consume
+//!   it. A map that is its producer's only consumer is compiled into the
+//!   producer, whose emitter projects each output before the snapshot, so
+//!   a projected answer is one segment and one snapshot, not two.
 //! * **Only what inversion reads.** A snapshot is the span, the parent ids
 //!   and — only while the gradient split heuristic may read them — the
 //!   models' derivative coefficients. Nothing else of the segment is kept.
@@ -180,7 +183,7 @@ impl LineageStore {
     /// Returns the store itself. A compatibility shim that keeps callers
     /// written for the old mutex-guarded store (`lineage().lock().len()`)
     /// compiling; the replay benchmark is the last one. Delete it once
-    /// ROADMAP item 2(b) moves the benchmark to [`crate::CPlan::lineage`].
+    /// ROADMAP item 3(b) moves the benchmark to [`crate::CPlan::lineage`].
     #[doc(hidden)]
     pub fn lock(&self) -> &Self {
         self

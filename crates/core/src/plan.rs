@@ -5,10 +5,11 @@
 //! simultaneous equation systems." [`CPlan::compile`] maps each logical
 //! operator to its continuous counterpart over the same DAG; segments are
 //! the first-class items flowing between nodes. A filter whose predicate
-//! normalizes to `true` has no system to solve and compiles to nothing.
+//! normalizes to `true` has no system to solve and compiles to nothing, and
+//! a map that is its producer's only consumer compiles into that producer.
 
 use crate::binding::Binding;
-use crate::cops::{CFilter, CGroupBy, CJoin, CMap, CMinMax, COperator, CSumAvg, CUnion};
+use crate::cops::{CFilter, CGroupBy, CJoin, CMap, CMinMax, COperator, CSumAvg, CUnion, Emitter};
 use crate::lineage::LineageStore;
 use pulse_model::{Pred, Segment};
 use pulse_obs::{Phase, Tracer};
@@ -59,12 +60,24 @@ struct PushBuffers {
     scratch: Vec<Segment>,
 }
 
+/// A compiled node: its operator, `None` for a pass-through filter and
+/// for a fused map, and the map fused into it, with the map's logical
+/// index. The map is boxed and kept here, not in a list of its own, so
+/// the plan allocates for fusion only what it allocated for the map
+/// operator before: a list of unboxed maps (an allocation past a
+/// kilobyte) added a fifth to `macd`'s set-up time.
+struct Node {
+    op: Option<Box<dyn COperator>>,
+    map: Option<(usize, Box<CMap>)>,
+}
+
 /// A compiled continuous plan, indexed by logical node.
 pub struct CPlan {
-    /// `None` for a pass-through filter, which has no operator.
-    nodes: Vec<Option<Box<dyn COperator>>>,
+    nodes: Vec<Node>,
     node_edges: Vec<Vec<Consumer>>,
     source_edges: Vec<Vec<Consumer>>,
+    /// Whether a node's outputs are query results: a sink's, or those of
+    /// the producer a sink map is fused into.
     sinks: Vec<bool>,
     /// Every segment the plan has seen or made, with its parents: what
     /// bound inversion walks (§IV-B). Operators write to it through
@@ -87,10 +100,22 @@ impl CPlan {
     /// push copies the segment arriving on it into the results at the
     /// position its output had, so a sink over a source returns the pushed
     /// segment itself.
+    ///
+    /// A map fuses into its input when that input is a node that compiles
+    /// to an operator and the map is its only consumer. The producer then
+    /// projects each output through the map's programs before it is
+    /// snapshotted or queued (see [`Emitter`]), so an answer is one
+    /// segment with one lineage snapshot, not two. The map keeps its
+    /// logical index: `op` and `node_metrics` return its operator, which
+    /// counts its projections as before, and the producer's consumers are
+    /// the map's.
     pub fn compile(logical: &LogicalPlan) -> Result<CPlan, TransformError> {
-        let mut nodes = Vec::with_capacity(logical.nodes.len());
+        let mut nodes: Vec<Node> = Vec::with_capacity(logical.nodes.len());
         let mut node_edges = vec![Vec::new(); logical.nodes.len()];
         let mut source_edges = vec![Vec::new(); logical.sources.len()];
+        let consumers = |port: PortRef| {
+            logical.nodes.iter().flat_map(|ln| &ln.inputs).filter(|&&q| q == port).count()
+        };
         for (i, ln) in logical.nodes.iter().enumerate() {
             let in_schema = |port: usize| Binding::new(logical.schema_of(ln.inputs[port]));
             let op: Option<Box<dyn COperator>> = match &ln.op {
@@ -103,7 +128,16 @@ impl CPlan {
                     }
                 }
                 LogicalOp::Map { exprs, .. } => {
-                    Some(Box::new(CMap::new(exprs.clone(), in_schema(0))))
+                    let map = Box::new(CMap::new(exprs.clone(), in_schema(0)));
+                    match ln.inputs[0] {
+                        PortRef::Node(p)
+                            if nodes[p].op.is_some() && consumers(ln.inputs[0]) == 1 =>
+                        {
+                            nodes[p].map = Some((i, map));
+                            None
+                        }
+                        _ => Some(map),
+                    }
                 }
                 LogicalOp::Join { window, pred, on_keys } => Some(Box::new(CJoin::new(
                     *window,
@@ -142,7 +176,7 @@ impl CPlan {
                     }
                 }
             };
-            nodes.push(op);
+            nodes.push(Node { op, map: None });
             for (port, input) in ln.inputs.iter().enumerate() {
                 match input {
                     PortRef::Source(s) => source_edges[*s].push((i, port)),
@@ -154,6 +188,14 @@ impl CPlan {
         for s in logical.sinks() {
             sinks[s] = true;
         }
+        // A fused producer takes its map's consumers and sink flag; nothing
+        // reaches the map itself.
+        for (p, node) in nodes.iter().enumerate() {
+            if let Some((m, _)) = node.map {
+                node_edges[p] = std::mem::take(&mut node_edges[m]);
+                sinks[p] = std::mem::replace(&mut sinks[m], false);
+            }
+        }
         // Splice each pass-through non-sink out of its producers' edge
         // lists, its consumers taking its place in order: the LIFO queue
         // then visits them exactly when it would have visited them after
@@ -162,7 +204,7 @@ impl CPlan {
             let mut out = Vec::with_capacity(edges.len());
             let mut stack: Vec<Consumer> = edges.iter().rev().copied().collect();
             while let Some((n, p)) = stack.pop() {
-                if nodes[n].is_some() || sinks[n] {
+                if nodes[n].op.is_some() || sinks[n] {
                     out.push((n, p));
                 } else {
                     stack.extend(node_edges[n].iter().rev().copied());
@@ -200,8 +242,9 @@ impl CPlan {
     /// that keeps its buffer allocates nothing per push; operators stamp
     /// their equation-system work into `tr` as they go.
     ///
-    /// The pushed segment is snapshotted into lineage here, once; each
-    /// operator snapshots only the outputs it emits.
+    /// The pushed segment is snapshotted into lineage here, once; every
+    /// output is snapshotted once, by the [`Emitter`] its operator hands
+    /// it to.
     ///
     /// Operators only record their null results; when the push appends
     /// nothing, their slack is resolved here, before returning, for
@@ -213,7 +256,7 @@ impl CPlan {
         tr: &mut Tracer,
         results: &mut Vec<Segment>,
     ) {
-        for n in self.nodes.iter_mut().flatten() {
+        for n in self.nodes.iter_mut().filter_map(|n| n.op.as_mut()) {
             n.reset_slack();
         }
         self.lineage.register(seg);
@@ -225,7 +268,7 @@ impl CPlan {
         self.slack = None;
         if results.len() == start {
             let m = tr.enter(Phase::Slack);
-            for n in self.nodes.iter_mut().flatten() {
+            for n in self.nodes.iter_mut().filter_map(|n| n.op.as_mut()) {
                 if let Some(s) = n.resolve_slack() {
                     self.slack = Some(self.slack.map_or(s, |a: f64| a.min(s)));
                 }
@@ -247,14 +290,15 @@ impl CPlan {
         let PushBuffers { produced, is_result, queue, scratch } = bufs;
         while let Some((node, port, idx)) = queue.pop() {
             let input = if idx == Self::SRC { seg } else { &produced[idx] };
-            let Some(op) = &mut nodes[node] else {
+            let Node { op: Some(op), map } = &mut nodes[node] else {
                 let out = input.clone();
                 is_result.push(true);
                 produced.push(out);
                 continue;
             };
             scratch.clear();
-            op.process(port, input, lineage, tr, scratch);
+            let map = map.as_mut().map(|(_, map)| &mut **map);
+            op.process(port, input, tr, &mut Emitter::fused(lineage, map, scratch));
             for out in scratch.drain(..) {
                 let oi = produced.len();
                 is_result.push(sinks[node]);
@@ -269,10 +313,18 @@ impl CPlan {
         );
     }
 
+    /// Every operator: the nodes' and the fused maps'.
+    fn ops(&self) -> impl Iterator<Item = &dyn COperator> {
+        self.nodes.iter().flat_map(|n| {
+            let map = n.map.as_ref().map(|(_, map)| &**map as &dyn COperator);
+            n.op.as_deref().into_iter().chain(map)
+        })
+    }
+
     /// Sum of all operator metrics.
     pub fn metrics(&self) -> OpMetrics {
         let mut m = OpMetrics::default();
-        for n in self.nodes.iter().flatten() {
+        for n in self.ops() {
             m.absorb(&n.metrics());
         }
         m
@@ -280,7 +332,7 @@ impl CPlan {
 
     /// Metrics of a single node (zeros for a pass-through filter).
     pub fn node_metrics(&self, node: usize) -> OpMetrics {
-        self.nodes[node].as_ref().map(|n| n.metrics()).unwrap_or_default()
+        self.op(node).map(|n| n.metrics()).unwrap_or_default()
     }
 
     /// Publishes every operator's counters into `reg` under
@@ -299,7 +351,7 @@ impl CPlan {
         let set = |name: &str, v: u64| reg.counter(&pulse_obs::labeled(name, labels)).set(v);
         let mut per: std::collections::BTreeMap<&'static str, OpMetrics> =
             std::collections::BTreeMap::new();
-        for n in self.nodes.iter().flatten() {
+        for n in self.ops() {
             per.entry(n.name()).or_default().absorb(&n.metrics());
         }
         for (name, m) in per {
@@ -309,14 +361,13 @@ impl CPlan {
         }
         set("state.lineage_snapshots", self.lineage.len() as u64);
         set("state.lineage_bytes", self.lineage.heap_bytes() as u64);
-        let (segments, horizons) =
-            self.nodes.iter().flatten().filter_map(|n| n.as_any().downcast_ref::<CJoin>()).fold(
-                (0, 0),
-                |(s, h), j| {
-                    let (js, jh) = j.state_sizes();
-                    (s + js, h + jh)
-                },
-            );
+        let (segments, horizons) = self
+            .ops()
+            .filter_map(|n| n.as_any().downcast_ref::<CJoin>())
+            .fold((0, 0), |(s, h), j| {
+                let (js, jh) = j.state_sizes();
+                (s + js, h + jh)
+            });
         set("state.join_segments", segments as u64);
         set("state.join_horizons", horizons as u64);
     }
@@ -334,9 +385,14 @@ impl CPlan {
     }
 
     /// Operator access for state inspection (e.g. sampling an envelope);
-    /// `None` for a pass-through filter, which compiles to no operator.
+    /// `None` for a pass-through filter, which compiles to no operator. A
+    /// fused map's is the operator its producer projects through.
     pub fn op(&self, node: usize) -> Option<&dyn COperator> {
-        self.nodes[node].as_deref()
+        self.nodes[node].op.as_deref().or_else(|| {
+            let (_, map) =
+                self.nodes.iter().find_map(|n| n.map.as_ref().filter(|m| m.0 == node))?;
+            Some(&**map as &dyn COperator)
+        })
     }
 
     /// Number of logical nodes, pass-through filters included.
@@ -683,5 +739,296 @@ mod tests {
             assert_eq!(want.len(), 4);
             assert_eq!(content(&got), content(&want));
         }
+    }
+
+    /// `x · 2 − 1` over a one-column producer, the difference of the
+    /// columns over a join's two.
+    fn projection(lp: &LogicalPlan, over: PortRef) -> LogicalOp {
+        let schema = lp.schema_of(over);
+        let exprs = if schema.len() == 1 {
+            vec![Expr::attr(0) * Expr::c(2.0) - Expr::c(1.0)]
+        } else {
+            vec![Expr::attr(0) - Expr::attr(1)]
+        };
+        LogicalOp::Map { exprs, schema: src() }
+    }
+
+    /// `bare` with `path` (pass-through filters) and then the projection
+    /// added over the output of `bare`'s last node, or of source 0 when it
+    /// has none.
+    fn mapped(bare: &LogicalPlan, path: &[LogicalOp]) -> LogicalPlan {
+        let mut lp = bare.clone();
+        let mut port = bare.nodes.len().checked_sub(1).map_or(PortRef::Source(0), PortRef::Node);
+        let map = projection(&lp, port);
+        for op in path {
+            port = lp.add(op.clone(), vec![port]);
+        }
+        lp.add(map, vec![port]);
+        lp
+    }
+
+    /// Pushes `arrivals` through `lp`, whose maps all read the output of
+    /// `bare`'s last node (source 0 when it has none), and through `bare`
+    /// followed by a standalone `CMap` per map over each of its outputs,
+    /// snapshotting into bare's lineage: the plan as it ran with every map
+    /// an operator. A fused plan must give the same answers in the
+    /// producer's order, with the same sources and map metrics; an
+    /// unfused one the same answers (its queue runs a producer's outputs
+    /// newest first). Returns the number of answers, the most one push
+    /// gave and how many fewer snapshots the plan took.
+    fn check_maps(
+        lp: &LogicalPlan,
+        bare_lp: &LogicalPlan,
+        arrivals: &[(usize, Segment)],
+    ) -> (usize, usize, usize) {
+        use crate::cops::Feed;
+        let fused = bare_lp.nodes.last().is_some() && lp.nodes.len() == bare_lp.nodes.len() + 1;
+        let mut plan = CPlan::compile(lp).unwrap();
+        let mut bare = CPlan::compile(bare_lp).unwrap();
+        assert_eq!(plan.len(), lp.nodes.len());
+        let producer = bare_lp.nodes.len().checked_sub(1).map_or(PortRef::Source(0), PortRef::Node);
+        let mut maps: Vec<(usize, CMap)> = (bare_lp.nodes.len()..lp.nodes.len())
+            .filter_map(|n| match &lp.nodes[n].op {
+                LogicalOp::Map { exprs, .. } => {
+                    Some((n, CMap::new(exprs.clone(), Binding::new(lp.schema_of(producer)))))
+                }
+                _ => None,
+            })
+            .collect();
+        let (mut answers, mut most) = (0, 0);
+        for (source, a) in arrivals {
+            let mut produced = bare.push(*source, a);
+            if producer == PortRef::Source(0) {
+                produced = vec![a.clone()];
+            }
+            let mut want = Vec::new();
+            for o in &produced {
+                for (_, m) in &mut maps {
+                    m.feed(0, o, bare.lineage_mut(), &mut Tracer::off(), &mut want);
+                }
+            }
+            let got = plan.push(*source, a);
+            answers += got.len();
+            most = most.max(got.len());
+            if fused {
+                assert_eq!(content(&got), content(&want));
+                // Leaves that are not pushed segments are envelope tails
+                // the min cut off with fresh ids, different in each plan.
+                let sources = |p: &CPlan, id| {
+                    let leaves = p.lineage().sources_of(id);
+                    let pushed =
+                        leaves.iter().filter(|&&l| arrivals.iter().any(|(_, a)| a.id == l));
+                    (leaves.len(), pushed.copied().collect::<Vec<_>>())
+                };
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(sources(&plan, g.id), sources(&bare, w.id));
+                }
+            } else {
+                assert_eq!(pulse_stream::fingerprint(&got), pulse_stream::fingerprint(&want));
+            }
+        }
+        for (n, m) in &maps {
+            assert!(plan.op(*n).is_some_and(|op| op.name() == "map"));
+            assert_eq!(plan.node_metrics(*n), m.metrics());
+        }
+        (answers, most, bare.lineage().len() - plan.lineage().len())
+    }
+
+    /// Long crossing lines, where a pair's predicate holds on two pieces,
+    /// then [`arrivals`] on alternate sources, each key arriving twice in a
+    /// row: once on each side.
+    fn two_sources() -> Vec<(usize, Segment)> {
+        let crossing = [
+            (0, seg(1, 0.0, 10.0, 0.0, 1.0)),
+            (1, seg(1, 0.0, 10.0, 5.0, 0.0)),
+            (1, seg(2, 2.0, 8.0, 3.0, 0.5)),
+            (0, seg(2, 1.0, 9.0, 9.0, -1.0)),
+        ];
+        let rekey = |(i, a): (usize, Segment)| (i % 2, Segment { key: (i / 2 % 3) as u64, ..a });
+        crossing.into_iter().chain(arrivals().into_iter().enumerate().map(rekey)).collect()
+    }
+
+    fn join(on_keys: KeyJoin) -> LogicalPlan {
+        let mut lp = LogicalPlan::new(vec![src(), src()]);
+        let x = |side| Expr::attr_of(side, 0);
+        let pred = Pred::cmp((x(0) - x(1)) * (x(0) - x(1)), CmpOp::Gt, Expr::c(0.25));
+        lp.add(
+            LogicalOp::Join { window: 100.0, pred, on_keys },
+            vec![PortRef::Source(0), PortRef::Source(1)],
+        );
+        lp
+    }
+
+    fn grouped_avg() -> LogicalPlan {
+        let mut lp = LogicalPlan::new(vec![src()]);
+        let avg = LogicalOp::Aggregate {
+            func: AggFunc::Avg,
+            attr: 0,
+            width: 2.0,
+            slide: 1.0,
+            group_by_key: true,
+        };
+        lp.add(avg, vec![PortRef::Source(0)]);
+        lp
+    }
+
+    /// `x² > 4`: two pieces of a line through 0.
+    fn two_piece_filter() -> LogicalPlan {
+        let x = Expr::attr(0);
+        let (lp, _) =
+            chain(&[LogicalOp::Filter { pred: Pred::cmp(x.clone() * x, CmpOp::Gt, Expr::c(4.0)) }]);
+        lp
+    }
+
+    /// Lines through `x² = 4` twice; a constant cutting a parabola under
+    /// another constant, so it wins the min on two pieces; a key whose
+    /// pieces tile time off the average's window grid, so each closes
+    /// windows on two pieces; then [`arrivals`].
+    fn one_source() -> Vec<(usize, Segment)> {
+        let parabola = Poly::new(vec![6.25, -2.5, 0.25]);
+        let mut segs = vec![
+            seg(7, -5.0, 5.0, 0.0, 1.0),
+            seg(8, -3.0, 3.0, 1.0, -1.5),
+            seg(9, 0.0, 10.0, 2.0, 0.0),
+            Segment::single(9, Span::new(0.0, 10.0), parabola),
+            seg(9, 0.0, 10.0, 1.5, 0.0),
+        ];
+        segs.extend((0..8).map(|i| seg(5, 0.7 * i as f64, 0.7 * (i + 1) as f64, i as f64, 0.5)));
+        segs.into_iter().chain(arrivals()).map(|a| (0, a)).collect()
+    }
+
+    #[test]
+    fn a_map_fuses_into_its_only_producer() {
+        for (name, bare, arrivals) in [
+            ("join", join(KeyJoin::Any), two_sources()),
+            ("keyed join", join(KeyJoin::Eq), two_sources()),
+            ("grouped avg", grouped_avg(), one_source()),
+            ("filter", two_piece_filter(), one_source()),
+            ("grouped min", min_over(&[]), one_source()),
+        ] {
+            let (answers, most, saved) = check_maps(&mapped(&bare, &[]), &bare, &arrivals);
+            assert!(most >= 2, "{name}: {answers} answers, at most {most} a push");
+            assert_eq!(saved, answers, "{name}: one snapshot per answer");
+        }
+        // A union makes no segment: its projected outputs are new ones,
+        // snapshotted as the map's were.
+        let mut union = LogicalPlan::new(vec![src(), src()]);
+        union.add(LogicalOp::Union, vec![PortRef::Source(0), PortRef::Source(1)]);
+        let (answers, _, saved) = check_maps(&mapped(&union, &[]), &union, &two_sources());
+        assert_eq!((answers, saved), (two_sources().len(), 0));
+    }
+
+    #[test]
+    fn a_map_without_a_sole_producer_stays_an_operator() {
+        // Over a source.
+        let none = LogicalPlan::new(vec![src()]);
+        let (answers, _, saved) = check_maps(&mapped(&none, &[]), &none, &one_source());
+        assert_eq!((answers, saved), (one_source().len(), 0));
+        // Over a pass-through filter, which has no operator.
+        let min = min_over(&[]);
+        let (_, most, saved) = check_maps(&mapped(&min, &[pass()]), &min, &one_source());
+        assert_eq!((most >= 2, saved), (true, 0));
+        // Over a producer with a second consumer: two maps over one filter.
+        let filter = two_piece_filter();
+        let mut two = mapped(&filter, &[]);
+        two.add(projection(&filter, PortRef::Node(0)), vec![PortRef::Node(0)]);
+        let (_, most, saved) = check_maps(&two, &filter, &one_source());
+        assert_eq!((most >= 2, saved), (true, 0));
+    }
+
+    /// The MACD plan of `tests/phase_counts.rs`: short and long grouped
+    /// averages joined on key with `S.avg > L.avg`, projected to the
+    /// divergence.
+    fn macd_plan() -> LogicalPlan {
+        let mut lp = LogicalPlan::new(vec![src()]);
+        let avg = |width| LogicalOp::Aggregate {
+            func: AggFunc::Avg,
+            attr: 0,
+            width,
+            slide: 0.5,
+            group_by_key: true,
+        };
+        let short = lp.add(avg(1.0), vec![PortRef::Source(0)]);
+        let long = lp.add(avg(3.0), vec![PortRef::Source(0)]);
+        let j = lp.add(
+            LogicalOp::Join {
+                window: 0.5,
+                pred: Pred::cmp(Expr::attr_of(0, 0), CmpOp::Gt, Expr::attr_of(1, 0)),
+                on_keys: KeyJoin::Eq,
+            },
+            vec![short, long],
+        );
+        let diff = LogicalOp::Map {
+            exprs: vec![Expr::attr(0) - Expr::attr(1)],
+            schema: Schema::of(&[("diff", AttrKind::Modeled)]),
+        };
+        lp.add(diff, vec![j]);
+        lp
+    }
+
+    /// An id-blind, order-blind hash of `segs`: key, span and model
+    /// coefficients, bit for bit, summed over segments.
+    fn print(segs: &[Segment]) -> u64 {
+        let mix = |h: u64, v: u64| {
+            let mut z = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        segs.iter().fold(0u64, |sum, s| {
+            let mut h = mix(mix(mix(0, s.key), s.span.lo.to_bits()), s.span.hi.to_bits());
+            for c in s.models.iter().flat_map(|m| m.coeffs()) {
+                h = mix(h, c.to_bits());
+            }
+            sum.wrapping_add(h)
+        })
+    }
+
+    /// A `PulseRuntime` drive of the MACD plan under the gradient split,
+    /// which reads lineage's derivatives at every split: its outputs and
+    /// counters are the ones the plan produced before the map fused into
+    /// the join.
+    #[test]
+    fn fused_macd_drive_keeps_its_gradient_split_outputs() {
+        use crate::runtime::{Heuristic, Predictor, PulseRuntime, RuntimeConfig};
+        use pulse_model::Tuple;
+        let cfg = RuntimeConfig {
+            horizon: 5.0,
+            bound: 0.05,
+            heuristic: Heuristic::Gradient,
+            ..Default::default()
+        };
+        let mut rt = PulseRuntime::with_predictors(
+            vec![Predictor::AdaptiveLinear(src())],
+            &macd_plan(),
+            cfg,
+        )
+        .unwrap();
+        // Noisy per-key triangle waves: the noise exceeds the bound.
+        let mut rng: u64 = 0x1234_5678_9ABC_DEF0;
+        let mut noise = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((rng >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        };
+        let mut outs = Vec::new();
+        for r in 0..200 {
+            let ts = r as f64 * 0.05;
+            let phase = (ts / 4.0).fract();
+            let tri = if phase < 0.5 { 4.0 * phase - 1.0 } else { 3.0 - 4.0 * phase };
+            for key in 0..12u64 {
+                let price = 50.0 + key as f64 + 2.0 * tri + 0.2 * noise();
+                outs.extend(rt.on_tuple(0, &Tuple::new(key, ts, vec![price])));
+            }
+        }
+        let (s, v) = (rt.stats(), rt.validator().stats());
+        assert_eq!((outs.len(), print(&outs)), (586, 0x3330_9c27_f0e1_e63a));
+        assert_eq!(
+            (s.tuples_in, s.suppressed, s.violations, s.segments_pushed, s.outputs),
+            (2400, 1653, 735, 747, 586)
+        );
+        assert_eq!(s.model_errors, 0);
+        assert_eq!((v.checks, v.violations, v.accuracy_keys, v.slack_keys), (2388, 735, 7, 5));
+        // The map is fused: one snapshot per answer.
+        assert!(rt.plan().op(3).is_some() && rt.plan().node_metrics(3).items_in > 0);
     }
 }

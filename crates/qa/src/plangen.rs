@@ -86,6 +86,11 @@ pub struct JoinSpec {
     pub rslot: usize,
     pub op: CmpOp,
     pub on: KeyJoin,
+    /// Whether a one-row map over the join's output, `l − r` of the two
+    /// attributes it compares, ends the plan: the shape the continuous
+    /// transform compiles into the join. The map keeps key and span, so
+    /// the join comparators read its output as the join's.
+    pub diff: bool,
 }
 
 /// Shape of a generated plan, with everything the oracle needs to evaluate
@@ -256,6 +261,7 @@ pub fn gen_plan(rng: &mut StdRng, force: OpKind, value_scale: f64) -> GenPlan {
                 window: rng.gen_range(0.4..1.2),
                 op: if rng.gen_bool(0.5) { CmpOp::Lt } else { CmpOp::Gt },
                 on,
+                diff: false,
             })
         }
     };
@@ -275,7 +281,8 @@ pub fn gen_plan(rng: &mut StdRng, force: OpKind, value_scale: f64) -> GenPlan {
 /// * **SumAvg** — grouped, over the same two-row prefix: prune fires on a
 ///   partitionable plan (the sharded third engine stays covered);
 /// * **Join** — key condition always `Any`/`Ne`, so the partition rewrite
-///   carries the join as its merge stage.
+///   carries the join as its merge stage, and a one-row map, `l − r`,
+///   over its output, which the continuous transform compiles into it.
 ///
 /// This is a separate entry point so the default [`gen_plan`] draw
 /// sequence — which checked-in corpus seeds replay byte-for-byte — stays
@@ -344,6 +351,9 @@ pub fn gen_plan_opt(rng: &mut StdRng, force: OpKind, value_scale: f64) -> GenPla
                 window: rng.gen_range(0.4..1.2),
                 op: if rng.gen_bool(0.5) { CmpOp::Lt } else { CmpOp::Gt },
                 on,
+                // Drawn from nothing, so the stream after it is the one
+                // the `opt-*.seed` corpus was recorded with.
+                diff: true,
             })
         }
     };
@@ -415,7 +425,7 @@ impl GenPlan {
                 let r = add_steps(&mut lp, PortRef::Source(0), &j.right);
                 let (le, re) =
                     (self.slot_expr(&j.left, j.lslot), self.slot_expr(&j.right, j.rslot));
-                lp.add(
+                let join = lp.add(
                     LogicalOp::Join {
                         window: j.window,
                         pred: Pred::cmp(rebase(le, 0), j.op, rebase(re, 1)),
@@ -423,6 +433,15 @@ impl GenPlan {
                     },
                     vec![l, r],
                 );
+                if j.diff {
+                    // The join's output columns are the left's, then the
+                    // right's.
+                    let la = branch_slots(&j.left)[j.lslot];
+                    let ra = lp.schema_of(l).len() + branch_slots(&j.right)[j.rslot];
+                    let diff = Expr::attr(la) - Expr::attr(ra);
+                    let schema = Schema::of(&[("diff", AttrKind::Modeled)]);
+                    lp.add(LogicalOp::Map { exprs: vec![diff], schema }, vec![join]);
+                }
             }
         }
         let sink = lp.nodes.len() - 1;

@@ -70,6 +70,13 @@ fn candidates(case: &Case) -> Vec<Case> {
                 }
             });
         }
+        if j.diff {
+            push(&|c| {
+                if let Shape::Join(j) = &mut c.plan.shape {
+                    j.diff = false;
+                }
+            });
+        }
     }
     out
 }

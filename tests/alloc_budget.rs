@@ -294,13 +294,17 @@ fn allocations_per_push_stay_within_budget() {
     let segs = stream(7);
     // Budgets are the counts measured when a segment's single model moved
     // inline, pushes started appending to the caller's buffer and the
-    // min/max envelope started inserting in place, plus 10%. What is left
-    // on `global_min` is `CPlan::push`'s own result `Vec` (the 257–512 byte
-    // class); on `macd` also the join's two-model outputs. Before that the
-    // same stream made 5.62 allocations per push through `macd` and 4.05
-    // through `global_min`; before envelope maintenance stopped allocating
-    // per overlap and span normalization moved in place, 6.05 and 26.78;
-    // with every `Poly`'s coefficients on the heap, 11.14 and 32.58.
+    // min/max envelope started inserting in place, plus 10%; for `macd`,
+    // when its map also compiled into the join, which projects each pair
+    // straight into a one-model output. What is left on both is mostly
+    // `CPlan::push`'s own result `Vec` (the 257–512 byte class). Before the
+    // map fused, `macd` made 1.53 allocations per push, 0.43 of them the
+    // join's two-model outputs (a spilled two-`Poly` `Vec` each, the 65–128
+    // byte class). Before the first three changes the same stream made
+    // 5.62 allocations per push through `macd` and 4.05 through
+    // `global_min`; before envelope maintenance stopped allocating per
+    // overlap and span normalization moved in place, 6.05 and 26.78; with
+    // every `Poly`'s coefficients on the heap, 11.14 and 32.58.
     //
     // `global_min_branch` is the partition rewrite's worker plan for
     // `global_min`: a `true` filter under a grouped partial min. It made
@@ -309,7 +313,7 @@ fn allocations_per_push_stay_within_budget() {
     // snapshotted every arrival.
     let branch = partition_rewrite(&global_min()).expect("ungrouped min splits").branches.remove(0);
     for (name, plan, measured) in [
-        ("macd", macd(), 1.53),
+        ("macd", macd(), 1.09),
         ("global_min", global_min(), 1.05),
         ("global_min_branch", branch.plan, 1.06),
     ] {
@@ -321,12 +325,14 @@ fn allocations_per_push_stay_within_budget() {
             measured * 1.1
         );
     }
-    // The budget is the count measured when the violation path started
-    // pushing into the runtime's output buffer with inline models, plus
-    // 10%. Before that it made 4.62 allocations per violation; before the
-    // runtime re-modelled each key in place (a fresh segment and anchor
-    // per violation, the prediction and the anchor in two maps), 8.62.
-    let measured = 0.93;
+    // The budget is the count measured when the MACD plan's map compiled
+    // into the join, plus 10%. Before that it made 0.93 allocations per
+    // violation, 0.39 of them the join's two-model outputs (the 65–128
+    // byte class); before the violation path pushed into the runtime's
+    // output buffer with inline models, 4.62; before the runtime
+    // re-modelled each key in place (a fresh segment and anchor per
+    // violation, the prediction and the anchor in two maps), 8.62.
+    let measured = 0.53;
     let (per_violation, classes) = allocs_per_violation(&macd());
     println!("runtime: {per_violation:.2} allocations per violation ({classes})");
     assert!(

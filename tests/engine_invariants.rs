@@ -2,7 +2,7 @@
 //! operators, on randomized inputs.
 
 use proptest::prelude::*;
-use pulse::core::{Binding, CFilter, CMinMax, COperator, CSumAvg, LineageStore, Sampler};
+use pulse::core::{Binding, CFilter, CMinMax, COperator, CSumAvg, Emitter, LineageStore, Sampler};
 use pulse::math::{CmpOp, Poly, Span};
 use pulse::model::{AttrKind, Expr, Piecewise, Pred, Schema, Segment};
 use pulse::obs::Tracer;
@@ -106,7 +106,7 @@ proptest! {
         let mut f = CFilter::new(pred, Binding::new(xschema()));
         let seg = Segment::single(0, Span::new(0.0, 10.0), Poly::linear(icpt, slope));
         let mut out = Vec::new();
-        f.process(0, &seg, &mut LineageStore::default(), &mut Tracer::off(), &mut out);
+        f.process(0, &seg, &mut Tracer::off(), &mut Emitter::new(&mut LineageStore::default(), &mut out));
         let model = |t: f64| icpt + slope * t;
         for o in &out {
             prop_assert!(seg.span.contains_span(&o.span));
@@ -142,7 +142,7 @@ proptest! {
             let s = Segment::single(key as u64, Span::new(*lo, lo + len), Poly::linear(*icpt, *slope));
             all.push(s.clone());
             let mut out = Vec::new();
-            op.process(0, &s, &mut LineageStore::default(), &mut Tracer::off(), &mut out);
+            op.process(0, &s, &mut Tracer::off(), &mut Emitter::new(&mut LineageStore::default(), &mut out));
         }
         for i in 0..60 {
             let t = 0.25 + i as f64 * 0.5;
@@ -166,7 +166,7 @@ proptest! {
         let mut op = CSumAvg::new(false, 0, width);
         let mut outs = Vec::new();
         for s in &chain {
-            op.process(0, s, &mut LineageStore::default(), &mut Tracer::off(), &mut outs);
+            op.process(0, s, &mut Tracer::off(), &mut Emitter::new(&mut LineageStore::default(), &mut outs));
         }
         let numeric = |t: f64| -> f64 {
             let mut acc = 0.0;

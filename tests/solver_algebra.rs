@@ -4,7 +4,7 @@
 //! continuous join against pointwise predicate evaluation.
 
 use proptest::prelude::*;
-use pulse::core::{Binding, CJoin, COperator, LineageStore};
+use pulse::core::{Binding, CJoin, COperator, Emitter, LineageStore};
 use pulse::math::{CmpOp, Poly, RangeSet, Span};
 use pulse::model::{AttrKind, Expr, Pred, Schema, Segment};
 use pulse::obs::Tracer;
@@ -80,8 +80,8 @@ proptest! {
         let l = Segment::single(1, Span::new(0.0, 10.0), Poly::linear(li, ls));
         let r = Segment::single(2, Span::new(0.0, 10.0), Poly::linear(ri, rs));
         let (mut store, mut out) = (LineageStore::default(), Vec::new());
-        join.process(0, &l, &mut store, &mut Tracer::off(), &mut out);
-        join.process(1, &r, &mut store, &mut Tracer::off(), &mut out);
+        join.process(0, &l, &mut Tracer::off(), &mut Emitter::new(&mut store, &mut out));
+        join.process(1, &r, &mut Tracer::off(), &mut Emitter::new(&mut store, &mut out));
         let lv = |t: f64| li + ls * t;
         let rv = |t: f64| ri + rs * t;
         for o in &out {
